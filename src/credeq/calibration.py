@@ -3,18 +3,25 @@
 Step 1 (bonds): for each candidate product l*lambda on a uniform grid over
 [0, M1], the two remaining bond coefficients {l*V3, l*W2} solve a linear
 least-squares system in the bond-curve Greeks; the grid point minimizing
-the summed squared price errors wins.
+the summed squared price errors wins. l*lambda enters the bond only as
+exp(-l*lambda*tau), so the whole grid is one (grid x bonds x 2) broadcast
+of the kernel in :mod:`credeq.corrections`.
 
 Step 2 (options): for each candidate loss rate l on a uniform grid over
 [l_min, 1], the bond products are converted to per-unit coefficients
 (lambda = l_lambda/l, V3 = l_V3/l, W2 = l_W2/l) and the remaining
 coefficients solve a vega-weighted linear least squares against option
 price residuals. The grid-l minimizing the weighted objective wins.
+lambda enters only through log Bc(1), so the whole grid is one
+(grid x quotes x 8) tensor.
 
-Weighted systems are solved by SVD-based least squares (never normal
-equations; the Greek columns are highly collinear) and each fit reports
-the design-matrix condition number. Ties on a grid break toward the
-smaller grid value. The l grid starts at l_min > 0 because lambda =
+Each step is one batched pass: the Vasicek factors are computed once per
+distinct maturity, and the linear systems of every grid point are solved
+together by batched SVD (never normal equations; the Greek columns are
+highly collinear), with the rank rule of ``np.linalg.lstsq``. Each fit
+reports the design-matrix condition number at its argmin. Ties on a grid
+break toward the smaller grid value, and a non-finite P0 or Greek raises
+NumericalError. The l grid starts at l_min > 0 because lambda =
 (l*lambda)/l blows up as l -> 0.
 """
 
@@ -27,11 +34,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .corrections import CorrectionParams, greeks, price_p0
-from .errors import CalibrationError, NumericalError, ValidationError
+from .corrections import CorrectionParams, evaluate_bonds, evaluate_options
+from .errors import CalibrationError, DomainError, NumericalError, ValidationError
 from .implied_vol import VEGA_FLOOR_FACTOR, bs_vega, implied_vol
-from .errors import DomainError
-from .pricing import CreditParams, PricingInputs
+from .pricing import CreditParams
 from .rates import EquityParams, VasicekParams, vasicek_yield
 
 __all__ = [
@@ -118,22 +124,33 @@ class ModelFit:
             raise ValidationError(f"malformed fit parameters: {exc}") from None
 
 
-def _bond_design(bonds, vasicek: VasicekParams, l_lambda: float):
-    """Model prices and the (g3, g8) columns at a fixed l*lambda product."""
-    credit = CreditParams(l=1.0, lam=l_lambda)
-    p0 = np.empty(len(bonds))
-    cols = np.empty((len(bonds), 2))
-    for i, q in enumerate(bonds):
-        pin = PricingInputs(vasicek, _UNIT_EQUITY, credit, q.maturity)
-        g = greeks(pin, "bond")
-        p0[i] = price_p0(pin, "bond")
-        cols[i, 0] = g.g3
-        cols[i, 1] = g.g8
-    return p0, cols
+def _least_squares(design, rhs, rank_message: str):
+    """Least squares for each leading index of a (G x M x N) design, by batched SVD.
+
+    Never forms normal equations. Keeps the rank rule of ``np.linalg.lstsq``
+    (singular values at or below eps*max(M, N) times the largest count as
+    zero) and raises :class:`CalibrationError` when any system has rank
+    below N. Returns the solutions (G x N), the residual sums of squares
+    (G,) and the singular values (G x N).
+    """
+    u, sing, vt = np.linalg.svd(design, full_matrices=False)
+    keep = sing > np.finfo(float).eps * max(design.shape[-2:]) * sing[:, :1]
+    if not keep.all():
+        raise CalibrationError(rank_message, best=None)
+    theta = np.einsum("gji,gj->gi", vt, np.einsum("gmj,gm->gj", u, rhs) / sing)
+    resid = rhs - np.einsum("gmn,gn->gm", design, theta)
+    return theta, np.sum(resid**2, axis=-1), sing
 
 
-# The bond formulas never look at the equity block; any valid one will do.
-_UNIT_EQUITY = EquityParams(x=1.0, sigma2=0.2, rho1=0.0)
+def _condition_number(sing) -> float:
+    return float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
+
+
+def _check_finite(p0, cols, quotes, what: str) -> None:
+    """Raise NumericalError naming the first quote with a non-finite P0 or Greek."""
+    bad = ~(np.isfinite(p0).all(axis=0) & np.isfinite(cols).all(axis=(0, 2)))
+    if bad.any():
+        raise NumericalError(f"non-finite {what} greeks for quote {quotes[int(np.argmax(bad))]}")
 
 
 def fit_bonds(
@@ -157,25 +174,18 @@ def fit_bonds(
         raise ValidationError(f"need at least 3 bond quotes, got {len(bonds)}")
     prices = np.asarray([q.price for q in bonds])
     grid = np.linspace(0.0, m1, n_grid)
-
-    best = None
-    for l_lambda in grid:
-        p0, cols = _bond_design(bonds, vasicek, float(l_lambda))
-        rhs = prices - p0
-        theta, _, rank, sing = np.linalg.lstsq(cols, rhs, rcond=None)
-        if rank < 2:
-            raise CalibrationError(
-                "bond design matrix is rank deficient (distinct maturities required)",
-                best=None,
-            )
-        resid = float(np.sum((rhs - cols @ theta) ** 2))
-        if best is None or resid < best[0]:
-            cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
-            best = (resid, float(l_lambda), float(theta[0]), float(theta[1]), cond)
-
-    resid, l_lambda, l_v3, l_w2, cond = best
+    p0, cols = evaluate_bonds(vasicek, grid, [q.maturity for q in bonds])
+    _check_finite(p0, cols, bonds, "bond")
+    theta, resid, sing = _least_squares(
+        cols, prices - p0, "bond design matrix is rank deficient (distinct maturities required)"
+    )
+    i = int(np.argmin(resid))  # first minimum: ties go to the smaller l*lambda
     return BondFit(
-        l_lambda=l_lambda, l_v3=l_v3, l_w2=l_w2, residual=resid, condition_number=cond
+        l_lambda=float(grid[i]),
+        l_v3=float(theta[i, 0]),
+        l_w2=float(theta[i, 1]),
+        residual=float(resid[i]),
+        condition_number=_condition_number(sing[i]),
     )
 
 
@@ -188,9 +198,10 @@ def _quote_weights(options, vasicek: VasicekParams, equity: EquityParams):
     """
     x = equity.x
     floor = VEGA_FLOOR_FACTOR * x
+    rates = {s: vasicek_yield(vasicek, s) for s in {q.maturity for q in options}}
     weights = np.empty(len(options))
     for i, q in enumerate(options):
-        rate = vasicek_yield(vasicek, q.maturity)
+        rate = rates[q.maturity]
         try:
             iv = implied_vol(q.price, x, q.strike, q.maturity, rate, q.kind)
             vega = bs_vega(x, q.strike, q.maturity, rate, iv)
@@ -200,26 +211,24 @@ def _quote_weights(options, vasicek: VasicekParams, equity: EquityParams):
     return weights
 
 
-def _option_rows(options, vasicek, equity, lam: float, columns):
-    """P0, known-Greek pair (g3, g8), and linear columns for every quote."""
-    n = len(options)
-    p0 = np.empty(n)
-    known = np.empty((n, 2))
-    cols = np.empty((n, len(columns)))
-    credit = CreditParams(l=1.0, lam=lam)
-    for i, q in enumerate(options):
-        pin = PricingInputs(vasicek, equity, credit, q.maturity, q.strike)
-        g = greeks(pin, q.kind)
-        gt = g.as_tuple()
-        if not all(math.isfinite(t) for t in gt):
-            raise NumericalError(
-                f"non-finite greeks for quote kind={q.kind} K={q.strike} T={q.maturity}"
-            )
-        p0[i] = price_p0(pin, q.kind)
-        known[i, 0] = g.g3
-        known[i, 1] = g.g8
-        cols[i] = [gt[j] for _, j in columns]
-    return p0, known, cols
+def _option_grid(options, vasicek, equity, lam):
+    """P0 (G x Q) and g1..g8 (G x Q x 8) of every quote at every intensity in ``lam``."""
+    p0, g = evaluate_options(
+        vasicek,
+        equity,
+        lam,
+        [q.maturity for q in options],
+        [q.strike for q in options],
+        [q.kind == "put" for q in options],
+    )
+    _check_finite(p0, g, options, "option")
+    return p0, g
+
+
+def _weighted_fit(weights, rhs, g, columns, rank_message):
+    """Vega-weighted least squares of ``rhs`` (G x Q) on the variant's Greek columns."""
+    wcols = g[..., [j for _, j in columns]] * weights[:, None]
+    return _least_squares(wcols, rhs * weights, rank_message)
 
 
 def fit_options(
@@ -248,31 +257,25 @@ def fit_options(
     prices = np.asarray([q.price for q in options])
     weights = _quote_weights(options, vasicek, equity)
 
-    best = None
-    for l in np.linspace(l_min, 1.0, n_l_grid):
-        lam = bond_fit.l_lambda / l
-        v3 = bond_fit.l_v3 / l
-        w2 = bond_fit.l_w2 / l
-        p0, known, cols = _option_rows(options, vasicek, equity, lam, columns)
-        rhs = prices - p0 - v3 * known[:, 0] - w2 * known[:, 1]
-        wcols = cols * weights[:, None]
-        wrhs = rhs * weights
-        theta, _, rank, sing = np.linalg.lstsq(wcols, wrhs, rcond=None)
-        if rank < len(columns):
-            raise CalibrationError(
-                "option design matrix is rank deficient; spread strikes/maturities",
-                best=None,
-            )
-        resid = float(np.sum((wrhs - wcols @ theta) ** 2))
-        if best is None or resid < best[0]:
-            cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
-            best = (resid, float(l), lam, v3, w2, theta.copy(), cond)
-
-    resid, l, lam, v3, w2, theta, cond = best
-    fitted = dict(zip((name for name, _ in columns), (float(t) for t in theta)))
-    coeffs = CorrectionParams(v3=v3, w2=w2, **fitted)
+    grid = np.linspace(l_min, 1.0, n_l_grid)
+    lam = bond_fit.l_lambda / grid
+    v3 = bond_fit.l_v3 / grid
+    w2 = bond_fit.l_w2 / grid
+    p0, g = _option_grid(options, vasicek, equity, lam)
+    rhs = prices - p0 - v3[:, None] * g[..., 2] - w2[:, None] * g[..., 7]
+    theta, resid, sing = _weighted_fit(
+        weights, rhs, g, columns,
+        "option design matrix is rank deficient; spread strikes/maturities",
+    )
+    i = int(np.argmin(resid))  # first minimum: ties go to the smaller l
+    fitted = {name: float(t) for (name, _), t in zip(columns, theta[i])}
+    coeffs = CorrectionParams(v3=float(v3[i]), w2=float(w2[i]), **fitted)
     return OptionFit(
-        l=l, lam=lam, coeffs=coeffs, weighted_residual=resid, condition_number=cond
+        l=float(grid[i]),
+        lam=float(lam[i]),
+        coeffs=coeffs,
+        weighted_residual=float(resid[i]),
+        condition_number=_condition_number(sing[i]),
     )
 
 
@@ -287,22 +290,17 @@ def calibrate_index(options, vasicek: VasicekParams, equity: EquityParams) -> Op
         raise ValidationError(f"index fit needs at least 5 quotes, got {len(options)}")
     prices = np.asarray([q.price for q in options])
     weights = _quote_weights(options, vasicek, equity)
-    p0, _, cols = _option_rows(options, vasicek, equity, 0.0, columns)
-    rhs = prices - p0
-    wcols = cols * weights[:, None]
-    wrhs = rhs * weights
-    theta, _, rank, sing = np.linalg.lstsq(wcols, wrhs, rcond=None)
-    if rank < len(columns):
-        raise CalibrationError("index design matrix is rank deficient", best=None)
-    resid = float(np.sum((wrhs - wcols @ theta) ** 2))
-    cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
-    fitted = dict(zip((name for name, _ in columns), (float(t) for t in theta)))
+    p0, g = _option_grid(options, vasicek, equity, np.zeros(1))
+    theta, resid, sing = _weighted_fit(
+        weights, prices - p0, g, columns, "index design matrix is rank deficient"
+    )
+    fitted = {name: float(t) for (name, _), t in zip(columns, theta[0])}
     return OptionFit(
         l=1.0,
         lam=0.0,
         coeffs=CorrectionParams(**fitted),
-        weighted_residual=resid,
-        condition_number=cond,
+        weighted_residual=float(resid[0]),
+        condition_number=_condition_number(sing[0]),
     )
 
 

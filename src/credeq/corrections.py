@@ -24,10 +24,15 @@ are taken in the bond-curve convention used by the calibration:
     g3_bond = dBc/dalpha
     g8_bond = (1/beta)[ -dBc/dalpha + tau^2/2 Bc + tau dBc/dr ].
 
-All call Greeks are closed-form; put Greeks follow from put = call - x + K*B
-(only g3 and g8 pick up extra terms). A finite-difference engine with
-Richardson extrapolation over the same closed forms serves as an
-independent cross-check.
+One kernel holds this algebra: ``_option_terms`` gives P0 and g1..g8 of a
+call or put, ``_bond_terms`` those of a bond. Put terms enter through a 0/1
+flag (put = call - x + K*B), not a branch. The same body runs on Python
+floats, for single prices, and on NumPy arrays, for whole calibration
+grids (``evaluate_options``, ``evaluate_bonds``). The Vasicek factors it
+needs (b, int b, int b^2, a, da/deta, B) are computed once per distinct
+maturity by the scalar functions of :mod:`credeq.rates`. A
+finite-difference engine with Richardson extrapolation over the
+closed forms of :mod:`credeq.pricing` serves as an independent cross-check.
 
 Variants: ``seven_param`` uses all eight coefficients; ``three_param``
 (constant volatility) keeps {V1, V3, V1', V2'}; ``index`` (no default risk,
@@ -38,32 +43,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
-from .errors import ConfigurationError, NumericalError, ValidationError
+import numpy as np
+
+from .errors import ConfigurationError, DomainError, NumericalError, ValidationError
 from .pricing import (
+    INV_SQRT_2PI,
     PricingInputs,
     call_p0,
     defaultable_bond_p0,
     norm_cdf,
     norm_pdf,
     put_p0,
-    variance_v,
-    _survival_bond,
-    _log_survival_bond,
 )
 from .rates import (
     VasicekParams,
+    factor_a,
     factor_a_deta,
     factor_b,
     int_b,
     int_b_squared,
-    riskless_bond,
 )
 
 __all__ = [
     "CorrectionParams",
     "GreekVector",
     "VARIANTS",
+    "evaluate_bonds",
+    "evaluate_options",
     "greeks",
     "greeks_fd",
     "p0_partials",
@@ -113,6 +121,154 @@ class GreekVector:
         return (self.g1, self.g2, self.g3, self.g4, self.g5, self.g6, self.g7, self.g8)
 
 
+# ---------------------------------------------------------------------------
+# The kernel: one body for floats and for arrays
+# ---------------------------------------------------------------------------
+
+_FLOAT = SimpleNamespace(exp=math.exp, log=math.log, sqrt=math.sqrt, cdf=norm_cdf, pdf=norm_pdf)
+
+
+def _array_pdf(z):
+    return INV_SQRT_2PI * np.exp(-0.5 * z * z)
+
+
+def _array_namespace():
+    from scipy.special import ndtr
+
+    return SimpleNamespace(exp=np.exp, log=np.log, sqrt=np.sqrt, cdf=ndtr, pdf=_array_pdf)
+
+
+def _rate_factors(va: VasicekParams, tau: float):
+    """(b, int b, a, B) at one maturity; B = exp(a - b*r) is the riskless bond."""
+    b = factor_b(va.beta, tau)
+    a = factor_a(va, tau)
+    return b, int_b(va.beta, tau), a, math.exp(a - b * va.r)
+
+
+def _option_factors(va: VasicekParams, eq, tau: float):
+    """Rate factors plus (da/deta, v, dv/deta) at one maturity.
+
+    v is :func:`credeq.pricing.variance_v` on the hoisted integrals; dv/deta
+    is taken at fixed rho1*sigma2 coupling.
+    """
+    b, big_a, a, riskless = _rate_factors(va, tau)
+    ibb = int_b_squared(va.beta, tau)
+    v = eq.sigma2**2 * tau + va.eta**2 * ibb + 2 * va.eta * eq.rho1 * eq.sigma2 * big_a
+    if v <= 0:
+        raise DomainError(f"variance must be positive for option pricing, got {v}")
+    v_eta = 2 * va.eta * ibb + 2 * eq.rho1 * eq.sigma2 * big_a
+    return b, big_a, a, riskless, factor_a_deta(va, tau), v, v_eta
+
+
+def _option_terms(ns, put, x_eff, strike, tau, log_bc1, b, big_a, a_eta, v, v_eta, riskless,
+                  beta):
+    """P0, (x dP0/dx, dP0/dalpha, dP0/dr) and (g1, ..., g8) of a call or put.
+
+    ``put`` is 0 for a call and 1 for a put; ``log_bc1`` is log Bc(1),
+    ``big_a`` = int b = -da/dalpha. ``ns`` supplies exp/log/sqrt/cdf/pdf for
+    floats or for arrays, and every argument may be a float or an array of
+    broadcastable shape.
+    """
+    sv = ns.sqrt(v)
+    log_ratio = ns.log(x_eff / strike) - log_bc1
+    d1 = (log_ratio + 0.5 * v) / sv
+    d2 = (log_ratio - 0.5 * v) / sv
+    n1, n2, pdf1 = ns.cdf(d1), ns.cdf(d2), ns.pdf(d1)
+    kb = strike * ns.exp(log_bc1)
+    kb0 = strike * riskless
+
+    p0 = -put * x_eff + x_eff * n1 - kb * n2 + put * kb0
+    x_dpdx = x_eff * n1 - put * x_eff
+    dp_dalpha = kb * big_a * n2 - put * kb0 * big_a
+    dp_dr = kb * b * n2 - put * kb0 * b
+
+    gamma2 = x_eff * pdf1 / sv  # x^2 P0_xx
+    g1 = -tau * gamma2
+    g2 = -tau * gamma2 * (1 - d1 / sv)
+    g3 = -kb * big_a * (n2 - ns.pdf(d2) / sv) + put * kb0 * big_a  # put: -K dB/dalpha
+    g4 = -gamma2 * d1 * big_a / sv
+    g5 = x_eff * pdf1 * (-a_eta / sv + v_eta * (0.25 / sv - 0.5 * log_ratio / (v * sv)))
+    g6 = gamma2 * big_a
+    g7 = 0.5 * tau * tau * gamma2
+    x_dpdrdx = b * gamma2
+    g8 = (
+        g6
+        - dp_dalpha
+        + 0.5 * tau * tau * (gamma2 - x_dpdx + p0)
+        - tau * (x_dpdrdx - dp_dr)
+    ) / beta
+    return p0, (x_dpdx, dp_dalpha, dp_dr), (g1, g2, g3, g4, g5, g6, g7, g8)
+
+
+def _bond_terms(bond, tau, b, big_a, beta):
+    """The bond's P0, partials and Greeks, from its price Bc = exp(-l*lambda*tau) B."""
+    zero = 0.0 * bond
+    g3 = -big_a * bond  # dBc/dalpha
+    g8 = bond * (big_a + 0.5 * tau * tau - tau * b) / beta
+    return bond, (zero, g3, -b * bond), (zero, zero, g3, zero, zero, zero, zero, g8)
+
+
+def _evaluate(inputs: PricingInputs, kind: str):
+    """The kernel on floats: (P0, partials, Greeks) of one instrument."""
+    va, tau = inputs.vasicek, inputs.tau
+    if kind == "bond":
+        b, big_a, _, riskless = _rate_factors(va, tau)
+        c = inputs.credit
+        return _bond_terms(math.exp(-c.l * c.lam * tau) * riskless, tau, b, big_a, va.beta)
+    if kind not in ("call", "put"):
+        raise ValidationError(f"unknown instrument kind {kind!r}")
+    if inputs.strike is None:
+        raise ValidationError(f"a {kind} requires a strike")
+    if tau <= 0:
+        raise ValidationError(f"a {kind} requires tau > 0")
+    b, big_a, a, riskless, a_eta, v, v_eta = _option_factors(va, inputs.equity, tau)
+    log_bc1 = -inputs.credit.lam * tau + a - b * va.r
+    return _option_terms(_FLOAT, 1.0 if kind == "put" else 0.0, inputs.x_eff, inputs.strike,
+                         tau, log_bc1, b, big_a, a_eta, v, v_eta, riskless, va.beta)
+
+
+def _per_maturity(factors, tau: np.ndarray) -> np.ndarray:
+    """Columns of ``factors(s)`` evaluated once per distinct maturity, one row per quote."""
+    distinct, index = np.unique(tau, return_inverse=True)
+    return np.array([factors(float(s)) for s in distinct])[index].T
+
+
+def evaluate_options(vasicek: VasicekParams, equity, lam, tau, strike, put):
+    """P0 (G x Q) and g1..g8 (G x Q x 8) of Q options at G default intensities.
+
+    ``lam`` has shape (G,); ``tau``, ``strike`` and ``put`` (1 for a put,
+    0 for a call) have shape (Q,). The intensity enters only through
+    log Bc(1), so one broadcast covers the whole grid.
+    """
+    tau = np.asarray(tau, dtype=float)
+    b, big_a, a, riskless, a_eta, v, v_eta = _per_maturity(
+        lambda s: _option_factors(vasicek, equity, s), tau)
+    log_bc1 = -np.asarray(lam, dtype=float)[:, None] * tau + a - b * vasicek.r
+    x_eff = equity.x * np.exp(-equity.q * tau)
+    p0, _, g = _option_terms(_array_namespace(), np.asarray(put, dtype=float), x_eff,
+                             np.asarray(strike, dtype=float), tau, log_bc1, b, big_a, a_eta, v,
+                             v_eta, riskless, vasicek.beta)
+    return p0, np.stack(g, axis=-1)
+
+
+def evaluate_bonds(vasicek: VasicekParams, l_lambda, tau):
+    """Bc (G x N) and the (g3, g8) columns (G x N x 2) of N bonds at G products l*lambda.
+
+    The product enters only as exp(-l*lambda*tau), so one broadcast covers
+    the whole grid.
+    """
+    tau = np.asarray(tau, dtype=float)
+    b, big_a, _, riskless = _per_maturity(lambda s: _rate_factors(vasicek, s), tau)
+    bond = np.exp(-np.asarray(l_lambda, dtype=float)[:, None] * tau) * riskless
+    p0, _, g = _bond_terms(bond, tau, b, big_a, vasicek.beta)
+    return p0, np.stack((g[2], g[7]), axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Scalar API: thin wrappers over the float path
+# ---------------------------------------------------------------------------
+
+
 def _structural_loss(inputs: PricingInputs, kind: str) -> float:
     """Options lose the full stock at default; bonds lose their loss-rate fraction."""
     if kind in ("call", "put"):
@@ -124,131 +280,38 @@ def _structural_loss(inputs: PricingInputs, kind: str) -> float:
 
 def price_p0(inputs: PricingInputs, kind: str) -> float:
     """Leading-order price of the given instrument kind."""
-    if kind == "call":
-        return call_p0(inputs)
-    if kind == "put":
-        return put_p0(inputs)
-    if kind == "bond":
-        return defaultable_bond_p0(inputs)
-    raise ValidationError(f"unknown instrument kind {kind!r}")
+    return _evaluate(inputs, kind)[0]
 
 
 def p0_partials(inputs: PricingInputs, kind: str):
     """Analytic (P0, x*dP0/dx, dP0/dalpha, dP0/dr) for the closed forms."""
-    va, tau = inputs.vasicek, inputs.tau
-    b = factor_b(va.beta, tau)
-    big_a = int_b(va.beta, tau)
-    if kind == "bond":
-        bond = defaultable_bond_p0(inputs)
-        return bond, 0.0, -big_a * bond, -b * bond
-    if kind not in ("call", "put"):
-        raise ValidationError(f"unknown instrument kind {kind!r}")
-    bbar = _survival_bond(inputs)
-    v = variance_v(inputs)
-    sv = math.sqrt(v)
-    x_eff, strike = inputs.x_eff, inputs.strike
-    log_ratio = math.log(x_eff / strike) - _log_survival_bond(inputs)
-    d1 = (log_ratio + 0.5 * v) / sv
-    d2 = (log_ratio - 0.5 * v) / sv
-    kb = strike * bbar
-    p0 = x_eff * norm_cdf(d1) - kb * norm_cdf(d2)
-    x_dpdx = x_eff * norm_cdf(d1)
-    dp_dalpha = kb * big_a * norm_cdf(d2)
-    dp_dr = kb * b * norm_cdf(d2)
-    if kind == "put":
-        kb0 = strike * riskless_bond(va, tau)
-        p0 += -x_eff + kb0
-        x_dpdx -= x_eff
-        dp_dalpha -= kb0 * big_a
-        dp_dr -= kb0 * b
-    return p0, x_dpdx, dp_dalpha, dp_dr
+    p0, partials, _ = _evaluate(inputs, kind)
+    return (p0, *partials)
 
 
 def greeks(inputs: PricingInputs, kind: str) -> GreekVector:
     """Closed-form Greek vector g1..g8 for a call, put, or bond."""
-    if kind == "bond":
-        return _bond_greeks(inputs)
-    if kind not in ("call", "put"):
-        raise ValidationError(f"unknown instrument kind {kind!r}")
-    if inputs.strike is None:
-        raise ValidationError("option greeks require a strike")
-    if inputs.tau <= 0:
-        raise ValidationError("option greeks require tau > 0")
-
-    va = inputs.vasicek
-    tau, strike = inputs.tau, inputs.strike
-    x_eff = inputs.x_eff
-    bbar = _survival_bond(inputs)
-    v = variance_v(inputs)
-    sv = math.sqrt(v)
-    log_ratio = math.log(x_eff / strike) - _log_survival_bond(inputs)
-    d1 = (log_ratio + 0.5 * v) / sv
-    d2 = (log_ratio - 0.5 * v) / sv
-
-    b = factor_b(va.beta, tau)
-    big_a = int_b(va.beta, tau)  # -(da/dalpha) = (tau - b)/beta
-    a_eta = factor_a_deta(va, tau)
-    # dv/deta at fixed rho1*sigma2 coupling.
-    v_eta = 2 * va.eta * int_b_squared(va.beta, tau) + 2 * inputs.equity.rho1 * inputs.equity.sigma2 * int_b(va.beta, tau)
-
-    gamma2 = x_eff * norm_pdf(d1) / sv  # x^2 P0_xx
-    kb = strike * bbar
-
-    g1 = -tau * gamma2
-    g2 = -tau * gamma2 * (1 - d1 / sv)
-    g3 = -kb * big_a * (norm_cdf(d2) - norm_pdf(d2) / sv)
-    g4 = -gamma2 * d1 * big_a / sv
-    g5 = x_eff * norm_pdf(d1) * (-a_eta / sv + v_eta * (0.25 / sv - 0.5 * log_ratio / (v * sv)))
-    g6 = gamma2 * big_a
-    g7 = 0.5 * tau * tau * gamma2
-
-    p0 = x_eff * norm_cdf(d1) - kb * norm_cdf(d2)  # call value
-    dp_dalpha = kb * big_a * norm_cdf(d2)
-    x_dpdx = x_eff * norm_cdf(d1)
-    dp_dr = kb * b * norm_cdf(d2)
-    x_dpdrdx = b * gamma2
-
-    if kind == "put":
-        riskless = riskless_bond(va, tau)
-        kb0 = strike * riskless
-        g3 = g3 + kb0 * big_a  # -K * dB/dalpha
-        p0 = p0 - x_eff + kb0
-        dp_dalpha = dp_dalpha - kb0 * big_a
-        x_dpdx = x_dpdx - x_eff
-        dp_dr = dp_dr - kb0 * b
-
-    g8 = (
-        g6
-        - dp_dalpha
-        + 0.5 * tau * tau * (gamma2 - x_dpdx + p0)
-        - tau * (x_dpdrdx - dp_dr)
-    ) / va.beta
-
-    return GreekVector(g1, g2, g3, g4, g5, g6, g7, g8)
+    return GreekVector(*_evaluate(inputs, kind)[2])
 
 
-def _bond_greeks(inputs: PricingInputs) -> GreekVector:
-    va, tau = inputs.vasicek, inputs.tau
-    bond = defaultable_bond_p0(inputs)
-    b = factor_b(va.beta, tau)
-    big_a = int_b(va.beta, tau)
-    g3 = -big_a * bond  # dBc/dalpha
-    g8 = bond * (big_a + 0.5 * tau * tau - tau * b) / va.beta
-    return GreekVector(0.0, 0.0, g3, 0.0, 0.0, 0.0, 0.0, g8)
+def _fast(coeffs: CorrectionParams, g, l_eff: float) -> float:
+    return (
+        coeffs.v1 * g[0]
+        + coeffs.v2 * g[1]
+        + l_eff * coeffs.v3 * g[2]
+        + coeffs.v4 * g[3]
+        + coeffs.v5 * g[4]
+        + coeffs.v6 * g[5]
+    )
+
+
+def _slow(coeffs: CorrectionParams, g, l_eff: float) -> float:
+    return coeffs.w1 * g[6] + l_eff * coeffs.w2 * g[7]
 
 
 def correction_fast(inputs: PricingInputs, coeffs: CorrectionParams, kind: str) -> float:
     """Fast-scale price adjustment V1*g1 + V2*g2 + l*V3*g3 + V4*g4 + V5*g5 + V6*g6."""
-    g = greeks(inputs, kind)
-    l_eff = _structural_loss(inputs, kind)
-    return (
-        coeffs.v1 * g.g1
-        + coeffs.v2 * g.g2
-        + l_eff * coeffs.v3 * g.g3
-        + coeffs.v4 * g.g4
-        + coeffs.v5 * g.g5
-        + coeffs.v6 * g.g6
-    )
+    return _fast(coeffs, _evaluate(inputs, kind)[2], _structural_loss(inputs, kind))
 
 
 def correction_slow(inputs: PricingInputs, coeffs: CorrectionParams, kind: str) -> float:
@@ -258,9 +321,7 @@ def correction_slow(inputs: PricingInputs, coeffs: CorrectionParams, kind: str) 
     both supported cases: options carry l = 1 and the bond price has no
     x-dependence.
     """
-    g = greeks(inputs, kind)
-    l_eff = _structural_loss(inputs, kind)
-    return coeffs.w1 * g.g7 + l_eff * coeffs.w2 * g.g8
+    return _slow(coeffs, _evaluate(inputs, kind)[2], _structural_loss(inputs, kind))
 
 
 def _check_variant(inputs: PricingInputs, coeffs: CorrectionParams, variant: str) -> None:
@@ -290,16 +351,16 @@ def price_full(
 ) -> float:
     """P0 plus the variant's applicable corrections. Never clamps the result.
 
-    ``index`` omits the slow correction entirely; the result is bit-identical
-    to ``seven_param`` with lambda = 0 and v3 = w1 = w2 = 0.
+    P0 and both corrections come from one kernel evaluation. ``index``
+    omits the slow correction entirely; the result is bit-identical to
+    ``seven_param`` with lambda = 0 and v3 = w1 = w2 = 0.
     """
     _check_variant(inputs, coeffs, variant)
-    p0 = price_p0(inputs, kind)
-    fast = correction_fast(inputs, coeffs, kind)
-    if variant == "index":
-        price = p0 + fast
-    else:
-        price = p0 + fast + correction_slow(inputs, coeffs, kind)
+    p0, _, g = _evaluate(inputs, kind)
+    l_eff = _structural_loss(inputs, kind)
+    price = p0 + _fast(coeffs, g, l_eff)
+    if variant != "index":
+        price = price + _slow(coeffs, g, l_eff)
     if not math.isfinite(price):
         raise NumericalError(f"corrected {kind} price is not finite")
     return price
@@ -348,7 +409,15 @@ def _reprice(inputs: PricingInputs, kind: str, *, x=None, alpha=None, eta=None, 
     )
     eq2 = eq if x is None else _with_spot(eq, x)
     pin = PricingInputs(va2, eq2, inputs.credit, inputs.tau, inputs.strike)
-    return price_p0(pin, kind)
+    return _closed_form(pin, kind)
+
+
+def _closed_form(inputs: PricingInputs, kind: str) -> float:
+    """P0 from :mod:`credeq.pricing`, so the oracle shares no algebra with the kernel."""
+    forms = {"call": call_p0, "put": put_p0, "bond": defaultable_bond_p0}
+    if kind not in forms:
+        raise ValidationError(f"unknown instrument kind {kind!r}")
+    return forms[kind](inputs)
 
 
 def _with_spot(eq, x: float):
@@ -385,7 +454,7 @@ def greeks_fd(inputs: PricingInputs, kind: str) -> GreekVector:
         g8 = (-d_alpha + 0.5 * tau * tau * bond + tau * d_r) / va.beta
         return GreekVector(0.0, 0.0, g3, 0.0, 0.0, 0.0, 0.0, g8)
 
-    p0 = price_p0(inputs, kind)
+    p0 = _closed_form(inputs, kind)
     dx = _richardson_d1(p_of_x, x0, hx)
     dxx = _richardson_d2(p_of_x, x0, FD_STEP_SECOND * x0)
     gamma2 = x0 * x0 * dxx

@@ -9,13 +9,11 @@ factor (linear in yield * maturity) from a treasury curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
 from .pricing import norm_cdf, norm_pdf
 
 __all__ = [
-    "VolPoint",
     "bs_price",
     "bs_vega",
     "implied_vol",
@@ -29,19 +27,6 @@ VOL_HI = 5.0
 PRICE_TOL = 1e-10
 # Vega floor used by the calibration weighting, relative to spot.
 VEGA_FLOOR_FACTOR = 1e-4
-
-
-@dataclass(frozen=True)
-class VolPoint:
-    maturity: float
-    strike: float
-    implied_vol: float
-
-    def __post_init__(self):
-        if not (self.maturity > 0 and self.strike > 0):
-            raise ValidationError("maturity and strike must be positive")
-        if not (self.implied_vol >= 0 and math.isfinite(self.implied_vol)):
-            raise ValidationError("implied vol must be finite and nonnegative")
 
 
 def bs_price(x: float, strike: float, tau: float, rate: float, vol: float, kind: str) -> float:

@@ -54,9 +54,9 @@ class TreasuryCurve:
             )
         prev = 0.0
         for s, y in self.points:
-            if not (s > prev):
+            if not (s > prev and math.isfinite(s)):
                 raise ValidationError(
-                    f"maturities must be strictly increasing and > 0 (at {s})"
+                    f"maturities must be finite, strictly increasing and > 0 (at {s})"
                 )
             if not math.isfinite(y):
                 raise ValidationError(f"yield at maturity {s} is not finite")
@@ -69,8 +69,8 @@ class BondQuote:
     price: float
 
     def __post_init__(self):
-        if not (self.maturity > 0):
-            raise ValidationError(f"bond maturity must be > 0, got {self.maturity}")
+        if not (self.maturity > 0 and math.isfinite(self.maturity)):
+            raise ValidationError(f"bond maturity must be finite and > 0, got {self.maturity}")
         if not (0 < self.price <= 1.5):
             raise ValidationError(
                 f"bond price must be in (0, 1.5] of par, got {self.price}"
@@ -88,12 +88,12 @@ class OptionQuote:
     def __post_init__(self):
         if self.kind not in ("call", "put"):
             raise ValidationError(f"option kind must be call or put, got {self.kind!r}")
-        if not (self.maturity > 0):
-            raise ValidationError(f"option maturity must be > 0, got {self.maturity}")
-        if not (self.strike > 0):
-            raise ValidationError(f"strike must be > 0, got {self.strike}")
-        if self.price < 0:
-            raise ValidationError(f"option price must be >= 0, got {self.price}")
+        if not (self.maturity > 0 and math.isfinite(self.maturity)):
+            raise ValidationError(f"option maturity must be finite and > 0, got {self.maturity}")
+        if not (self.strike > 0 and math.isfinite(self.strike)):
+            raise ValidationError(f"strike must be finite and > 0, got {self.strike}")
+        if not (self.price >= 0 and math.isfinite(self.price)):
+            raise ValidationError(f"option price must be finite and >= 0, got {self.price}")
         if self.volume < 0:
             raise ValidationError(f"volume must be >= 0, got {self.volume}")
 
@@ -128,8 +128,8 @@ class CdsQuote:
     spread_bps: float
 
     def __post_init__(self):
-        if not (self.maturity > 0):
-            raise ValidationError(f"cds maturity must be > 0, got {self.maturity}")
+        if not (self.maturity > 0 and math.isfinite(self.maturity)):
+            raise ValidationError(f"cds maturity must be finite and > 0, got {self.maturity}")
         if not math.isfinite(self.spread_bps):
             raise ValidationError("cds spread must be finite")
 

@@ -36,7 +36,6 @@ __all__ = [
     "EquityParams",
     "factor_b",
     "factor_a",
-    "factor_a_dalpha",
     "factor_a_deta",
     "int_b",
     "int_b_squared",
@@ -155,11 +154,6 @@ def factor_a(p: VasicekParams, s: float) -> float:
     alpha_part = -alpha * int_b(beta, s)
     eta_part = eta * eta / beta**3 * _eta_bracket(beta, s)
     return alpha_part + eta_part
-
-
-def factor_a_dalpha(beta: float, s: float) -> float:
-    """d a(s) / d alpha = -(s/beta + (exp(-beta*s) - 1)/beta^2) = -int_b."""
-    return -int_b(beta, s)
 
 
 def factor_a_deta(p: VasicekParams, s: float) -> float:

@@ -11,9 +11,7 @@ from credeq.calibration import (
     fit_options,
     quotes_digest,
     report_json,
-    _option_rows,
     _quote_weights,
-    _VARIANT_COLUMNS,
 )
 from credeq.corrections import CorrectionParams
 from credeq.errors import CalibrationError, ValidationError
@@ -21,6 +19,7 @@ from credeq.market_data import BondQuote, OptionQuote
 from credeq.pricing import CreditParams
 from credeq.rates import EquityParams, riskless_bond
 
+from scalar_reference import option_residuals
 from conftest import (
     BOND_MATURITIES,
     INDEX_EQUITY,
@@ -129,19 +128,11 @@ class TestFitOptions:
         bonds, options = roundtrip_fixture
         bond_fit = fit_bonds(bonds, SURFACE_VASICEK)
         fit = fit_options(options, bond_fit, SURFACE_VASICEK, SURFACE_EQUITY)
-        prices = np.asarray([q.price for q in options])
         weights = _quote_weights(options, SURFACE_VASICEK, SURFACE_EQUITY)
-        columns = _VARIANT_COLUMNS["seven_param"]
         for l in np.linspace(0.05, 1.0, 96):
-            lam = bond_fit.l_lambda / l
-            v3 = bond_fit.l_v3 / l
-            w2 = bond_fit.l_w2 / l
-            p0, known, cols = _option_rows(
-                options, SURFACE_VASICEK, SURFACE_EQUITY, lam, columns
+            _, resid = option_residuals(
+                options, weights, bond_fit, SURFACE_VASICEK, SURFACE_EQUITY, l
             )
-            rhs = prices - p0 - v3 * known[:, 0] - w2 * known[:, 1]
-            theta, *_ = np.linalg.lstsq(cols * weights[:, None], rhs * weights, rcond=None)
-            resid = float(np.sum((rhs * weights - (cols * weights[:, None]) @ theta) ** 2))
             assert fit.weighted_residual <= resid + 1e-18
 
     def test_currency_rescale_leaves_argmin_unchanged(self, roundtrip_fixture):

@@ -272,6 +272,23 @@ class TestCalibrateAndConsume:
         assert "quotes" in json.loads(err)["message"]
 
 
+    @pytest.mark.parametrize(
+        "target, row",
+        [("options", "0.5,8.0,call,nan,100"), ("options", "0.5,8.0,put,inf,100"),
+         ("options", "inf,8.0,call,1.0,100"), ("bonds", "inf,0.9")],
+    )
+    def test_non_finite_quote_exit_2(self, fixture_files, capsys, target, row):
+        tmp_path, bonds_csv, options_csv, params_json = fixture_files
+        files = {"bonds": bonds_csv, "options": options_csv}
+        files[target].write_text(files[target].read_text() + row + "\n")
+        code, _, err = run(
+            capsys, "calibrate", "--bonds", str(bonds_csv),
+            "--options", str(options_csv), "--params", str(params_json),
+        )
+        assert code == 2
+        assert "finite" in json.loads(err)["message"]
+
+
 class TestCdsSeries:
     def test_series_with_gap(self, tmp_path, capsys):
         fits_dir = tmp_path / "fits"

@@ -1,0 +1,212 @@
+"""The batched kernel against the float path, and the batched fits against the scalar loops.
+
+The tolerances are fixed from float64, not fitted to the results:
+
+* kernel: the array path (NumPy, ``scipy.special.ndtr``) and the float path
+  (``math``, ``pricing.norm_cdf``) run the same algebra but not the same
+  elementary functions, which may differ by an ulp. Each element must agree
+  to 1e-13 of the evaluation's scale: the largest magnitude among P0, the
+  eight Greeks and the terms P0 sums (spot and strike, which cancel in a
+  deep put).
+* fits: the same grid index; coefficients within 1e-8; the root of the
+  residual within 1e-12 of the quotes' (weighted) price norm, which is the
+  rounding that separates two least-squares solvers on the same system.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from credeq.calibration import _quote_weights, calibrate_index, fit_bonds, fit_options
+from credeq.corrections import CorrectionParams, evaluate_bonds, evaluate_options, greeks, price_p0
+from credeq.errors import NumericalError
+from credeq.market_data import OptionQuote
+from credeq.pricing import CreditParams, PricingInputs
+from credeq.rates import SERIES_CUTOFF, EquityParams, VasicekParams
+
+from conftest import (
+    ROUNDTRIP_GRID,
+    SURFACE_COEFFS,
+    SURFACE_EQUITY,
+    SURFACE_VASICEK,
+    make_bond_quotes,
+    make_option_quotes,
+)
+from scalar_reference import fit_bonds_loop, fit_options_loop
+
+KERNEL_RTOL = 1e-13
+COEFF_TOL = 1e-8
+RESIDUAL_RTOL = 1e-12
+
+# A maturity on the series branch of the Vasicek factors: beta * tau < 1e-6.
+SERIES_TAU_FACTOR = 0.5 * SERIES_CUTOFF
+
+
+def vasicek(beta):
+    return st.builds(
+        VasicekParams,
+        alpha=st.floats(-0.03, 0.05),
+        beta=beta,
+        eta=st.floats(0.0, 0.05),
+        r=st.floats(0.0, 0.08),
+    )
+
+
+def equity(q):
+    return st.builds(
+        EquityParams,
+        x=st.floats(2.0, 150.0),
+        sigma2=st.floats(0.15, 0.6),
+        rho1=st.floats(-0.8, 0.8),
+        q=q,
+    )
+
+
+def assert_options_match(va, eq, lams, quotes):
+    """Every (intensity, quote) element of the array path equals the float wrappers."""
+    taus, moneyness, puts = zip(*quotes)
+    strikes = [m * eq.x for m in moneyness]
+    p0, g = evaluate_options(va, eq, np.asarray(lams), taus, strikes, puts)
+    assert p0.shape == (len(lams), len(quotes)) and g.shape == p0.shape + (8,)
+    for i, lam in enumerate(lams):
+        for j, (tau, strike, put) in enumerate(zip(taus, strikes, puts)):
+            pin = PricingInputs(va, eq, CreditParams(1.0, lam), tau, strike)
+            kind = "put" if put else "call"
+            want = np.array((price_p0(pin, kind),) + greeks(pin, kind).as_tuple())
+            got = np.concatenate(([p0[i, j]], g[i, j]))
+            scale = max(np.max(np.abs(want)), pin.x_eff, strike)
+            assert np.all(np.abs(got - want) <= KERNEL_RTOL * scale), (kind, tau, lam, got - want)
+
+
+class TestKernelPaths:
+    @given(
+        va=vasicek(st.floats(0.05, 1.0)),
+        eq=equity(st.sampled_from([0.0, 0.02])),
+        lams=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4),
+        quotes=st.lists(
+            st.tuples(st.floats(0.25, 3.0), st.floats(0.75, 1.35), st.booleans()),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_option_grid_equals_float_path(self, va, eq, lams, quotes):
+        assert_options_match(va, eq, lams, quotes)
+
+    @given(
+        va=vasicek(st.floats(0.05, 1.0)),
+        eq=equity(st.just(0.0)),
+        lams=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=3),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    def test_series_branch_option_equals_float_path(self, va, eq, lams):
+        # At the money with no dividend, so log(x_eff / K) is exactly 0 on
+        # both paths; at this tau near-the-money Greeks are otherwise
+        # ill-conditioned in float64 whichever path computes them.
+        tau = SERIES_TAU_FACTOR / va.beta
+        assert_options_match(va, eq, lams, [(tau, 1.0, False), (tau, 1.0, True)])
+
+    @given(
+        va=vasicek(st.floats(1e-8, 2.0)),
+        l_lambdas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        taus=st.lists(st.floats(0.1, 30.0), min_size=1, max_size=5),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_bond_grid_equals_float_path(self, va, l_lambdas, taus):
+        taus = taus + [SERIES_TAU_FACTOR / va.beta]
+        p0, cols = evaluate_bonds(va, np.asarray(l_lambdas), taus)
+        assert cols.shape == p0.shape + (2,)
+        for i, l_lambda in enumerate(l_lambdas):
+            for j, tau in enumerate(taus):
+                pin = PricingInputs(va, SURFACE_EQUITY, CreditParams(1.0, l_lambda), tau)
+                g = greeks(pin, "bond")
+                want = np.array((price_p0(pin, "bond"), g.g3, g.g8))
+                got = np.array((p0[i, j], *cols[i, j]))
+                scale = np.max(np.abs(want))
+                assert np.all(np.abs(got - want) <= KERNEL_RTOL * scale), (tau, got - want)
+
+
+# Seeded off-grid truths: (l, lambda) between the grid points of both steps.
+OFF_GRID = [(0.37, 0.0633)] + [
+    (float(l), float(lam))
+    for l, lam in zip(*np.random.default_rng(2024).uniform([0.2, 0.02], [0.9, 0.09], (3, 2)).T)
+]
+ON_GRID = (0.30, 0.05)  # the conftest round-trip truth
+
+
+def day(l, lam, coeffs=SURFACE_COEFFS):
+    bonds = make_bond_quotes(SURFACE_VASICEK, CreditParams(l=l, lam=lam), coeffs)
+    options = make_option_quotes(
+        SURFACE_VASICEK, SURFACE_EQUITY, lam, coeffs, ROUNDTRIP_GRID, skip_nonpositive=True
+    )
+    return bonds, options
+
+
+def residual_close(batched, loop, prices):
+    norm = math.sqrt(float(np.sum(np.asarray(prices) ** 2)))
+    return abs(math.sqrt(batched) - math.sqrt(loop)) <= RESIDUAL_RTOL * norm
+
+
+@pytest.mark.parametrize("truth", [ON_GRID] + OFF_GRID)
+class TestBatchedFitsMatchScalarLoops:
+    def test_bond_step(self, truth):
+        bonds, _ = day(*truth)
+        fit = fit_bonds(bonds, SURFACE_VASICEK)
+        _, l_lambda, theta, resid = fit_bonds_loop(bonds, SURFACE_VASICEK)
+        assert fit.l_lambda == l_lambda  # the same grid point
+        assert abs(fit.l_v3 - theta[0]) <= COEFF_TOL and abs(fit.l_w2 - theta[1]) <= COEFF_TOL
+        assert residual_close(fit.residual, resid, [q.price for q in bonds])
+
+    def test_option_step(self, truth):
+        bonds, options = day(*truth)
+        bond_fit = fit_bonds(bonds, SURFACE_VASICEK)
+        fit = fit_options(options, bond_fit, SURFACE_VASICEK, SURFACE_EQUITY)
+        _, l, theta, resid = fit_options_loop(options, bond_fit, SURFACE_VASICEK, SURFACE_EQUITY)
+        assert fit.l == l  # the same grid point
+        fitted = [getattr(fit.coeffs, n) for n in ("v1", "v2", "v4", "v5", "v6", "w1")]
+        assert np.max(np.abs(np.asarray(fitted) - theta)) <= COEFF_TOL
+        weights = _quote_weights(options, SURFACE_VASICEK, SURFACE_EQUITY)
+        assert residual_close(
+            fit.weighted_residual, resid, weights * [q.price for q in options]
+        )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+class TestNonFiniteGreeks:
+    """A NaN Greek stops the fit with NumericalError instead of steering the argmin."""
+
+    # With eta = 0 and a vanishing sigma2, v*sqrt(v) is so small that
+    # log_ratio / (v*sqrt(v)) overflows and g5 becomes 0 * inf. NumPy warns.
+    VASICEK = VasicekParams(alpha=0.0063, beta=0.1034, eta=0.0, r=0.0476)
+    EQUITY = EquityParams(x=8.04, sigma2=1e-105, rho1=0.5)
+    QUOTES = [OptionQuote(t, k, "call", 1.0, 10) for t in (0.5, 1.0) for k in (7.0, 7.5, 8.0, 8.5)]
+
+    def test_kernel_yields_nan(self):
+        pin = PricingInputs(self.VASICEK, self.EQUITY, CreditParams(1.0, 0.0), 0.5, 7.0)
+        assert math.isnan(greeks(pin, "call").g5)
+
+    def test_fit_options_raises(self):
+        bond_fit = fit_bonds(day(*ON_GRID)[0], self.VASICEK)
+        with pytest.raises(NumericalError, match="non-finite"):
+            fit_options(self.QUOTES, bond_fit, self.VASICEK, self.EQUITY)
+
+    def test_calibrate_index_raises(self):
+        with pytest.raises(NumericalError, match="non-finite"):
+            calibrate_index(self.QUOTES, self.VASICEK, self.EQUITY)
+
+
+def test_price_full_is_p0_plus_both_corrections():
+    # P0 + fast + slow from one kernel result equals the separate wrappers.
+    from credeq.corrections import correction_fast, correction_slow, price_full
+
+    coeffs = CorrectionParams(v1=0.01, v2=-0.002, v3=0.003, v4=0.001, v5=-0.02, v6=0.01,
+                              w1=-0.005, w2=0.0004)
+    for kind, strike in (("call", 7.5), ("put", 8.5), ("bond", None)):
+        pin = PricingInputs(SURFACE_VASICEK, SURFACE_EQUITY, CreditParams(0.4, 0.03), 1.5,
+                            strike)
+        separate = (price_p0(pin, kind) + correction_fast(pin, coeffs, kind)
+                    + correction_slow(pin, coeffs, kind))
+        assert price_full(pin, coeffs, kind) == separate

@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,28 @@ class TestQuoteValidation:
         q = OptionQuote(1.0, 8.0, "call", 9.5, 1)
         with pytest.raises(ValidationError, match="spot"):
             q.check_against_spot(9.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: OptionQuote(1.0, 8.0, "call", v, 1),
+            lambda v: OptionQuote(v, 8.0, "put", 1.0, 1),
+            lambda v: OptionQuote(1.0, v, "call", 1.0, 1),
+            lambda v: BondQuote(maturity=v, price=0.9),
+            lambda v: BondQuote(maturity=1.0, price=v),
+            lambda v: TreasuryCurve(points=((1.0, 0.05), (2.0, 0.05), (v, 0.05))),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, make, value):
+        with pytest.raises(ValidationError):
+            make(value)
+
+    def test_non_finite_cds_maturity_rejected(self):
+        from credeq.market_data import CdsQuote
+
+        with pytest.raises(ValidationError):
+            CdsQuote(dt.date(2006, 9, 18), math.inf, 100.0)
 
     def test_history_dates_increase(self):
         with pytest.raises(ValidationError):
