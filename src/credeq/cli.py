@@ -41,6 +41,7 @@ from .pricing import CreditParams, PricingInputs
 from .rates import (
     EquityParams,
     VasicekParams,
+    at_bound,
     curve_rmse,
     estimate_rho1,
     estimate_sigma2,
@@ -76,6 +77,7 @@ def cmd_fit_rates(args) -> None:
     out = {
         "vasicek": {"alpha": params.alpha, "beta": params.beta, "eta": params.eta, "r": params.r},
         "residual_rmse": curve_rmse(params, curve),
+        "at_bound": at_bound(params),
     }
     _emit(args, json.dumps(out, indent=2))
 

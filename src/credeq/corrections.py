@@ -160,17 +160,20 @@ def _option_factors(va: VasicekParams, eq, tau: float):
     return b, big_a, a, riskless, factor_a_deta(va, tau), v, v_eta
 
 
-def _option_terms(ns, put, x_eff, strike, tau, log_bc1, b, big_a, a_eta, v, v_eta, riskless,
+def _option_terms(ns, put, x, q, strike, tau, log_bc1, b, big_a, a_eta, v, v_eta, riskless,
                   beta):
     """P0, (x dP0/dx, dP0/dalpha, dP0/dr) and (g1, ..., g8) of a call or put.
 
-    ``put`` is 0 for a call and 1 for a put; ``log_bc1`` is log Bc(1),
-    ``big_a`` = int b = -da/dalpha. ``ns`` supplies exp/log/sqrt/cdf/pdf for
-    floats or for arrays, and every argument may be a float or an array of
-    broadcastable shape.
+    ``put`` is 0 for a call and 1 for a put; ``x`` is the spot and ``q`` the
+    dividend yield; ``log_bc1`` is log Bc(1), ``big_a`` = int b = -da/dalpha.
+    ``ns`` supplies exp/log/sqrt/cdf/pdf for floats or for arrays, and every
+    argument may be a float or an array of broadcastable shape.
     """
     sv = ns.sqrt(v)
-    log_ratio = ns.log(x_eff / strike) - log_bc1
+    x_eff = x * ns.exp(-q * tau)
+    # log(x/K) - q*tau, not log(x_eff/K): near the money at tiny tau the
+    # log-ratio would otherwise carry the rounding of x_eff.
+    log_ratio = ns.log(x / strike) - q * tau - log_bc1
     d1 = (log_ratio + 0.5 * v) / sv
     d2 = (log_ratio - 0.5 * v) / sv
     n1, n2, pdf1 = ns.cdf(d1), ns.cdf(d2), ns.pdf(d1)
@@ -223,8 +226,9 @@ def _evaluate(inputs: PricingInputs, kind: str):
         raise ValidationError(f"a {kind} requires tau > 0")
     b, big_a, a, riskless, a_eta, v, v_eta = _option_factors(va, inputs.equity, tau)
     log_bc1 = -inputs.credit.lam * tau + a - b * va.r
-    return _option_terms(_FLOAT, 1.0 if kind == "put" else 0.0, inputs.x_eff, inputs.strike,
-                         tau, log_bc1, b, big_a, a_eta, v, v_eta, riskless, va.beta)
+    eq = inputs.equity
+    return _option_terms(_FLOAT, 1.0 if kind == "put" else 0.0, eq.x, eq.q, inputs.strike, tau,
+                         log_bc1, b, big_a, a_eta, v, v_eta, riskless, va.beta)
 
 
 def _per_maturity(factors, tau: np.ndarray) -> np.ndarray:
@@ -244,8 +248,7 @@ def evaluate_options(vasicek: VasicekParams, equity, lam, tau, strike, put):
     b, big_a, a, riskless, a_eta, v, v_eta = _per_maturity(
         lambda s: _option_factors(vasicek, equity, s), tau)
     log_bc1 = -np.asarray(lam, dtype=float)[:, None] * tau + a - b * vasicek.r
-    x_eff = equity.x * np.exp(-equity.q * tau)
-    p0, _, g = _option_terms(_array_namespace(), np.asarray(put, dtype=float), x_eff,
+    p0, _, g = _option_terms(_array_namespace(), np.asarray(put, dtype=float), equity.x, equity.q,
                              np.asarray(strike, dtype=float), tau, log_bc1, b, big_a, a_eta, v,
                              v_eta, riskless, vasicek.beta)
     return p0, np.stack(g, axis=-1)

@@ -14,7 +14,10 @@ Black-Scholes-like forms
 
     C0   = x_eff N(d1) - K Bc(1) N(d2),
     Put0 = -x_eff + x_eff N(d1) - K Bc(1) N(d2) + K Bc(0),
-    d1,2 = [log(x_eff / (K Bc(1))) +- v/2] / sqrt(v).
+    d1,2 = [log(x_eff / (K Bc(1))) +- v/2] / sqrt(v),
+
+where log(x_eff / K) is taken as log(x / K) - q*tau, so that near the money
+at tiny tau it does not carry the rounding of x_eff.
 
 The pre-default drift carries the full intensity (dS = (r + lambda) S dt),
 so m always adds lambda*tau regardless of l; l enters only the discount
@@ -160,7 +163,8 @@ def _d12(inputs: PricingInputs):
     if v <= 0:
         raise DomainError(f"variance must be positive for option pricing, got {v}")
     sv = math.sqrt(v)
-    log_ratio = math.log(inputs.x_eff / inputs.strike) - _log_survival_bond(inputs)
+    eq = inputs.equity
+    log_ratio = math.log(eq.x / inputs.strike) - eq.q * inputs.tau - _log_survival_bond(inputs)
     return (log_ratio + 0.5 * v) / sv, (log_ratio - 0.5 * v) / sv
 
 

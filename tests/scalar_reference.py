@@ -1,20 +1,25 @@
-"""Per-grid-point scalar loops: the reference for the batched calibration.
+"""Reference implementations the fast paths are tested against.
 
-These are the calibration steps written one grid point and one quote at a
-time, over the public scalar ``greeks`` and ``price_p0`` and
-``np.linalg.lstsq``. The batched fits in :mod:`credeq.calibration` must
-pick the same grid point and agree with them to rounding.
+* Per-grid-point scalar loops: the calibration steps written one grid point
+  and one quote at a time, over the public scalar ``greeks`` and
+  ``price_p0`` and ``np.linalg.lstsq``. The batched fits in
+  :mod:`credeq.calibration` must pick the same grid point and agree with
+  them to rounding.
+* A multi-start bounded Nelder-Mead fit of the Vasicek curve over all three
+  parameters. The variable-projection ``fit_vasicek`` must reach an SSE no
+  larger than it.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 from credeq.calibration import _VARIANT_COLUMNS, _quote_weights
 from credeq.corrections import greeks, price_p0
 from credeq.errors import NumericalError
 from credeq.pricing import CreditParams, PricingInputs
-from credeq.rates import EquityParams
+from credeq.rates import FIT_BOUNDS, EquityParams, VasicekParams, vasicek_yield
 
 # The bond formulas never look at the equity block; any valid one will do.
 UNIT_EQUITY = EquityParams(x=1.0, sigma2=0.2, rho1=0.0)
@@ -86,3 +91,39 @@ def fit_options_loop(options, bond_fit, vasicek, equity, l_min=0.05, n_l_grid=96
         if best is None or resid < best[3]:
             best = (i, float(l), theta, resid)
     return best
+
+
+def curve_sse(params, curve):
+    """Sum of squared yield errors of the model against a treasury curve."""
+    return sum((vasicek_yield(params, s) - y) ** 2 for s, y in curve.points)
+
+
+def fit_vasicek_nelder_mead(curve, r_proxy=None):
+    """Bounded Nelder-Mead over (alpha, beta, eta) from 8 seeds, then a polishing restart."""
+    yields = [y for _, y in curve.points]
+    r = yields[0] if r_proxy is None else r_proxy
+
+    def sse(theta):
+        alpha, beta, eta = theta
+        return curve_sse(VasicekParams(alpha=alpha, beta=beta, eta=eta, r=r), curve)
+
+    ybar = sum(yields) / len(yields)
+    bounds = [FIT_BOUNDS["alpha"], FIT_BOUNDS["beta"], FIT_BOUNDS["eta"]]
+    seeds = [
+        (min(max(b0 * ybar, -0.49), 0.49), b0, e0)
+        for b0 in (0.05, 0.15, 0.5, 1.5)
+        for e0 in (0.001, 0.02)
+    ]
+    best = None
+    for seed in seeds:
+        res = minimize(sse, x0=np.asarray(seed), method="Nelder-Mead", bounds=bounds,
+                       options={"xatol": 1e-12, "fatol": 1e-18, "maxiter": 4000, "maxfev": 8000})
+        if best is None or res.fun < best.fun:
+            best = res
+    # Polish: restart the simplex at the incumbent, which resets its scale.
+    res = minimize(sse, x0=best.x, method="Nelder-Mead", bounds=bounds,
+                   options={"xatol": 1e-14, "fatol": 1e-20, "maxiter": 4000, "maxfev": 8000})
+    if res.fun <= best.fun:
+        best = res
+    alpha, beta, eta = best.x
+    return VasicekParams(alpha=float(alpha), beta=float(beta), eta=float(eta), r=r)

@@ -90,6 +90,26 @@ class TestFitRates:
         assert payload["vasicek"]["beta"] == pytest.approx(INDEX_VASICEK.beta, abs=1e-3)
         assert payload["residual_rmse"] < 1e-7
         assert payload["vasicek"]["r"] == INDEX_VASICEK.r
+        assert list(payload) == ["vasicek", "residual_rmse", "at_bound"]
+        assert payload["at_bound"] == []
+
+    def test_reports_parameters_at_a_bound(self, tmp_path, capsys):
+        # A long-run rate alpha/beta = 0.8 needs alpha beyond its bound of 0.5.
+        from credeq.rates import VasicekParams
+
+        truth = VasicekParams(alpha=0.8, beta=1.0, eta=0.05, r=0.05)
+        curve = TreasuryCurve(
+            points=tuple((s, vasicek_yield(truth, s)) for s in [0.25, 1, 2, 5, 10, 30])
+        )
+        path = tmp_path / "treasury.csv"
+        save_treasury_csv(path, curve)
+        code, out, err = run(
+            capsys, "fit-rates", "--treasury", str(path), "--r-proxy", str(truth.r)
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["vasicek"]["alpha"] == 0.5
+        assert "alpha" in payload["at_bound"]
 
     def test_default_proxy_is_shortest_yield(self, tmp_path, capsys):
         from conftest import INDEX_VASICEK

@@ -21,10 +21,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credeq.calibration import _quote_weights, calibrate_index, fit_bonds, fit_options
-from credeq.corrections import CorrectionParams, evaluate_bonds, evaluate_options, greeks, price_p0
+from credeq.corrections import (
+    CorrectionParams,
+    evaluate_bonds,
+    evaluate_options,
+    greeks,
+    price_full,
+    price_p0,
+)
 from credeq.errors import NumericalError
 from credeq.market_data import OptionQuote
-from credeq.pricing import CreditParams, PricingInputs
+from credeq.pricing import (
+    CreditParams,
+    PricingInputs,
+    _d12,
+    _log_survival_bond,
+    call_p0,
+    put_p0,
+    variance_v,
+)
 from credeq.rates import SERIES_CUTOFF, EquityParams, VasicekParams
 
 from conftest import (
@@ -98,16 +113,38 @@ class TestKernelPaths:
 
     @given(
         va=vasicek(st.floats(0.05, 1.0)),
-        eq=equity(st.just(0.0)),
+        eq=equity(st.floats(0.001, 0.05)),
         lams=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=3),
     )
     @settings(derandomize=True, deadline=None, max_examples=30)
     def test_series_branch_option_equals_float_path(self, va, eq, lams):
-        # At the money with no dividend, so log(x_eff / K) is exactly 0 on
-        # both paths; at this tau near-the-money Greeks are otherwise
-        # ill-conditioned in float64 whichever path computes them.
+        # At the money, so log(x / K) is exactly 0 and the log-moneyness is
+        # -q*tau on both paths, free of x_eff's rounding; at this tau
+        # near-the-money Greeks are otherwise ill-conditioned in float64
+        # whichever path computes them.
         tau = SERIES_TAU_FACTOR / va.beta
         assert_options_match(va, eq, lams, [(tau, 1.0, False), (tau, 1.0, True)])
+
+    @given(
+        va=vasicek(st.floats(0.05, 1.0)),
+        eq=equity(st.floats(0.001, 0.05)),
+        lam=st.floats(0.0, 0.5),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    def test_log_moneyness_at_tiny_tau_is_free_of_dividend_rounding(self, va, eq, lam):
+        # At K = x the log-moneyness log(x_eff / K) is exactly -q*tau. Taken
+        # as log(x_eff / K), it would carry x_eff's rounding, about 1e-16,
+        # which at tau ~ 1e-6 is 1e-10 of the log-moneyness itself.
+        tau = SERIES_TAU_FACTOR / va.beta
+        pin = PricingInputs(va, eq, CreditParams(1.0, lam), tau, eq.x)
+        d1, d2 = _d12(pin)
+        v = variance_v(pin)
+        got = 0.5 * (d1 + d2) * math.sqrt(v)
+        want = -eq.q * tau - _log_survival_bond(pin)
+        assert abs(got - want) <= KERNEL_RTOL * max(abs(want), v)
+        # The kernel takes the same log-moneyness: P0 stays bit-equal.
+        assert price_full(pin, CorrectionParams(), "call") == call_p0(pin)
+        assert price_full(pin, CorrectionParams(), "put") == put_p0(pin)
 
     @given(
         va=vasicek(st.floats(1e-8, 2.0)),

@@ -1,14 +1,19 @@
 import datetime as dt
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from credeq.errors import ValidationError
+from credeq.errors import CalibrationError, ValidationError
 from credeq.market_data import PriceHistory, TreasuryCurve
 from credeq.rates import (
+    FIT_BOUNDS,
     VasicekParams,
+    at_bound,
     curve_rmse,
     estimate_rho1,
     estimate_sigma2,
@@ -21,7 +26,11 @@ from credeq.rates import (
     vasicek_yield,
 )
 
-from conftest import HIST_VASICEK, INDEX_VASICEK
+from conftest import HIST_VASICEK, INDEX_VASICEK, SURFACE_VASICEK
+from scalar_reference import curve_sse, fit_vasicek_nelder_mead
+
+# The treasury maturities (years) of the benchmark's CLI day.
+TREASURY_MATURITIES = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 20.0, 30.0)
 
 
 def ou_bond_mc(p, s, n_paths=500_000, steps_per_year=52, seed=123):
@@ -103,6 +112,20 @@ class TestFactorA:
             )
             assert factor_a(p, s) == pytest.approx(literal, abs=1e-13)
 
+    def test_eta_part_exact_at_small_beta(self):
+        # The closed form of the eta part cancels from O(beta*s) to
+        # O((beta*s)^3); at small beta the series keeps it to rounding.
+        beta = 1e-3
+        p0 = VasicekParams(alpha=0.0, beta=beta, eta=0.0, r=0.0)
+        unit = VasicekParams(alpha=0.0, beta=beta, eta=1.0, r=0.0)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for s in (1e-3, 0.25, 2.0, 30.0, 600.0):
+                u = Decimal(beta) * Decimal(s)
+                exact = (u / 2 + ((-u).exp() - 1) - ((-2 * u).exp() - 1) / 4) / Decimal(beta) ** 3
+                got = factor_a(unit, s) - factor_a(p0, s)
+                assert abs(Decimal(got) - exact) <= Decimal(1e-14) * exact
+
     def test_eta_zero_reduction(self):
         p = VasicekParams(alpha=0.005, beta=0.1, eta=0.0, r=0.05)
         s = 1.0
@@ -176,6 +199,99 @@ class TestFitVasicek:
         curve = self.curve_from(truth, [1 / 12, 1, 5, 10])
         fitted = fit_vasicek(curve)
         assert fitted.r == curve.points[0][1]
+
+    def test_non_finite_sse_raises(self):
+        curve = self.curve_from(INDEX_VASICEK, TREASURY_MATURITIES)
+        with pytest.raises(CalibrationError) as info:
+            fit_vasicek(curve, r_proxy=1e300)
+        assert info.value.residual == math.inf
+        assert info.value.best.r == 1e300
+
+    def test_overflowing_curve_raises(self):
+        # Yields of +-1e308 overflow the projection to NaN.
+        curve = TreasuryCurve(points=tuple(
+            (s, 1e308 * (-1) ** i) for i, s in enumerate(TREASURY_MATURITIES)))
+        with pytest.raises(CalibrationError):
+            fit_vasicek(curve, r_proxy=0.05)
+
+    def test_non_finite_proxy_is_rejected(self):
+        curve = self.curve_from(INDEX_VASICEK, TREASURY_MATURITIES)
+        with pytest.raises(ValidationError):
+            fit_vasicek(curve, r_proxy=math.nan)
+
+    @given(
+        alpha=st.floats(*FIT_BOUNDS["alpha"]),
+        # log-uniform, so that small beta, where the eta part cancels most,
+        # is drawn as often as large
+        beta=st.floats(*map(math.log, FIT_BOUNDS["beta"])).map(
+            lambda x: min(max(math.exp(x), FIT_BOUNDS["beta"][0]), FIT_BOUNDS["beta"][1])),
+        eta=st.floats(*FIT_BOUNDS["eta"]),
+        r=st.floats(0.0, 0.1),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    def test_recovers_exact_curves(self, alpha, beta, eta, r):
+        truth = VasicekParams(alpha=alpha, beta=beta, eta=eta, r=r)
+        curve = self.curve_from(truth, TREASURY_MATURITIES)
+        assert curve_rmse(fit_vasicek(curve, r_proxy=r), curve) <= 1e-12
+
+    @staticmethod
+    def noisy(truth, seed, bp=3.0):
+        rng = np.random.default_rng(seed)
+        return TreasuryCurve(points=tuple(
+            (s, vasicek_yield(truth, s) + bp * 1e-4 * rng.standard_normal())
+            for s in TREASURY_MATURITIES))
+
+    @pytest.mark.parametrize("case", ["default-proxy", "misfit-proxy", "noisy-1", "noisy-2",
+                                      "noisy-3"])
+    def test_no_worse_than_nelder_mead(self, case):
+        curve, r_proxy = {
+            "default-proxy": (self.curve_from(INDEX_VASICEK, TREASURY_MATURITIES), None),
+            "misfit-proxy": (self.curve_from(SURFACE_VASICEK, TREASURY_MATURITIES),
+                             SURFACE_VASICEK.r + 0.004),
+            "noisy-1": (self.noisy(HIST_VASICEK, 1), HIST_VASICEK.r),
+            "noisy-2": (self.noisy(SURFACE_VASICEK, 2), SURFACE_VASICEK.r),
+            "noisy-3": (self.noisy(INDEX_VASICEK, 3, bp=10.0), None),
+        }[case]
+        reference = curve_sse(fit_vasicek_nelder_mead(curve, r_proxy), curve)
+        assert reference > 1e-12  # a misfit, not an exact curve
+        assert curve_sse(fit_vasicek(curve, r_proxy), curve) <= reference * (1 + 1e-12)
+
+
+class TestBoundHits:
+    def test_interior_fit_names_no_bound(self):
+        curve = TreasuryCurve(points=tuple(
+            (s, vasicek_yield(SURFACE_VASICEK, s)) for s in TREASURY_MATURITIES))
+        assert at_bound(fit_vasicek(curve, SURFACE_VASICEK.r)) == []
+
+    @staticmethod
+    def negative_eta2_curve(p, eta2):
+        """Yields of the affine form at eta^2 = eta2 < 0, which no Vasicek model produces.
+
+        The eta part of a(s) is eta^2 times factor_a at (alpha=0, eta=1).
+        """
+        unit = VasicekParams(alpha=0.0, beta=p.beta, eta=1.0, r=p.r)
+        return TreasuryCurve(points=tuple(
+            (s, vasicek_yield(p, s) - eta2 * factor_a(unit, s) / s) for s in TREASURY_MATURITIES))
+
+    def test_eta_stops_at_zero(self):
+        p = VasicekParams(alpha=0.0063, beta=0.5, eta=0.0, r=0.0476)
+        fitted = fit_vasicek(self.negative_eta2_curve(p, -1e-3), p.r)
+        assert fitted.eta == 0.0
+        assert at_bound(fitted) == ["eta"]
+
+    def test_beta_stops_at_its_lower_bound(self):
+        p = VasicekParams(alpha=0.0063, beta=0.1034, eta=0.0, r=0.0476)
+        fitted = fit_vasicek(self.negative_eta2_curve(p, -1e-3), p.r)
+        assert fitted.beta == FIT_BOUNDS["beta"][0]
+        assert at_bound(fitted) == ["beta"]
+
+    def test_long_run_rate_beyond_alpha_bound(self):
+        truth = VasicekParams(alpha=0.8, beta=1.0, eta=0.05, r=0.05)
+        curve = TreasuryCurve(points=tuple(
+            (s, vasicek_yield(truth, s)) for s in TREASURY_MATURITIES))
+        fitted = fit_vasicek(curve, truth.r)
+        assert fitted.alpha == FIT_BOUNDS["alpha"][1]
+        assert "alpha" in at_bound(fitted)
 
 
 def business_days(n, start=dt.date(2006, 1, 2)):
