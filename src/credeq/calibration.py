@@ -32,8 +32,8 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
+# NumPy is imported inside the functions that use arrays, so that the float
+# path (one price, one CDS curve) never loads it.
 from .corrections import CorrectionParams, evaluate_bonds, evaluate_options
 from .errors import CalibrationError, DomainError, NumericalError, ValidationError
 from .implied_vol import VEGA_FLOOR_FACTOR, bs_vega, implied_vol
@@ -133,6 +133,8 @@ def _least_squares(design, rhs, rank_message: str):
     below N. Returns the solutions (G x N), the residual sums of squares
     (G,) and the singular values (G x N).
     """
+    import numpy as np
+
     u, sing, vt = np.linalg.svd(design, full_matrices=False)
     keep = sing > np.finfo(float).eps * max(design.shape[-2:]) * sing[:, :1]
     if not keep.all():
@@ -148,6 +150,8 @@ def _condition_number(sing) -> float:
 
 def _check_finite(p0, cols, quotes, what: str) -> None:
     """Raise NumericalError naming the first quote with a non-finite P0 or Greek."""
+    import numpy as np
+
     bad = ~(np.isfinite(p0).all(axis=0) & np.isfinite(cols).all(axis=(0, 2)))
     if bad.any():
         raise NumericalError(f"non-finite {what} greeks for quote {quotes[int(np.argmax(bad))]}")
@@ -170,6 +174,8 @@ def fit_bonds(
     m1, n_grid : float, int
         The l*lambda grid is ``n_grid`` uniform points on [0, m1].
     """
+    import numpy as np
+
     if len(bonds) < 3:
         raise ValidationError(f"need at least 3 bond quotes, got {len(bonds)}")
     prices = np.asarray([q.price for q in bonds])
@@ -196,6 +202,8 @@ def _quote_weights(options, vasicek: VasicekParams, equity: EquityParams):
     quoted against the model zero yield at its maturity. Quotes whose
     price cannot be inverted (outside BS bounds) fall back to the floor.
     """
+    import numpy as np
+
     x = equity.x
     floor = VEGA_FLOOR_FACTOR * x
     rates = {s: vasicek_yield(vasicek, s) for s in {q.maturity for q in options}}
@@ -246,6 +254,8 @@ def fit_options(
     variant's linear coefficients solve a vega-weighted least squares on
     price residuals. Requires one more quote than there are unknowns.
     """
+    import numpy as np
+
     if variant not in ("seven_param", "three_param"):
         raise ValidationError(f"unsupported calibration variant {variant!r}")
     columns = _VARIANT_COLUMNS[variant]
@@ -285,6 +295,8 @@ def calibrate_index(options, vasicek: VasicekParams, equity: EquityParams) -> Op
     lambda is pinned to zero, there is no l grid, and only the five
     fast-scale coefficients {v1, v2, v4, v5, v6} are fitted.
     """
+    import numpy as np
+
     columns = _VARIANT_COLUMNS["index"]
     if len(options) < 5:
         raise ValidationError(f"index fit needs at least 5 quotes, got {len(options)}")

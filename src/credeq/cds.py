@@ -19,6 +19,7 @@ maturity (credit triangle).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .calibration import ModelFit
 from .corrections import price_full
@@ -80,12 +81,11 @@ def _corrected_bond(fit: ModelFit, credit: CreditParams, tau: float) -> float:
     return price_full(pin, fit.coeffs, "bond", fit.variant)
 
 
-def cds_spread(fit: ModelFit, schedule: CdsSchedule) -> float:
-    """Annualized model CDS spread (decimal per year) for one schedule."""
+def _spread(fit: ModelFit, schedule: CdsSchedule, full_loss_bonds) -> float:
+    """The spread, with ``full_loss_bonds`` the corrected bonds at l = 1, one per payment."""
     t_mat = schedule.maturity
     protection = riskless_bond(fit.vasicek, t_mat) - _corrected_bond(fit, fit.credit, t_mat)
-    full_loss = CreditParams(l=1.0, lam=fit.credit.lam)
-    annuity = sum(_corrected_bond(fit, full_loss, t) for t in schedule.payment_times)
+    annuity = sum(full_loss_bonds)
     if annuity <= 0:
         raise NumericalError(
             f"degenerate premium annuity {annuity} for schedule up to {t_mat}"
@@ -93,9 +93,27 @@ def cds_spread(fit: ModelFit, schedule: CdsSchedule) -> float:
     return protection / annuity / schedule.delta
 
 
+def cds_spread(fit: ModelFit, schedule: CdsSchedule) -> float:
+    """Annualized model CDS spread (decimal per year) for one schedule."""
+    full_loss = CreditParams(l=1.0, lam=fit.credit.lam)
+    return _spread(fit, schedule,
+                   (_corrected_bond(fit, full_loss, t) for t in schedule.payment_times))
+
+
 def cds_term_structure(fit: ModelFit, maturities, delta: float = 1.0):
-    """(maturity, spread) pairs; each maturity gets its own payment schedule."""
-    return [(t, cds_spread(fit, annual_schedule(t, delta))) for t in maturities]
+    """(maturity, spread) pairs; each maturity gets its own payment schedule.
+
+    The schedules share their payment times (m * delta), so each full-loss
+    bond is priced once per curve; every spread sums the same values in the
+    same order as :func:`cds_spread` and equals it bit for bit.
+    """
+    full_loss = CreditParams(l=1.0, lam=fit.credit.lam)
+    full_loss_bond = cache(lambda t: _corrected_bond(fit, full_loss, t))
+    curve = []
+    for t in maturities:
+        schedule = annual_schedule(t, delta)
+        curve.append((t, _spread(fit, schedule, map(full_loss_bond, schedule.payment_times))))
+    return curve
 
 
 def cds_series(daily_fits, maturity: float, delta: float = 1.0):

@@ -34,6 +34,17 @@ maturity by the scalar functions of :mod:`credeq.rates`. A
 finite-difference engine with Richardson extrapolation over the
 closed forms of :mod:`credeq.pricing` serves as an independent cross-check.
 
+NumPy is imported only inside the array path, so a single price loads
+``math`` alone. The array path's normal CDF, ``_ndtr``, is a NumPy port of
+Cephes ``ndtr`` (the algorithm behind ``scipy.special.ndtr``), built on
+Cody's rational approximations of erf and erfc (W. J. Cody, Math. Comp.
+23, 1969): with x = a/sqrt(2), the erf rational for |x| < 1/sqrt(2),
+1 - erf for |x| < 1, and exp(-x^2) times the P/Q erfc rational below 8 and
+the R/S one above; past x^2 = MAXLOG, where exp(-x^2) underflows, erfc is
+0 and the CDF exactly 0 or 1 (infinities included). It agrees with scipy
+to a few ulps (NumPy's exp and the C library's may differ by one), so
+calibration loads no scipy.
+
 Variants: ``seven_param`` uses all eight coefficients; ``three_param``
 (constant volatility) keeps {V1, V3, V1', V2'}; ``index`` (no default risk,
 lambda = 0) keeps {V1, V2, V4, V5, V6} and drops the slow correction.
@@ -44,8 +55,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-
-import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError, ValidationError
 from .pricing import (
@@ -128,14 +137,88 @@ class GreekVector:
 _FLOAT = SimpleNamespace(exp=math.exp, log=math.log, sqrt=math.sqrt, cdf=norm_cdf, pdf=norm_pdf)
 
 
-def _array_pdf(z):
-    return INV_SQRT_2PI * np.exp(-0.5 * z * z)
+# Cephes ndtr.c: erf(x) = x T(x^2)/U(x^2) for |x| <= 1; erfc(x) =
+# exp(-x^2) P(x)/Q(x) for 1 <= x < 8 and exp(-x^2) R(x)/S(x) from 8 up.
+# Coefficients from the highest power down; U, Q and S are monic.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821794e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_SQRT1_2 = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+
+
+def _horner(x, coefs, monic: bool = False):
+    """Polynomial in x by Horner's rule, in Cephes polevl/p1evl order.
+
+    ``monic`` adds a leading coefficient 1 in front of ``coefs``.
+    """
+    acc = x + coefs[0] if monic else x * coefs[0] + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erfc_tail(z, num, den):
+    """exp(-z^2) num(z)/den(z), the Cephes erfc for z >= 1."""
+    import numpy as np
+
+    out = np.exp(-z * z)
+    out *= _horner(z, num)
+    out /= _horner(z, den, monic=True)
+    return out
+
+
+def _ndtr(a):
+    """Standard normal CDF of an array: Cephes ``ndtr``, branch for branch."""
+    import numpy as np
+
+    a = np.asarray(a, dtype=float)
+    x = a.reshape(-1) * _SQRT1_2  # 1-d, so that a 0-d argument can be indexed too
+    z = np.abs(x)
+    # Calibration grids sit mostly at |x| >= 1, so erfc's tail rational runs
+    # on every element and the erf rational only where |x| < 1.
+    with np.errstate(under="ignore"):
+        erfc = _erfc_tail(np.minimum(np.maximum(z, 1.0), 8.0), _ERFC_P, _ERFC_Q)
+        far = z >= 8.0
+        if far.any():
+            with np.errstate(over="ignore", invalid="ignore"):
+                # exp(-z^2) underflows past MAXLOG, where the rationals
+                # overflow (inf/inf at z = inf); Cephes returns erfc = 0 there.
+                erfc[far] = np.where(z[far] ** 2 > _MAXLOG, 0.0,
+                                     _erfc_tail(z[far], _ERFC_R, _ERFC_S))
+    half = 0.5 * erfc
+    y = np.where(x > 0, 1.0 - half, half)
+    near = z < 1.0
+    if near.any():
+        t, x_near = z[near], x[near]
+        tt = t * t
+        erf_t = t * _horner(tt, _ERF_T) / _horner(tt, _ERF_U, monic=True)
+        half = 0.5 * (1.0 - erf_t)
+        # erf is odd: erf(x) = copysign(erf(|x|), x) bit for bit.
+        y[near] = np.where(t < _SQRT1_2, 0.5 + 0.5 * np.copysign(erf_t, x_near),
+                           np.where(x_near > 0, 1.0 - half, half))
+    return y.reshape(a.shape)
 
 
 def _array_namespace():
-    from scipy.special import ndtr
+    import numpy as np
 
-    return SimpleNamespace(exp=np.exp, log=np.log, sqrt=np.sqrt, cdf=ndtr, pdf=_array_pdf)
+    def pdf(z):
+        return INV_SQRT_2PI * np.exp(-0.5 * z * z)
+
+    return SimpleNamespace(exp=np.exp, log=np.log, sqrt=np.sqrt, cdf=_ndtr, pdf=pdf)
 
 
 def _rate_factors(va: VasicekParams, tau: float):
@@ -231,8 +314,10 @@ def _evaluate(inputs: PricingInputs, kind: str):
                          log_bc1, b, big_a, a_eta, v, v_eta, riskless, va.beta)
 
 
-def _per_maturity(factors, tau: np.ndarray) -> np.ndarray:
+def _per_maturity(factors, tau):
     """Columns of ``factors(s)`` evaluated once per distinct maturity, one row per quote."""
+    import numpy as np
+
     distinct, index = np.unique(tau, return_inverse=True)
     return np.array([factors(float(s)) for s in distinct])[index].T
 
@@ -244,6 +329,8 @@ def evaluate_options(vasicek: VasicekParams, equity, lam, tau, strike, put):
     0 for a call) have shape (Q,). The intensity enters only through
     log Bc(1), so one broadcast covers the whole grid.
     """
+    import numpy as np
+
     tau = np.asarray(tau, dtype=float)
     b, big_a, a, riskless, a_eta, v, v_eta = _per_maturity(
         lambda s: _option_factors(vasicek, equity, s), tau)
@@ -260,6 +347,8 @@ def evaluate_bonds(vasicek: VasicekParams, l_lambda, tau):
     The product enters only as exp(-l*lambda*tau), so one broadcast covers
     the whole grid.
     """
+    import numpy as np
+
     tau = np.asarray(tau, dtype=float)
     b, big_a, _, riskless = _per_maturity(lambda s: _rate_factors(vasicek, s), tau)
     bond = np.exp(-np.asarray(l_lambda, dtype=float)[:, None] * tau) * riskless

@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+# NumPy is imported inside each function, so that importing the package,
+# which re-exports this module, does not load it.
 from .errors import NumericalError, ValidationError
 from .pricing import PricingInputs
 
@@ -79,7 +79,9 @@ class FactorSpec:
         if self.sigma_fn is None or self.f_fn is None:
             raise ValidationError("sigma_fn and f_fn are required")
 
-    def correlation_matrix(self) -> np.ndarray:
+    def correlation_matrix(self):
+        import numpy as np
+
         corr = np.eye(5)
         for i, r in enumerate((self.rho1, self.rho2, self.rho3, self.rho4), start=1):
             corr[0, i] = corr[i, 0] = r
@@ -94,6 +96,8 @@ class FactorSpec:
         All corrections vanish, so the closed-form leading order is exact
         and the simulation validates the pricing kernel itself.
         """
+        import numpy as np
+
         return cls(
             eps=1.0,
             dlt=0.0,
@@ -113,6 +117,8 @@ class FactorSpec:
         normalized so the fast-average of f at the starting z equals lam.
         The slow factor mean-reverts to zero with constant diffusion.
         """
+        import numpy as np
+
         nu = 0.5
         norm = _gauss_mean(lambda y: np.exp(np.minimum(y, 2.0)), 0.0, nu)
         spec = cls(
@@ -136,6 +142,7 @@ class FactorSpec:
 
 def _gauss_mean(fn, mean: float, std: float, n_nodes: int = 201) -> float:
     """E[fn(N(mean, std^2))] by Gauss-Hermite quadrature."""
+    import numpy as np
     from scipy.special import roots_hermite
 
     t, w = roots_hermite(n_nodes)
@@ -150,6 +157,8 @@ def effective_params(spec: FactorSpec):
     invariant distribution N(mt, nut^2); lam = <f(., z0)> over N(m, nu^2);
     rho1_eff = rho1 * sigma1 / sigma2.
     """
+    import numpy as np
+
     sigma1 = _gauss_mean(spec.sigma_fn, spec.mt, spec.nut)
     sigma2 = math.sqrt(_gauss_mean(lambda y: np.asarray(spec.sigma_fn(y)) ** 2, spec.mt, spec.nut))
     lam = _gauss_mean(lambda y: spec.f_fn(y, spec.z0 * np.ones_like(np.asarray(y))), spec.m, spec.nu)
@@ -175,8 +184,10 @@ class McConfig:
             raise ValidationError("n_steps_per_year must be >= 1")
 
 
-def _time_grid(horizons, steps_per_year: int) -> np.ndarray:
+def _time_grid(horizons, steps_per_year: int):
     """Uniform grid refined to land exactly on every horizon."""
+    import numpy as np
+
     pts = {0.0}
     prev = 0.0
     for h in horizons:
@@ -198,6 +209,8 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
 
     Axis 1 separates the base paths from their antithetic mirrors.
     """
+    import numpy as np
+
     spec = cfg.factor_spec
     horizons = sorted(horizons)
     if not horizons or horizons[0] <= 0:
@@ -236,6 +249,8 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
 
 def _simulate_chunk(rng, size, grid, h_index, horizons, chol, spec, va, eq,
                     out_int_r, out_int_lam, out_x):
+    import numpy as np
+
     sqeps = math.sqrt(spec.eps)
     fast_vol = spec.nu * math.sqrt(2.0) / sqeps
     fast_vol_t = spec.nut * math.sqrt(2.0) / sqeps
@@ -287,7 +302,7 @@ def _simulate_chunk(rng, size, grid, h_index, horizons, chol, spec, va, eq,
     out_x[:] = np.exp(logx)
 
 
-def _pair_stats(values: np.ndarray):
+def _pair_stats(values):
     """Mean and standard error from antithetic pair means; values (2, n_half)."""
     pair_means = 0.5 * (values[0] + values[1])
     n = pair_means.size
@@ -305,6 +320,8 @@ def mc_price(cfg: McConfig, instrument: str, inputs: PricingInputs, schedule=Non
     ``schedule`` and returns the annualized spread with a delta-method
     standard error.
     """
+    import numpy as np
+
     credit = inputs.credit
     if instrument in ("call", "put"):
         if inputs.strike is None:

@@ -31,8 +31,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+# NumPy is imported inside the functions that use arrays, so that the float
+# path (one price, one CDS curve) never loads it.
 from .errors import DomainError, NumericalError, ValidationError
 from .rates import (
     EquityParams,
@@ -230,6 +230,8 @@ def generic_p0(
     m = mean_m(inputs)
     v = variance_v(inputs)
     if method == "hermite":
+        import numpy as np
+
         t, w = _hermite_nodes(n_nodes)
         u = m + math.sqrt(2.0 * v) * t
         vals = np.asarray(payoff(np.exp(u)), dtype=float)

@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+# NumPy is imported inside the functions that use arrays, so that the float
+# path (one price, one CDS curve) never loads it.
 from .errors import CalibrationError, ValidationError
 
 __all__ = [
@@ -221,6 +221,8 @@ def _yield_basis(betas, maturities, r):
 
     One row per beta, one column per maturity.
     """
+    import numpy as np
+
     rows = []
     for beta in betas:
         beta3 = beta**3
@@ -239,6 +241,8 @@ def _box_fit(c_alpha, c_eta2, target):
     edges' clamped 1-D solutions is taken (the first on ties). Returns
     (alpha, eta2, sse), one entry per row.
     """
+    import numpy as np
+
     lo_a, hi_a = FIT_BOUNDS["alpha"]
     lo_e, hi_e = _ETA2_BOUNDS
 
@@ -357,6 +361,8 @@ def fit_vasicek(curve, r_proxy: float | None = None) -> VasicekParams:
         carries the result and that sum when the result is a valid
         parameter set.
     """
+    import numpy as np
+
     maturities = [s for s, _ in curve.points]
     yields = np.asarray([y for _, y in curve.points], dtype=float)
     r = float(yields[0]) if r_proxy is None else r_proxy
@@ -421,6 +427,8 @@ TRADING_DAYS = 252
 
 def estimate_sigma2(history) -> float:
     """Annualized standard deviation of daily log returns (sqrt(252) scaling)."""
+    import numpy as np
+
     values = np.asarray([v for _, v in history.points], dtype=float)
     if values.size < 30:
         raise ValidationError(
@@ -440,6 +448,8 @@ def estimate_rho1(stock, spot_rate) -> float:
     overlapping dates are required. The estimate is clamped to
     [-0.999, 0.999] so downstream formulas never see |rho| = 1.
     """
+    import numpy as np
+
     stock_by_date = dict(stock.points)
     rate_by_date = dict(spot_rate.points)
     common = sorted(set(stock_by_date) & set(rate_by_date))

@@ -118,6 +118,29 @@ class TestTermStructure:
         ts = cds_term_structure(fit, [5.0])
         assert len(ts) == 1 and ts[0][0] == 5.0
 
+    @pytest.mark.parametrize("maturities, delta", [
+        ([float(t) for t in range(1, 11)], 1.0),
+        ([float(t) for t in range(1, 11)], 0.25),
+        ([1.0, 3.0, 5.0], 1.0),
+    ])
+    def test_curve_equals_one_spread_per_schedule(self, maturities, delta):
+        # Each full-loss bond is priced once per curve; the spreads stay bit-identical.
+        for s in (CDS_SET_A, CDS_SET_B, CDS_SET_C):
+            fit = model(s["vasicek"], s["credit"], s["coeffs"])
+            assert cds_term_structure(fit, maturities, delta) == [
+                (t, cds_spread(fit, annual_schedule(t, delta))) for t in maturities]
+
+    def test_annual_curve_prices_each_bond_once(self, monkeypatch):
+        # 1..10: ten protection bonds at l, ten distinct full-loss payment bonds.
+        import credeq.cds as cds
+
+        calls = []
+        price_full = cds.price_full
+        monkeypatch.setattr(cds, "price_full", lambda *a: calls.append(a) or price_full(*a))
+        fit = model(CDS_SET_A["vasicek"], CDS_SET_A["credit"], CDS_SET_A["coeffs"])
+        cds_term_structure(fit, [float(t) for t in range(1, 11)])
+        assert len(calls) == 20
+
 
 class TestSeries:
     def fits(self):

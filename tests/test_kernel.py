@@ -2,7 +2,7 @@
 
 The tolerances are fixed from float64, not fitted to the results:
 
-* kernel: the array path (NumPy, ``scipy.special.ndtr``) and the float path
+* kernel: the array path (NumPy, the Cephes ``ndtr`` port) and the float path
   (``math``, ``pricing.norm_cdf``) run the same algebra but not the same
   elementary functions, which may differ by an ulp. Each element must agree
   to 1e-13 of the evaluation's scale: the largest magnitude among P0, the
@@ -11,6 +11,9 @@ The tolerances are fixed from float64, not fitted to the results:
 * fits: the same grid index; coefficients within 1e-8; the root of the
   residual within 1e-12 of the quotes' (weighted) price norm, which is the
   rounding that separates two least-squares solvers on the same system.
+* array normal CDF: the port against ``scipy.special.ndtr``, the same
+  Cephes algorithm, to 2e-15 relative: a few ulps, for the elementary
+  functions (exp) of NumPy and of the C library may differ by an ulp.
 """
 
 import math
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 from credeq.calibration import _quote_weights, calibrate_index, fit_bonds, fit_options
 from credeq.corrections import (
     CorrectionParams,
+    _ndtr,
     evaluate_bonds,
     evaluate_options,
     greeks,
@@ -53,6 +57,7 @@ from conftest import (
 from scalar_reference import fit_bonds_loop, fit_options_loop
 
 KERNEL_RTOL = 1e-13
+NDTR_RTOL = 2e-15
 COEFF_TOL = 1e-8
 RESIDUAL_RTOL = 1e-12
 
@@ -247,3 +252,72 @@ def test_price_full_is_p0_plus_both_corrections():
         separate = (price_p0(pin, kind) + correction_fast(pin, coeffs, kind)
                     + correction_slow(pin, coeffs, kind))
         assert price_full(pin, coeffs, kind) == separate
+
+
+class TestArrayNormalCdf:
+    """The array path's Cephes ndtr port against scipy's ndtr (imported here only)."""
+
+    # Cephes works on x = a * sqrt(1/2) and switches branch at |x| = 1/sqrt(2),
+    # 1 and 8, that is at |a| = 1, sqrt(2) and 8 sqrt(2).
+    X_EDGES = (math.sqrt(0.5), 1.0, 8.0)
+
+    def edge_points(self):
+        """Each |a| edge with its eight neighbouring doubles either side, both signs."""
+        points = []
+        for x_edge in self.X_EDGES:
+            near = [x_edge / math.sqrt(0.5)]
+            for _ in range(8):
+                near = [math.nextafter(near[0], 0.0)] + near + [math.nextafter(near[-1], 1e9)]
+            points += near + [-a for a in near]
+        return np.asarray(points)
+
+    def test_matches_scipy_on_a_dense_sweep(self):
+        from scipy.special import ndtr
+
+        # Every result stays a normal double down to a = -37.
+        a = np.concatenate((np.linspace(-37.0, 40.0, 385_001), self.edge_points()))
+        got, want = _ndtr(a), ndtr(a)
+        assert np.all(want > 0)
+        assert np.max(np.abs(got - want) / want) <= NDTR_RTOL
+
+    def test_edge_points_straddle_every_branch_edge(self):
+        from credeq.corrections import _SQRT1_2
+
+        x = np.abs(self.edge_points() * _SQRT1_2)
+        for edge in self.X_EDGES:
+            near = np.abs(x - edge) <= 16 * np.spacing(edge)
+            assert (x[near] < edge).any() and (x[near] >= edge).any()
+
+    def test_zero_is_one_half(self):
+        assert _ndtr(0.0) == 0.5
+        assert (_ndtr(np.array([0.0, -0.0])) == 0.5).all()
+
+    def test_infinities_are_exact(self):
+        out = _ndtr(np.array([np.inf, -np.inf]))
+        assert out[0] == 1.0 and out[1] == 0.0
+
+    def test_large_arguments_saturate_as_scipy_does(self):
+        from scipy.special import ndtr
+
+        # 1 - erfc/2 rounds to 1 from a of about 8.3 up; erfc is 0 once
+        # a^2/2 > MAXLOG, below a of about -37.7.
+        a = np.array([9.0, 11.4, 20.0, 40.0, 1e10, 1e300, -38.0, -40.0, -1e10, -1e300])
+        np.testing.assert_array_equal(_ndtr(a), ndtr(a))
+        assert (_ndtr(a[a > 0]) == 1.0).all() and (_ndtr(a[a < 0]) == 0.0).all()
+
+    def test_nan_propagates(self):
+        out = _ndtr(np.array([np.nan, 0.0, -np.nan]))
+        assert math.isnan(out[0]) and out[1] == 0.5 and math.isnan(out[2])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_nan_on_a_grid_raises(self):
+        # sigma2^2 * tau overflows to v = inf beyond tau = 1, so d1 = inf/inf is
+        # NaN while the spot and discount terms stay finite: only the CDF
+        # carries the NaN into P0.
+        equity = EquityParams(x=8.04, sigma2=1e154, rho1=0.0)
+        p0, _ = evaluate_options(SURFACE_VASICEK, equity, np.array([0.0, 0.02]), [2.0, 3.0],
+                                 [8.0, 8.5], [0, 1])
+        assert np.isnan(p0).all()
+        quotes = [OptionQuote(t, k, "call", 1.0, 10) for t in (2.0, 3.0) for k in (7.0, 8.0, 9.0)]
+        with pytest.raises(NumericalError, match="non-finite"):
+            calibrate_index(quotes, SURFACE_VASICEK, equity)
