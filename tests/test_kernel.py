@@ -11,9 +11,9 @@ The tolerances are fixed from float64, not fitted to the results:
 * fits: the same grid index; coefficients within 1e-8; the root of the
   residual within 1e-12 of the quotes' (weighted) price norm, which is the
   rounding that separates two least-squares solvers on the same system.
-* array normal CDF: the port against ``scipy.special.ndtr``, the same
-  Cephes algorithm, to 2e-15 relative: a few ulps, for the elementary
-  functions (exp) of NumPy and of the C library may differ by an ulp.
+* array normal CDF: the port against ``scipy.special.ndtr`` bit for bit:
+  the same Cephes algorithm in the same operation order, on the C library's
+  exp.
 """
 
 import math
@@ -57,7 +57,6 @@ from conftest import (
 from scalar_reference import fit_bonds_loop, fit_options_loop
 
 KERNEL_RTOL = 1e-13
-NDTR_RTOL = 2e-15
 COEFF_TOL = 1e-8
 RESIDUAL_RTOL = 1e-12
 
@@ -276,9 +275,9 @@ class TestArrayNormalCdf:
 
         # Every result stays a normal double down to a = -37.
         a = np.concatenate((np.linspace(-37.0, 40.0, 385_001), self.edge_points()))
-        got, want = _ndtr(a), ndtr(a)
+        want = ndtr(a)
         assert np.all(want > 0)
-        assert np.max(np.abs(got - want) / want) <= NDTR_RTOL
+        np.testing.assert_array_equal(_ndtr(a), want)
 
     def test_edge_points_straddle_every_branch_edge(self):
         from credeq.corrections import _SQRT1_2
