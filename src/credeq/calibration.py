@@ -34,8 +34,9 @@ from dataclasses import asdict, dataclass
 
 # NumPy is imported inside the functions that use arrays, so that the float
 # path (one price, one CDS curve) never loads it.
-from .corrections import CorrectionParams, evaluate_bonds, evaluate_options
-from .errors import CalibrationError, DomainError, NumericalError, ValidationError
+from .corrections import VARIANTS, CorrectionParams, evaluate_bonds, evaluate_options, get_variant
+from .errors import (CalibrationError, ConfigurationError, DomainError, NumericalError,
+                     ValidationError)
 from .implied_vol import VEGA_FLOOR_FACTOR, bs_vega, implied_vol
 from .pricing import CreditParams
 from .rates import EquityParams, VasicekParams, vasicek_yield
@@ -44,6 +45,7 @@ __all__ = [
     "BondFit",
     "OptionFit",
     "ModelFit",
+    "ZERO_BOND_FIT",
     "fit_bonds",
     "fit_options",
     "calibrate_index",
@@ -55,13 +57,6 @@ DEFAULT_M1 = 1.0
 DEFAULT_BOND_GRID = 201
 DEFAULT_L_MIN = 0.05
 DEFAULT_L_GRID = 96
-
-# Linear unknowns per variant, as (coefficient name, greek index) pairs.
-_VARIANT_COLUMNS = {
-    "seven_param": (("v1", 0), ("v2", 1), ("v4", 3), ("v5", 4), ("v6", 5), ("w1", 6)),
-    "three_param": (("v1", 0), ("w1", 6)),
-    "index": (("v1", 0), ("v2", 1), ("v4", 3), ("v5", 4), ("v6", 5)),
-}
 
 
 @dataclass(frozen=True)
@@ -77,6 +72,10 @@ class BondFit:
     def __post_init__(self):
         if self.residual < 0:
             raise ValidationError("residual must be >= 0")
+
+
+# The bond step of a variant that has none: no products, no residual.
+ZERO_BOND_FIT = BondFit(l_lambda=0.0, l_v3=0.0, l_w2=0.0, residual=0.0, condition_number=0.0)
 
 
 @dataclass(frozen=True)
@@ -219,8 +218,26 @@ def _quote_weights(options, vasicek: VasicekParams, equity: EquityParams):
     return weights
 
 
-def _option_grid(options, vasicek, equity, lam):
-    """P0 (G x Q) and g1..g8 (G x Q x 8) of every quote at every intensity in ``lam``."""
+def _option_step(options, bond_fit: BondFit, vasicek, equity, grid, row) -> OptionFit:
+    """The option step of variant ``row`` at every loss rate l in ``grid``.
+
+    Needs one quote per unknown; the l grid of a variant with a bond step
+    counts as one.
+    """
+    import numpy as np
+
+    n_unknowns = len(row.fitted) + (1 if row.bond_step else 0)
+    if len(options) < n_unknowns:
+        raise ValidationError(
+            f"{row.name} fit needs at least {n_unknowns} quotes, got {len(options)}"
+        )
+    prices = np.asarray([q.price for q in options])
+    weights = _quote_weights(options, vasicek, equity)
+
+    grid = np.asarray(grid, dtype=float)
+    lam = bond_fit.l_lambda / grid
+    v3 = bond_fit.l_v3 / grid
+    w2 = bond_fit.l_w2 / grid
     p0, g = evaluate_options(
         vasicek,
         equity,
@@ -230,13 +247,20 @@ def _option_grid(options, vasicek, equity, lam):
         [q.kind == "put" for q in options],
     )
     _check_finite(p0, g, options, "option")
-    return p0, g
-
-
-def _weighted_fit(weights, rhs, g, columns, rank_message):
-    """Vega-weighted least squares of ``rhs`` (G x Q) on the variant's Greek columns."""
-    wcols = g[..., [j for _, j in columns]] * weights[:, None]
-    return _least_squares(wcols, rhs * weights, rank_message)
+    rhs = prices - p0 - v3[:, None] * g[..., 2] - w2[:, None] * g[..., 7]
+    theta, resid, sing = _least_squares(
+        g[..., list(row.columns)] * weights[:, None], rhs * weights,
+        f"{row.name} design matrix is rank deficient; spread strikes/maturities",
+    )
+    i = int(np.argmin(resid))  # first minimum: ties go to the smaller l
+    fitted = dict(zip(row.fitted, theta[i].tolist()))
+    return OptionFit(
+        l=float(grid[i]),
+        lam=float(lam[i]),
+        coeffs=CorrectionParams(v3=float(v3[i]), w2=float(w2[i]), **fitted),
+        weighted_residual=float(resid[i]),
+        condition_number=_condition_number(sing[i]),
+    )
 
 
 def fit_options(
@@ -252,68 +276,26 @@ def fit_options(
 
     Grid over l; per l the bond products fix {lambda, V3, W2} and the
     variant's linear coefficients solve a vega-weighted least squares on
-    price residuals. Requires one more quote than there are unknowns.
+    price residuals. Requires one more quote than there are unknowns. An
+    unknown variant, or one without a bond step (fit ``index`` with
+    :func:`calibrate_index`), raises ConfigurationError.
     """
     import numpy as np
 
-    if variant not in ("seven_param", "three_param"):
-        raise ValidationError(f"unsupported calibration variant {variant!r}")
-    columns = _VARIANT_COLUMNS[variant]
-    n_unknowns = len(columns) + 1  # + the l grid dimension
-    if len(options) < n_unknowns:
-        raise ValidationError(
-            f"{variant} fit needs at least {n_unknowns} option quotes, got {len(options)}"
-        )
-    prices = np.asarray([q.price for q in options])
-    weights = _quote_weights(options, vasicek, equity)
-
-    grid = np.linspace(l_min, 1.0, n_l_grid)
-    lam = bond_fit.l_lambda / grid
-    v3 = bond_fit.l_v3 / grid
-    w2 = bond_fit.l_w2 / grid
-    p0, g = _option_grid(options, vasicek, equity, lam)
-    rhs = prices - p0 - v3[:, None] * g[..., 2] - w2[:, None] * g[..., 7]
-    theta, resid, sing = _weighted_fit(
-        weights, rhs, g, columns,
-        "option design matrix is rank deficient; spread strikes/maturities",
-    )
-    i = int(np.argmin(resid))  # first minimum: ties go to the smaller l
-    fitted = {name: float(t) for (name, _), t in zip(columns, theta[i])}
-    coeffs = CorrectionParams(v3=float(v3[i]), w2=float(w2[i]), **fitted)
-    return OptionFit(
-        l=float(grid[i]),
-        lam=float(lam[i]),
-        coeffs=coeffs,
-        weighted_residual=float(resid[i]),
-        condition_number=_condition_number(sing[i]),
-    )
+    row = get_variant(variant)
+    if not row.bond_step:
+        raise ConfigurationError(f"{variant} variant has no bond step; use calibrate_index")
+    return _option_step(options, bond_fit, vasicek, equity, np.linspace(l_min, 1.0, n_l_grid), row)
 
 
 def calibrate_index(options, vasicek: VasicekParams, equity: EquityParams) -> OptionFit:
     """Single weighted least squares for index options (no default risk).
 
-    lambda is pinned to zero, there is no l grid, and only the five
-    fast-scale coefficients {v1, v2, v4, v5, v6} are fitted.
+    The option step at the one point l = 1 with no bond products: lambda is
+    zero and only the five fast-scale coefficients {v1, v2, v4, v5, v6} are
+    fitted.
     """
-    import numpy as np
-
-    columns = _VARIANT_COLUMNS["index"]
-    if len(options) < 5:
-        raise ValidationError(f"index fit needs at least 5 quotes, got {len(options)}")
-    prices = np.asarray([q.price for q in options])
-    weights = _quote_weights(options, vasicek, equity)
-    p0, g = _option_grid(options, vasicek, equity, np.zeros(1))
-    theta, resid, sing = _weighted_fit(
-        weights, prices - p0, g, columns, "index design matrix is rank deficient"
-    )
-    fitted = {name: float(t) for (name, _), t in zip(columns, theta[0])}
-    return OptionFit(
-        l=1.0,
-        lam=0.0,
-        coeffs=CorrectionParams(**fitted),
-        weighted_residual=float(resid[0]),
-        condition_number=_condition_number(sing[0]),
-    )
+    return _option_step(options, ZERO_BOND_FIT, vasicek, equity, (1.0,), VARIANTS["index"])
 
 
 # ---------------------------------------------------------------------------

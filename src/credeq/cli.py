@@ -17,6 +17,11 @@ from pathlib import Path
 
 from . import market_data as md
 from .calibration import (
+    DEFAULT_BOND_GRID,
+    DEFAULT_L_GRID,
+    DEFAULT_L_MIN,
+    DEFAULT_M1,
+    ZERO_BOND_FIT,
     ModelFit,
     build_report,
     calibrate_index,
@@ -26,7 +31,7 @@ from .calibration import (
     report_json,
 )
 from .cds import annual_schedule, cds_spread, cds_term_structure
-from .corrections import price_full, price_p0
+from .corrections import VARIANTS, price_full, price_p0
 from .errors import (
     CalibrationError,
     ConfigurationError,
@@ -37,7 +42,7 @@ from .errors import (
 )
 from .implied_vol import implied_vol
 from .oracle_mc import FactorSpec, McConfig, mc_price
-from .pricing import CreditParams, PricingInputs
+from .pricing import PricingInputs
 from .rates import (
     EquityParams,
     VasicekParams,
@@ -101,7 +106,7 @@ def cmd_estimate_equity(args) -> None:
     _emit(args, json.dumps(out, indent=2))
 
 
-_VARIANT_FLAG = {"seven": "seven_param", "three": "three_param", "index": "index"}
+_VARIANT_FLAG = {row.flag: row for row in VARIANTS.values()}
 
 
 def cmd_calibrate(args) -> None:
@@ -112,60 +117,28 @@ def cmd_calibrate(args) -> None:
         raise ValidationError("--params file(s) must supply 'vasicek' and 'equity' blocks")
     vasicek = VasicekParams(**params["vasicek"])
     equity = EquityParams(**params["equity"])
-    variant = _VARIANT_FLAG[args.variant]
+    row = _VARIANT_FLAG[args.variant]
 
     options = md.load_options_csv(args.options)
     options = md.filter_options(options, args.min_maturity, args.min_volume)
     digests = {"options": quotes_digest(options)}
+    config = {"variant": row.name, "min_maturity": args.min_maturity,
+              "min_volume": args.min_volume}
 
-    if variant == "index":
+    if row.bond_step:
+        if not args.bonds:
+            raise ValidationError(f"--bonds is required with --variant {args.variant}")
+        bonds = md.load_bonds_csv(args.bonds)
+        digests["bonds"] = quotes_digest(bonds)
+        bond_fit = fit_bonds(bonds, vasicek, m1=args.m1, n_grid=args.bond_grid)
+        option_fit = fit_options(options, bond_fit, vasicek, equity, l_min=args.l_min,
+                                 n_l_grid=args.l_grid, variant=row.name)
+        config.update(m1=args.m1, bond_grid=args.bond_grid, l_min=args.l_min,
+                      l_grid=args.l_grid)
+    else:
+        bond_fit = ZERO_BOND_FIT
         option_fit = calibrate_index(options, vasicek, equity)
-        bond_block = {"l_lambda": 0.0, "l_v3": 0.0, "l_w2": 0.0, "residual": 0.0,
-                      "condition_number": 0.0}
-        fitted = ModelFit(
-            vasicek=vasicek,
-            equity=equity,
-            credit=CreditParams(l=option_fit.l, lam=option_fit.lam),
-            coeffs=option_fit.coeffs,
-            variant=variant,
-        )
-        report = {
-            "inputs_digest": digests,
-            "parameters": fitted.to_dict(),
-            "bond_fit": bond_block,
-            "option_fit": {
-                "weighted_residual": option_fit.weighted_residual,
-                "condition_number": option_fit.condition_number,
-            },
-            "config": {"variant": variant},
-        }
-        _emit(args, report_json(report))
-        return
-
-    if not args.bonds:
-        raise ValidationError("--bonds is required unless --variant index")
-    bonds = md.load_bonds_csv(args.bonds)
-    digests["bonds"] = quotes_digest(bonds)
-    bond_fit = fit_bonds(bonds, vasicek, m1=args.m1, n_grid=args.bond_grid)
-    option_fit = fit_options(
-        options,
-        bond_fit,
-        vasicek,
-        equity,
-        l_min=args.l_min,
-        n_l_grid=args.l_grid,
-        variant=variant,
-    )
-    config = {
-        "variant": variant,
-        "m1": args.m1,
-        "bond_grid": args.bond_grid,
-        "l_min": args.l_min,
-        "l_grid": args.l_grid,
-        "min_maturity": args.min_maturity,
-        "min_volume": args.min_volume,
-    }
-    report = build_report(bond_fit, option_fit, vasicek, equity, variant, digests, config)
+    report = build_report(bond_fit, option_fit, vasicek, equity, row.name, digests, config)
     _emit(args, report_json(report))
 
 
@@ -232,7 +205,7 @@ def cmd_cds_series(args) -> None:
             fit = _load_fit(str(path))
             spread = cds_spread(fit, schedule)
             rows.append(f"{date},{args.maturity},{spread * 1e4}")
-        except CredeqError:
+        except (CredeqError, OverflowError):
             rows.append(f"{date},{args.maturity},NA")  # explicit gap, never interpolated
     _emit(args, "\n".join(rows))
 
@@ -319,12 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", action="append", required=True,
                    help="parameter JSON (repeatable; later files override)")
     p.add_argument("--variant", choices=sorted(_VARIANT_FLAG), default="seven")
-    p.add_argument("--min-maturity", type=float, default=9 / 365)
-    p.add_argument("--min-volume", type=int, default=0)
-    p.add_argument("--m1", type=float, default=1.0)
-    p.add_argument("--bond-grid", type=int, default=201)
-    p.add_argument("--l-min", type=float, default=0.05)
-    p.add_argument("--l-grid", type=int, default=96)
+    p.add_argument("--min-maturity", type=float, default=md.DEFAULT_MIN_MATURITY)
+    p.add_argument("--min-volume", type=int, default=md.DEFAULT_MIN_VOLUME)
+    p.add_argument("--m1", type=float, default=DEFAULT_M1)
+    p.add_argument("--bond-grid", type=int, default=DEFAULT_BOND_GRID)
+    p.add_argument("--l-min", type=float, default=DEFAULT_L_MIN)
+    p.add_argument("--l-grid", type=int, default=DEFAULT_L_GRID)
     p.add_argument("--out")
     p.set_defaults(func=cmd_calibrate)
 
@@ -382,7 +355,9 @@ def main(argv=None) -> int:
     except (ValidationError, ConfigurationError, DomainError, FileNotFoundError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return VALIDATION_EXIT
-    except (NumericalError, CalibrationError) as exc:
+    except (NumericalError, CalibrationError, OverflowError) as exc:
+        # OverflowError: a finite but huge parameter (sigma2, eta or beta near
+        # 1e200) overflows a float power in the closed forms.
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return NUMERICAL_EXIT
     return 0

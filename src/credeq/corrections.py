@@ -45,15 +45,16 @@ the R/S one above; past x^2 = MAXLOG, where exp(-x^2) underflows, erfc is
 C library, as Cephes does, so it equals ``scipy.special.ndtr`` bit for bit
 and calibration loads no scipy.
 
-Variants: ``seven_param`` uses all eight coefficients; ``three_param``
-(constant volatility) keeps {V1, V3, V1', V2'}; ``index`` (no default risk,
-lambda = 0) keeps {V1, V2, V4, V5, V6} and drops the slow correction.
+Variants: ``VARIANTS`` is the one table of them (see :class:`Variant`).
+``seven_param`` uses all eight coefficients; ``three_param`` (constant
+volatility) keeps {V1, V3, V1', V2'}; ``index`` (no default risk, lambda = 0)
+keeps {V1, V2, V4, V5, V6}, so its slow correction is zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .errors import ConfigurationError, DomainError, NumericalError, ValidationError
@@ -79,6 +80,7 @@ __all__ = [
     "CorrectionParams",
     "GreekVector",
     "VARIANTS",
+    "Variant",
     "evaluate_bonds",
     "evaluate_options",
     "greeks",
@@ -86,11 +88,54 @@ __all__ = [
     "p0_partials",
     "correction_fast",
     "correction_slow",
+    "get_variant",
     "price_full",
     "price_p0",
 ]
 
-VARIANTS = ("seven_param", "three_param", "index")
+# In Greek order: v1..v6 multiply g1..g6, w1 and w2 multiply g7 and g8.
+_COEFFICIENTS = ("v1", "v2", "v3", "v4", "v5", "v6", "w1", "w2")
+_BOND_COEFFICIENTS = ("v3", "w2")  # fixed by the bond step, as l*V3 and l*W2
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One row of ``VARIANTS``; ``columns`` and ``ignored`` are derived here, once.
+
+    ``fitted``: the coefficients the option step fits, in design-column order.
+    ``bond_step``: lambda, V3 and W2 come from the bond step; without it lambda = 0.
+    ``columns``: the Greek index of each fitted coefficient.
+    ``ignored``: every other coefficient, which must be zero.
+    """
+
+    name: str
+    flag: str
+    fitted: tuple
+    bond_step: bool
+    columns: tuple = field(init=False)
+    ignored: tuple = field(init=False)
+
+    def __post_init__(self):
+        from_bonds = _BOND_COEFFICIENTS if self.bond_step else ()
+        object.__setattr__(self, "columns", tuple(_COEFFICIENTS.index(n) for n in self.fitted))
+        object.__setattr__(self, "ignored", tuple(
+            n for n in _COEFFICIENTS if n not in self.fitted and n not in from_bonds))
+
+
+VARIANTS = {row.name: row for row in (
+    Variant("seven_param", "seven", ("v1", "v2", "v4", "v5", "v6", "w1"), bond_step=True),
+    Variant("three_param", "three", ("v1", "w1"), bond_step=True),
+    Variant("index", "index", ("v1", "v2", "v4", "v5", "v6"), bond_step=False),
+)}
+
+
+def get_variant(name: str) -> Variant:
+    """The table row of a variant; an unknown name raises ConfigurationError."""
+    try:
+        return VARIANTS[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown variant {name!r}; expected one of {tuple(VARIANTS)}") from None
 
 
 @dataclass(frozen=True)
@@ -110,7 +155,7 @@ class CorrectionParams:
     w2: float = 0.0
 
     def __post_init__(self):
-        for name in ("v1", "v2", "v3", "v4", "v5", "v6", "w1", "w2"):
+        for name in _COEFFICIENTS:
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"correction coefficient {name} must be finite")
 
@@ -430,22 +475,17 @@ def correction_slow(inputs: PricingInputs, coeffs: CorrectionParams, kind: str) 
 
 
 def _check_variant(inputs: PricingInputs, coeffs: CorrectionParams, variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant == "index":
-        if inputs.credit.lam != 0.0:
-            raise ConfigurationError("index variant requires zero default intensity")
-        bad = [n for n in ("v3", "w1", "w2") if getattr(coeffs, n) != 0.0]
+    try:
+        row = VARIANTS[variant]
+    except KeyError:
+        row = get_variant(variant)  # raises ConfigurationError
+    if not row.bond_step and inputs.credit.lam != 0.0:
+        raise ConfigurationError(f"{variant} variant requires zero default intensity")
+    if row.ignored:  # skips building a list on every seven_param price
+        bad = [n for n in row.ignored if getattr(coeffs, n) != 0.0]
         if bad:
             raise ConfigurationError(
-                f"index variant ignores coefficients {bad}; pass them as zero"
-            )
-    elif variant == "three_param":
-        bad = [n for n in ("v2", "v4", "v5", "v6") if getattr(coeffs, n) != 0.0]
-        if bad:
-            raise ConfigurationError(
-                f"three_param variant ignores coefficients {bad}; pass them as zero"
-            )
+                f"{variant} variant ignores coefficients {bad}; pass them as zero")
 
 
 def price_full(
@@ -454,18 +494,17 @@ def price_full(
     kind: str,
     variant: str = "seven_param",
 ) -> float:
-    """P0 plus the variant's applicable corrections. Never clamps the result.
+    """P0 plus the fast and slow corrections. Never clamps the result.
 
-    P0 and both corrections come from one kernel evaluation. ``index``
-    omits the slow correction entirely; the result is bit-identical to
-    ``seven_param`` with lambda = 0 and v3 = w1 = w2 = 0.
+    P0 and both corrections come from one kernel evaluation. The variant
+    only checks its coefficients: the ones it ignores must be zero, so
+    ``index`` (v3 = w1 = w2 = 0, lambda = 0) adds a zero slow correction and
+    is bit-identical to ``seven_param`` with the same inputs.
     """
     _check_variant(inputs, coeffs, variant)
     p0, _, g = _evaluate(inputs, kind)
     l_eff = _structural_loss(inputs, kind)
-    price = p0 + _fast(coeffs, g, l_eff)
-    if variant != "index":
-        price = price + _slow(coeffs, g, l_eff)
+    price = p0 + _fast(coeffs, g, l_eff) + _slow(coeffs, g, l_eff)
     if not math.isfinite(price):
         raise NumericalError(f"corrected {kind} price is not finite")
     return price

@@ -294,7 +294,12 @@ def _write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 
 
-def filter_options(quotes, min_maturity: float = 9 / 365, min_volume: int = 0):
+DEFAULT_MIN_MATURITY = 9 / 365
+DEFAULT_MIN_VOLUME = 0
+
+
+def filter_options(quotes, min_maturity: float = DEFAULT_MIN_MATURITY,
+                   min_volume: int = DEFAULT_MIN_VOLUME):
     """Drop quotes with volume <= min_volume or maturity < min_maturity.
 
     Order is preserved; the result is a subset of the input and the filter

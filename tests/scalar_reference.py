@@ -15,8 +15,8 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from credeq.calibration import _VARIANT_COLUMNS, _quote_weights
-from credeq.corrections import greeks, price_p0
+from credeq.calibration import _quote_weights
+from credeq.corrections import VARIANTS, greeks, price_p0
 from credeq.errors import NumericalError
 from credeq.pricing import CreditParams, PricingInputs
 from credeq.rates import FIT_BOUNDS, EquityParams, VasicekParams, vasicek_yield
@@ -39,7 +39,7 @@ def bond_design(bonds, vasicek, l_lambda):
 
 
 def option_rows(options, vasicek, equity, lam, columns):
-    """P0, known-Greek pair (g3, g8), and linear columns for every quote."""
+    """P0, known-Greek pair (g3, g8), and the Greeks at ``columns`` for every quote."""
     n = len(options)
     p0 = np.empty(n)
     known = np.empty((n, 2))
@@ -52,7 +52,7 @@ def option_rows(options, vasicek, equity, lam, columns):
             raise NumericalError(f"non-finite greeks for quote {q}")
         p0[i] = price_p0(pin, q.kind)
         known[i] = gt[2], gt[7]
-        cols[i] = [gt[j] for _, j in columns]
+        cols[i] = [gt[j] for j in columns]
     return p0, known, cols
 
 
@@ -72,7 +72,7 @@ def fit_bonds_loop(bonds, vasicek, m1=1.0, n_grid=201):
 
 def option_residuals(options, weights, bond_fit, vasicek, equity, l, variant="seven_param"):
     """(theta, weighted residual) of the option step's least squares at one l."""
-    columns = _VARIANT_COLUMNS[variant]
+    columns = VARIANTS[variant].columns
     prices = np.asarray([q.price for q in options])
     p0, known, cols = option_rows(options, vasicek, equity, bond_fit.l_lambda / l, columns)
     rhs = prices - p0 - bond_fit.l_v3 / l * known[:, 0] - bond_fit.l_w2 / l * known[:, 1]

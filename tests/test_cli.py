@@ -278,6 +278,10 @@ class TestCalibrateAndConsume:
         assert report["parameters"]["credit"]["lam"] == 0.0
         assert report["parameters"]["corrections"]["v1"] == pytest.approx(4e-4, abs=1e-8)
         assert report["parameters"]["variant"] == "index"
+        # The option filter is recorded; the bond grids, which index never uses, are not.
+        assert report["config"] == {"variant": "index", "min_maturity": 9 / 365, "min_volume": 0}
+        assert report["bond_fit"] == {"l_lambda": 0.0, "l_v3": 0.0, "l_w2": 0.0,
+                                      "residual": 0.0, "condition_number": 0.0}
 
     def test_too_few_options_exit_2(self, fixture_files, capsys):
         tmp_path, bonds_csv, options_csv, params_json = fixture_files
@@ -307,6 +311,59 @@ class TestCalibrateAndConsume:
         )
         assert code == 2
         assert "finite" in json.loads(err)["message"]
+
+
+def fit_dict():
+    return {
+        "vasicek": {"alpha": 0.004, "beta": 0.09, "eta": 0.001, "r": 0.05},
+        "equity": {"x": 8.0, "sigma2": 0.3, "rho1": 0.0},
+        "credit": {"l": 0.4, "lam": 0.05},
+        "corrections": {"v3": 0.02, "w2": 0.003},
+    }
+
+
+def huge_fit(block, name):
+    """A fit JSON whose ``block.name`` is 1e200: finite, accepted, and overflowing."""
+    fit = fit_dict()
+    fit[block][name] = 1e200
+    return fit
+
+
+class TestOverflow:
+    """A huge but finite parameter exits 3 with one JSON line, never a traceback."""
+
+    COMMANDS = {
+        "price": ["price", "--kind", "call", "--strike", "8", "--maturity", "0.5"],
+        "ivol-surface": ["ivol-surface", "--grid", "0.5x8"],
+        "cds-curve": ["cds-curve", "--maturities", "1..3"],
+    }
+
+    @pytest.mark.parametrize("command, block, name", [
+        ("price", "equity", "sigma2"), ("price", "vasicek", "eta"), ("price", "vasicek", "beta"),
+        ("ivol-surface", "equity", "sigma2"), ("ivol-surface", "vasicek", "eta"),
+        ("ivol-surface", "vasicek", "beta"), ("cds-curve", "vasicek", "beta"),
+    ])
+    def test_exit_3(self, tmp_path, capsys, command, block, name):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(huge_fit(block, name)))
+        argv = self.COMMANDS[command]
+        code, out, err = run(capsys, *argv[:1], "--fit", str(path), *argv[1:])
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "OverflowError"
+
+    def test_cds_series_writes_na(self, tmp_path, capsys):
+        fits_dir = tmp_path / "fits"
+        fits_dir.mkdir()
+        (fits_dir / "2006-09-18.json").write_text(json.dumps(huge_fit("equity", "x")))
+        (fits_dir / "2006-09-19.json").write_text(json.dumps(huge_fit("vasicek", "beta")))
+        code, out, err = run(capsys, "cds-series", "--fits-dir", str(fits_dir), "--maturity", "5")
+        assert code == 0, err
+        lines = out.strip().splitlines()
+        assert lines[1].startswith("2006-09-18,5.0,") and not lines[1].endswith("NA")
+        assert lines[2] == "2006-09-19,5.0,NA"
 
 
 class TestCdsSeries:
@@ -357,6 +414,28 @@ class TestOracleCommand:
 
 
 class TestArgumentErrors:
+    def test_calibrate_defaults_are_the_library_defaults(self):
+        from credeq import calibration
+        from credeq.cli import build_parser
+        from credeq.market_data import DEFAULT_MIN_MATURITY, DEFAULT_MIN_VOLUME, filter_options
+
+        args = build_parser().parse_args(["calibrate", "--options", "o.csv", "--params", "p.json"])
+        assert (args.m1, args.bond_grid, args.l_min, args.l_grid) == (
+            calibration.DEFAULT_M1, calibration.DEFAULT_BOND_GRID,
+            calibration.DEFAULT_L_MIN, calibration.DEFAULT_L_GRID)
+        assert (args.min_maturity, args.min_volume) == (DEFAULT_MIN_MATURITY, DEFAULT_MIN_VOLUME)
+        assert filter_options.__defaults__ == (DEFAULT_MIN_MATURITY, DEFAULT_MIN_VOLUME)
+        assert args.variant == "seven"
+
+    def test_unknown_variant_in_fit_exits_2(self, tmp_path, capsys):
+        fit = dict(fit_dict(), variant="five_param")
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit))
+        code, _, err = run(capsys, "price", "--fit", str(path), "--kind", "bond",
+                           "--maturity", "2")
+        assert code == 2
+        assert json.loads(err)["error"] == "ConfigurationError"
+
     def test_bad_grid_spec(self, tmp_path, capsys):
         path = tmp_path / "fit.json"
         path.write_text(json.dumps({
