@@ -23,7 +23,6 @@ from .corrections import (
     correction_fast,
     correction_slow,
     greeks,
-    greeks_fd,
     price_full,
 )
 from .errors import (
@@ -49,7 +48,6 @@ from .pricing import (
     PricingInputs,
     call_p0,
     defaultable_bond_p0,
-    generic_p0,
     put_p0,
     variance_v,
 )

@@ -30,9 +30,10 @@ flag (put = call - x + K*B), not a branch. The same body runs on Python
 floats, for single prices, and on NumPy arrays, for whole calibration
 grids (``evaluate_options``, ``evaluate_bonds``). The Vasicek factors it
 needs (b, int b, int b^2, a, da/deta, B) are computed once per distinct
-maturity by the scalar functions of :mod:`credeq.rates`. A
-finite-difference engine with Richardson extrapolation over the
-closed forms of :mod:`credeq.pricing` serves as an independent cross-check.
+maturity by the scalar functions of :mod:`credeq.rates`. The tests check
+them against an independent finite-difference engine with Richardson
+extrapolation over the closed forms of :mod:`credeq.pricing`
+(``tests/reference_oracles.py``).
 
 NumPy is imported only inside the array path, so a single price loads
 ``math`` alone. The array path's normal CDF, ``_ndtr``, is a NumPy port of
@@ -58,15 +59,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .errors import ConfigurationError, DomainError, NumericalError, ValidationError
-from .pricing import (
-    INV_SQRT_2PI,
-    PricingInputs,
-    call_p0,
-    defaultable_bond_p0,
-    norm_cdf,
-    norm_pdf,
-    put_p0,
-)
+from .pricing import INV_SQRT_2PI, PricingInputs, norm_cdf, norm_pdf
 from .rates import (
     VasicekParams,
     factor_a,
@@ -84,7 +77,6 @@ __all__ = [
     "evaluate_bonds",
     "evaluate_options",
     "greeks",
-    "greeks_fd",
     "p0_partials",
     "correction_fast",
     "correction_slow",
@@ -508,137 +500,3 @@ def price_full(
     if not math.isfinite(price):
         raise NumericalError(f"corrected {kind} price is not finite")
     return price
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference cross-check engine
-# ---------------------------------------------------------------------------
-
-# Richardson-extrapolated central differences over the closed-form P0.
-# Step sizes grow with derivative order: roundoff in a k-th order stencil
-# scales like eps / h^k, so h = 1e-4 is reserved for first derivatives and
-# nested/higher stencils use wider steps (the closed forms vary on O(1)
-# parameter scales, so the Richardson truncation stays ~h^4).
-FD_STEP_FIRST = 1e-4
-FD_STEP_SECOND = 2e-3
-FD_STEP_PARAM = 5e-3
-FD_STEP_THIRD = 6e-3
-
-
-def _richardson_d1(f, x0: float, h: float) -> float:
-    def central(step):
-        return (f(x0 + step) - f(x0 - step)) / (2 * step)
-
-    if h <= 0 or x0 + h == x0:
-        raise NumericalError("finite-difference step underflowed")
-    return (4 * central(h / 2) - central(h)) / 3
-
-
-def _richardson_d2(f, x0: float, h: float) -> float:
-    def central(step):
-        return (f(x0 + step) - 2 * f(x0) + f(x0 - step)) / (step * step)
-
-    if h <= 0 or x0 + h == x0:
-        raise NumericalError("finite-difference step underflowed")
-    return (4 * central(h / 2) - central(h)) / 3
-
-
-def _reprice(inputs: PricingInputs, kind: str, *, x=None, alpha=None, eta=None, r=None):
-    va, eq = inputs.vasicek, inputs.equity
-    va2 = VasicekParams(
-        alpha=va.alpha if alpha is None else alpha,
-        beta=va.beta,
-        eta=va.eta if eta is None else eta,
-        r=va.r if r is None else r,
-    )
-    eq2 = eq if x is None else _with_spot(eq, x)
-    pin = PricingInputs(va2, eq2, inputs.credit, inputs.tau, inputs.strike)
-    return _closed_form(pin, kind)
-
-
-def _closed_form(inputs: PricingInputs, kind: str) -> float:
-    """P0 from :mod:`credeq.pricing`, so the oracle shares no algebra with the kernel."""
-    forms = {"call": call_p0, "put": put_p0, "bond": defaultable_bond_p0}
-    if kind not in forms:
-        raise ValidationError(f"unknown instrument kind {kind!r}")
-    return forms[kind](inputs)
-
-
-def _with_spot(eq, x: float):
-    from dataclasses import replace
-
-    return replace(eq, x=x)
-
-
-def greeks_fd(inputs: PricingInputs, kind: str) -> GreekVector:
-    """Greek vector from Richardson central differences of the closed forms.
-
-    Independent of the analytic derivative algebra; intended as an oracle
-    for :func:`greeks` and for payoffs whose analytic partials are in doubt.
-    """
-    tau = inputs.tau
-    va = inputs.vasicek
-    x0 = inputs.equity.x
-    hx = FD_STEP_FIRST * x0
-    ha = FD_STEP_PARAM
-    hr = FD_STEP_PARAM
-    # eta must stay nonnegative across the stencil
-    he = min(FD_STEP_SECOND, 0.9 * va.eta)
-    if kind != "bond" and he <= 0:
-        raise NumericalError("finite differences in eta require eta > 0")
-
-    def p_of_x(x):
-        return _reprice(inputs, kind, x=x)
-
-    if kind == "bond":
-        bond = defaultable_bond_p0(inputs)
-        d_alpha = _richardson_d1(lambda a: _reprice(inputs, kind, alpha=a), va.alpha, ha)
-        d_r = _richardson_d1(lambda r: _reprice(inputs, kind, r=r), va.r, hr)
-        g3 = d_alpha
-        g8 = (-d_alpha + 0.5 * tau * tau * bond + tau * d_r) / va.beta
-        return GreekVector(0.0, 0.0, g3, 0.0, 0.0, 0.0, 0.0, g8)
-
-    p0 = _closed_form(inputs, kind)
-    dx = _richardson_d1(p_of_x, x0, hx)
-    dxx = _richardson_d2(p_of_x, x0, FD_STEP_SECOND * x0)
-    gamma2 = x0 * x0 * dxx
-
-    # Third x-derivative via a wider 5-point stencil (noise ~ eps/h^3).
-    h3 = FD_STEP_THIRD * x0
-
-    def d3(step):
-        return (
-            p_of_x(x0 + 2 * step)
-            - 2 * p_of_x(x0 + step)
-            + 2 * p_of_x(x0 - step)
-            - p_of_x(x0 - 2 * step)
-        ) / (2 * step**3)
-
-    dxxx = (4 * d3(h3 / 2) - d3(h3)) / 3
-
-    def dx_at(**kw):
-        return _richardson_d1(lambda x: _reprice(inputs, kind, x=x, **kw), x0, hx)
-
-    def dxx_at(**kw):
-        return _richardson_d2(
-            lambda x: _reprice(inputs, kind, x=x, **kw), x0, FD_STEP_SECOND * x0
-        )
-
-    d_alpha = _richardson_d1(lambda a: _reprice(inputs, kind, alpha=a), va.alpha, ha)
-    d_r = _richardson_d1(lambda r: _reprice(inputs, kind, r=r), va.r, hr)
-    dx_dalpha = _richardson_d1(lambda a: dx_at(alpha=a), va.alpha, ha)
-    dx_deta = _richardson_d1(lambda e: dx_at(eta=e), va.eta, he)
-    dx_dr = _richardson_d1(lambda r: dx_at(r=r), va.r, hr)
-    dxx_dalpha = _richardson_d1(lambda a: dxx_at(alpha=a), va.alpha, ha)
-
-    g1 = -tau * gamma2
-    g2 = -tau * x0 * (2 * x0 * dxx + x0 * x0 * dxxx)
-    g3 = x0 * dx_dalpha - d_alpha
-    g4 = x0 * x0 * dxx_dalpha
-    g5 = x0 * dx_deta
-    g6 = x0 * dx_dalpha
-    g7 = 0.5 * tau * tau * gamma2
-    g8 = (
-        g6 - d_alpha + 0.5 * tau * tau * (gamma2 - x0 * dx + p0) - tau * (x0 * dx_dr - d_r)
-    ) / va.beta
-    return GreekVector(g1, g2, g3, g4, g5, g6, g7, g8)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 # NumPy is imported inside each function, so that importing the package,
 # which re-exports this module, does not load it.
@@ -140,12 +141,19 @@ class FactorSpec:
         return spec
 
 
+@lru_cache(maxsize=None)
+def _hermite_nodes(n_nodes: int):
+    """Gauss-Hermite nodes and weights, cached: they cost more than the means that use them."""
+    from numpy.polynomial.hermite import hermgauss
+
+    return hermgauss(n_nodes)
+
+
 def _gauss_mean(fn, mean: float, std: float, n_nodes: int = 201) -> float:
     """E[fn(N(mean, std^2))] by Gauss-Hermite quadrature."""
     import numpy as np
-    from scipy.special import roots_hermite
 
-    t, w = roots_hermite(n_nodes)
+    t, w = _hermite_nodes(n_nodes)
     vals = np.asarray(fn(mean + math.sqrt(2.0) * std * t), dtype=float)
     return float(np.dot(w, vals)) / math.sqrt(math.pi)
 
@@ -213,8 +221,10 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
 
     spec = cfg.factor_spec
     horizons = sorted(horizons)
-    if not horizons or horizons[0] <= 0:
-        raise ValidationError("horizons must be positive")
+    if not horizons or not all(0 < h < math.inf for h in horizons):
+        raise ValidationError(f"horizons must be finite and positive, got {horizons}")
+    if len(set(horizons)) < len(horizons):
+        raise ValidationError(f"horizons must be distinct, got {horizons}")
     corr = spec.correlation_matrix()
     eigmin = float(np.linalg.eigvalsh(corr)[0])
     if eigmin < -1e-10:

@@ -1,4 +1,4 @@
-"""Leading-order closed-form prices for bonds, calls, puts, and generic payoffs.
+"""Leading-order closed-form prices for bonds, calls, and puts.
 
 Pricing kernel: E[exp(-int (r_s + l*lambda) ds) h(X_T)] with a Vasicek rate
 and effective (averaged) intensity lambda and volatility sigma2. Under the
@@ -29,11 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-# NumPy is imported inside the functions that use arrays, so that the float
-# path (one price, one CDS curve) never loads it.
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import DomainError, ValidationError
 from .rates import (
     EquityParams,
     VasicekParams,
@@ -52,12 +49,9 @@ __all__ = [
     "defaultable_bond_p0",
     "call_p0",
     "put_p0",
-    "generic_p0",
     "norm_cdf",
     "norm_pdf",
 ]
-
-DEFAULT_QUAD_NODES = 128
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -193,65 +187,3 @@ def put_p0(inputs: PricingInputs) -> float:
         - strike * _survival_bond(inputs) * norm_cdf(d2)
         + strike * riskless
     )
-
-
-@lru_cache(maxsize=8)
-def _hermite_nodes(n: int):
-    from scipy.special import roots_hermite
-
-    return roots_hermite(n)
-
-
-# Integration half-width in standard deviations for the adaptive method.
-QUAD_Z_RANGE = 12.0
-
-
-def generic_p0(
-    inputs: PricingInputs,
-    payoff,
-    method: str = "adaptive",
-    n_nodes: int = DEFAULT_QUAD_NODES,
-) -> float:
-    """Quadrature evaluation of Bc(l) * E[h(exp(U))], U ~ N(m, v).
-
-    ``payoff`` maps a terminal price (scalar or ndarray) to a value;
-    measurable with at most polynomial growth. At tau=0 this degenerates
-    to h(x_eff).
-
-    ``method="adaptive"`` (default) integrates the Gaussian integral with
-    adaptive Gauss-Kronrod, which resolves kinked and piecewise payoffs
-    (calls, digitals) to ~1e-10 relative accuracy. ``method="hermite"``
-    uses fixed Gauss-Hermite nodes (``n_nodes``), which is faster and
-    spectrally accurate for smooth payoffs but only ~1e-3 accurate at a
-    kink, so it is opt-in.
-    """
-    if inputs.tau == 0:
-        return float(payoff(inputs.x_eff))
-    m = mean_m(inputs)
-    v = variance_v(inputs)
-    if method == "hermite":
-        import numpy as np
-
-        t, w = _hermite_nodes(n_nodes)
-        u = m + math.sqrt(2.0 * v) * t
-        vals = np.asarray(payoff(np.exp(u)), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NumericalError("payoff produced non-finite values on the quadrature grid")
-        integral = float(np.dot(w, vals)) / math.sqrt(math.pi)
-    elif method == "adaptive":
-        from scipy.integrate import quad
-
-        sv = math.sqrt(v)
-
-        def integrand(z):
-            val = float(payoff(math.exp(m + sv * z)))
-            if not math.isfinite(val):
-                raise NumericalError(f"payoff non-finite at price {math.exp(m + sv * z)}")
-            return val * norm_pdf(z)
-
-        integral, _ = quad(
-            integrand, -QUAD_Z_RANGE, QUAD_Z_RANGE, epsabs=1e-13, epsrel=1e-11, limit=500
-        )
-    else:
-        raise ValidationError(f"unknown quadrature method {method!r}")
-    return defaultable_bond_p0(inputs) * integral

@@ -18,7 +18,6 @@ from credeq.cds import annual_schedule, cds_spread, cds_term_structure
 from credeq.corrections import (
     CorrectionParams,
     greeks,
-    greeks_fd,
     p0_partials,
     price_full,
 )
@@ -48,6 +47,7 @@ from conftest import (
     make_bond_quotes,
     make_option_quotes,
 )
+from reference_oracles import greeks_fd
 
 
 @contextmanager

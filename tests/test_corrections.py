@@ -8,7 +8,6 @@ from credeq.corrections import (
     correction_fast,
     correction_slow,
     greeks,
-    greeks_fd,
     p0_partials,
     price_full,
     price_p0,
@@ -18,6 +17,7 @@ from credeq.pricing import CreditParams, PricingInputs, call_p0, norm_pdf
 from credeq.rates import EquityParams, VasicekParams, factor_b, int_b
 
 from conftest import SURFACE_COEFFS, SURFACE_EQUITY, SURFACE_LAMBDA, SURFACE_VASICEK
+from reference_oracles import FD_STEP_PARAM, _reprice, _richardson_d1, greeks_fd
 
 
 def random_point(rng):
@@ -135,8 +135,6 @@ class TestRemarkStyleIdentity:
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
     def test_partials_match_finite_differences(self):
-        from credeq.corrections import _reprice, _richardson_d1, FD_STEP_PARAM
-
         rng = np.random.default_rng(11)
         for _ in range(20):
             pin = random_point(rng)

@@ -1,13 +1,16 @@
-"""What a CLI command imports: each command loads only what it runs.
+"""What the library imports: NumPy at most, never scipy.
 
 ``import credeq.cli`` and the pricing commands (``price``, ``cds-curve``,
 ``ivol-surface``) run on floats and load neither NumPy nor scipy; the
-calibration commands (``fit-rates``, ``calibrate``) load NumPy but no scipy.
+calibration commands (``fit-rates``, ``calibrate``) and the Monte-Carlo
+``oracle`` (constant or multiscale factors) load NumPy but no scipy. scipy
+is a test dependency only, and no module of ``credeq`` imports it.
 
-Each check runs in a fresh interpreter, so modules loaded by other tests do
-not count. Only module presence is asserted, never timings.
+Each command check runs in a fresh interpreter, so modules loaded by other
+tests do not count. Only module presence is asserted, never timings.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -91,6 +94,21 @@ def pricing_commands(path):
     ]
 
 
+def test_no_library_module_imports_scipy():
+    package = Path(credeq.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
 def test_import_loads_no_scipy_optimize():
     # Nor any other part of NumPy or scipy.
     assert run_child([])["after_import"] == []
@@ -100,6 +118,14 @@ def test_pricing_commands_load_no_scipy(fit_json):
     result = run_child(pricing_commands(fit_json))
     assert result["codes"] == [0, 0, 0]
     assert result["scipy"] == [] and result["numpy"] == []
+
+
+@pytest.mark.parametrize("factors", [[], ["--eps", "0.09"]], ids=["constant", "multiscale"])
+def test_oracle_loads_no_scipy(fit_json, factors):
+    result = run_child([["oracle", "--fit", str(fit_json), "--instrument", "call",
+                         "--strike", "8", "--maturity", "0.1", "--paths", "10000"] + factors])
+    assert result["codes"] == [0]
+    assert result["numpy"] and result["scipy"] == []
 
 
 def test_calibration_commands_load_no_scipy(tmp_path):

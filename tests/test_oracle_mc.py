@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from credeq.cds import annual_schedule, cds_spread
 from credeq.calibration import ModelFit
 from credeq.corrections import CorrectionParams
+from credeq import oracle_mc
 from credeq.errors import ValidationError
 from credeq.oracle_mc import FactorSpec, McConfig, effective_params, mc_price, simulate_terminals
 from credeq.pricing import (
@@ -107,6 +110,30 @@ class TestMultiscale:
         assert sigma2 > sigma1  # Jensen
         assert rho_eff == pytest.approx(spec.rho1 * sigma1 / sigma2, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [64, 128, 201])
+    def test_hermite_nodes_match_scipy(self, n):
+        # Measured before NumPy's nodes replaced scipy's: nodes within 8.4e-15
+        # absolute (n = 201), weights within 7.2e-13 relative (n = 128).
+        from scipy.special import roots_hermite
+
+        t_ref, w_ref = roots_hermite(n)
+        t, w = oracle_mc._hermite_nodes(n)
+        np.testing.assert_allclose(t, t_ref, rtol=0, atol=2e-14)
+        np.testing.assert_allclose(w, w_ref, rtol=2e-12, atol=0)
+
+    def test_effective_params_match_scipy_nodes(self, monkeypatch):
+        # The criterion-9 specs; measured at most 2 ulps (2.3e-16) apart.
+        from scipy.special import roots_hermite
+
+        def params():
+            return [effective_params(FactorSpec.multiscale(lam=0.06, eps=e, dlt=e))
+                    for e in (0.25, 0.09, 0.01)]
+
+        ours = params()
+        monkeypatch.setattr(oracle_mc, "_hermite_nodes", roots_hermite)
+        for got, ref in zip(ours, params()):
+            assert got == pytest.approx(ref, rel=1e-15, abs=0)
+
     def test_fast_average_intensity_realized(self):
         # time average of f(Y, Z) over a long horizon approaches lam
         spec = FactorSpec.multiscale(lam=0.06, eps=0.01, dlt=0.0)
@@ -140,6 +167,15 @@ class TestValidation:
     def test_odd_path_count_rejected(self):
         with pytest.raises(ValidationError):
             McConfig(n_paths=10_001, factor_spec=FactorSpec.constant(0.2, 0.05))
+
+    @pytest.mark.parametrize(
+        "horizons", [[1.0, 1.0], [0.5, 1.0, 0.5], [math.inf], [math.nan], [0.0], []]
+    )
+    def test_bad_horizons_rejected(self, horizons):
+        # A repeated horizon would leave one output slot unwritten.
+        pin = PricingInputs(VA, EQ, CR, 1.0)
+        with pytest.raises(ValidationError, match="horizons"):
+            simulate_terminals(constant_cfg(n_paths=10_000), pin, horizons)
 
     def test_cds_needs_schedule(self):
         pin = PricingInputs(VA, EQ, CR, 3.0)

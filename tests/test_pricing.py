@@ -11,7 +11,6 @@ from credeq.pricing import (
     PricingInputs,
     call_p0,
     defaultable_bond_p0,
-    generic_p0,
     mean_m,
     put_p0,
     variance_v,
@@ -19,6 +18,7 @@ from credeq.pricing import (
 from credeq.rates import EquityParams, VasicekParams, factor_b, riskless_bond, vasicek_yield
 
 from conftest import SURFACE_EQUITY, SURFACE_LAMBDA, SURFACE_VASICEK
+from reference_oracles import generic_p0
 
 
 def random_inputs(rng, with_strike=True, l=None):
@@ -233,13 +233,6 @@ class TestGenericQuadrature:
         )
         assert total == pytest.approx(defaultable_bond_p0(pin), abs=1e-8)
 
-    def test_hermite_method_smooth_payoff(self):
-        pin = self.pin(l=1.0)
-        exact = SURFACE_EQUITY.x
-        assert generic_p0(pin, lambda s: s, method="hermite", n_nodes=128) == pytest.approx(
-            exact, rel=1e-12
-        )
-
     def test_zero_horizon_degenerates_to_payoff(self):
         pin = PricingInputs(
             SURFACE_VASICEK, SURFACE_EQUITY, CreditParams(1, SURFACE_LAMBDA), 0.0, 8.0
@@ -257,5 +250,3 @@ class TestGenericQuadrature:
         pin = self.pin()
         with pytest.raises(NumericalError):
             generic_p0(pin, lambda s: np.where(s > 8.04, np.inf, 1.0))
-        with pytest.raises(NumericalError):
-            generic_p0(pin, lambda s: np.full_like(s, np.inf), method="hermite")
