@@ -356,8 +356,8 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return VALIDATION_EXIT
     except (NumericalError, CalibrationError, OverflowError) as exc:
-        # OverflowError: a finite but huge parameter (sigma2, eta or beta near
-        # 1e200) overflows a float power in the closed forms.
+        # OverflowError: a float overflow outside the closed forms, which name
+        # the overflowing parameter in a NumericalError themselves.
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return NUMERICAL_EXIT
     return 0

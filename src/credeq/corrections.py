@@ -29,8 +29,8 @@ call or put, ``_bond_terms`` those of a bond. Put terms enter through a 0/1
 flag (put = call - x + K*B), not a branch. The same body runs on Python
 floats, for single prices, and on NumPy arrays, for whole calibration
 grids (``evaluate_options``, ``evaluate_bonds``). The Vasicek factors it
-needs (b, int b, int b^2, a, da/deta, B) are computed once per distinct
-maturity by the scalar functions of :mod:`credeq.rates`. The tests check
+needs (b, int b, int b^2, a, da/deta, B) come from one call of
+:func:`credeq.rates.vasicek_factors` per distinct maturity. The tests check
 them against an independent finite-difference engine with Richardson
 extrapolation over the closed forms of :mod:`credeq.pricing`
 (``tests/reference_oracles.py``).
@@ -59,15 +59,8 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .errors import ConfigurationError, DomainError, NumericalError, ValidationError
-from .pricing import INV_SQRT_2PI, PricingInputs, norm_cdf, norm_pdf
-from .rates import (
-    VasicekParams,
-    factor_a,
-    factor_a_deta,
-    factor_b,
-    int_b,
-    int_b_squared,
-)
+from .pricing import INV_SQRT_2PI, PricingInputs, _variance, norm_cdf, norm_pdf
+from .rates import VasicekParams, _riskless, vasicek_factors
 
 __all__ = [
     "CorrectionParams",
@@ -272,25 +265,21 @@ def _array_namespace():
 
 
 def _rate_factors(va: VasicekParams, tau: float):
-    """(b, int b, a, B) at one maturity; B = exp(a - b*r) is the riskless bond."""
-    b = factor_b(va.beta, tau)
-    a = factor_a(va, tau)
-    return b, int_b(va.beta, tau), a, math.exp(a - b * va.r)
+    """(b, int b, a, G/beta^3, B) at one maturity; B = exp(a - b*r) is the riskless bond."""
+    b, big_a, a, g3 = vasicek_factors(va.beta, tau, va.alpha, va.eta)
+    return b, big_a, a, g3, _riskless(va, b, a)
 
 
 def _option_factors(va: VasicekParams, eq, tau: float):
-    """Rate factors plus (da/deta, v, dv/deta) at one maturity.
+    """(b, int b, a, B, da/deta, v, dv/deta) at one maturity.
 
-    v is :func:`credeq.pricing.variance_v` on the hoisted integrals; dv/deta
-    is taken at fixed rho1*sigma2 coupling.
+    v and dv/deta are those of :func:`credeq.pricing.variance_v`.
     """
-    b, big_a, a, riskless = _rate_factors(va, tau)
-    ibb = int_b_squared(va.beta, tau)
-    v = eq.sigma2**2 * tau + va.eta**2 * ibb + 2 * va.eta * eq.rho1 * eq.sigma2 * big_a
+    b, big_a, a, g3, riskless = _rate_factors(va, tau)
+    v, v_eta = _variance(va, eq, tau, big_a, g3)
     if v <= 0:
         raise DomainError(f"variance must be positive for option pricing, got {v}")
-    v_eta = 2 * va.eta * ibb + 2 * eq.rho1 * eq.sigma2 * big_a
-    return b, big_a, a, riskless, factor_a_deta(va, tau), v, v_eta
+    return b, big_a, a, riskless, 2 * va.eta * g3, v, v_eta
 
 
 def _option_terms(ns, put, x, q, strike, tau, log_bc1, b, big_a, a_eta, v, v_eta, riskless,
@@ -348,7 +337,7 @@ def _evaluate(inputs: PricingInputs, kind: str):
     """The kernel on floats: (P0, partials, Greeks) of one instrument."""
     va, tau = inputs.vasicek, inputs.tau
     if kind == "bond":
-        b, big_a, _, riskless = _rate_factors(va, tau)
+        b, big_a, _, _, riskless = _rate_factors(va, tau)
         c = inputs.credit
         return _bond_terms(math.exp(-c.l * c.lam * tau) * riskless, tau, b, big_a, va.beta)
     if kind not in ("call", "put"):
@@ -400,7 +389,7 @@ def evaluate_bonds(vasicek: VasicekParams, l_lambda, tau):
     import numpy as np
 
     tau = np.asarray(tau, dtype=float)
-    b, big_a, _, riskless = _per_maturity(lambda s: _rate_factors(vasicek, s), tau)
+    b, big_a, _, _, riskless = _per_maturity(lambda s: _rate_factors(vasicek, s), tau)
     bond = np.exp(-np.asarray(l_lambda, dtype=float)[:, None] * tau) * riskless
     p0, _, g = _bond_terms(bond, tau, b, big_a, vasicek.beta)
     return p0, np.stack((g[2], g[7]), axis=-1)

@@ -30,16 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError
-from .rates import (
-    EquityParams,
-    VasicekParams,
-    factor_a,
-    factor_b,
-    int_b,
-    int_b_squared,
-    riskless_bond,
-)
+from .errors import DomainError, NumericalError, ValidationError
+from .rates import EquityParams, VasicekParams, riskless_bond, vasicek_factors
 
 __all__ = [
     "CreditParams",
@@ -104,18 +96,30 @@ class PricingInputs:
         return self.equity.x * math.exp(-self.equity.q * self.tau)
 
 
+def _variance(va: VasicekParams, eq: EquityParams, tau: float, big_a: float, g3: float):
+    """(v, dv/deta) from the factors int b = ``big_a`` and G/beta^3 = ``g3``.
+
+    int b^2 = 2*g3; dv/deta is taken at fixed rho1*sigma2 coupling. A square
+    out of float range raises NumericalError naming its parameter.
+    """
+    try:
+        sigma2_sq, eta_sq = eq.sigma2**2, va.eta**2
+    except OverflowError:  # the larger of the two (both >= 0) overflows
+        name, value = ("sigma2", eq.sigma2) if eq.sigma2 > va.eta else ("eta", va.eta)
+        raise NumericalError(f"{name} = {value} puts the variance out of float range") from None
+    ibb = 2 * g3
+    v = sigma2_sq * tau + eta_sq * ibb + 2 * va.eta * eq.rho1 * eq.sigma2 * big_a
+    return v, 2 * va.eta * ibb + 2 * eq.rho1 * eq.sigma2 * big_a
+
+
 def variance_v(inputs: PricingInputs) -> float:
     """Integrated log-price variance of the forward under the forward measure.
 
     Equals the quadrature of sigma2^2 + (eta*b(s))^2 + 2*rho1*sigma2*eta*b(s)
     over [0, tau]; zero at tau=0. Only the product eta*rho1*sigma2 enters.
     """
-    eq, va, tau = inputs.equity, inputs.vasicek, inputs.tau
-    v = (
-        eq.sigma2**2 * tau
-        + va.eta**2 * int_b_squared(va.beta, tau)
-        + 2 * va.eta * eq.rho1 * eq.sigma2 * int_b(va.beta, tau)
-    )
+    _, big_a, _, g3 = vasicek_factors(inputs.vasicek.beta, inputs.tau)
+    v = _variance(inputs.vasicek, inputs.equity, inputs.tau, big_a, g3)[0]
     if v < 0:
         raise DomainError(
             f"negative integrated variance {v}; rho1/eta combination inadmissible"
@@ -126,11 +130,12 @@ def variance_v(inputs: PricingInputs) -> float:
 def mean_m(inputs: PricingInputs) -> float:
     """Mean of terminal log price under the forward measure."""
     va, tau = inputs.vasicek, inputs.tau
+    b, _, a, _ = vasicek_factors(va.beta, tau, va.alpha, va.eta)
     return (
         math.log(inputs.x_eff)
         + inputs.credit.lam * tau
-        - factor_a(va, tau)
-        + factor_b(va.beta, tau) * va.r
+        - a
+        + b * va.r
         - 0.5 * variance_v(inputs)
     )
 
@@ -144,7 +149,8 @@ def defaultable_bond_p0(inputs: PricingInputs) -> float:
 def _log_survival_bond(inputs: PricingInputs) -> float:
     """log Bc(l=1): stays representable when the discount itself underflows."""
     va, tau = inputs.vasicek, inputs.tau
-    return -inputs.credit.lam * tau + factor_a(va, tau) - factor_b(va.beta, tau) * va.r
+    b, _, a, _ = vasicek_factors(va.beta, tau, va.alpha, va.eta)
+    return -inputs.credit.lam * tau + a - b * va.r
 
 
 def _survival_bond(inputs: PricingInputs) -> float:

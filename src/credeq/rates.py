@@ -16,11 +16,6 @@ This module also provides the integrals of b and b^2 that enter the
 log-price variance of the equity leg, a least-squares yield-curve fit for
 {alpha, beta, eta}, and the historical estimators for the effective equity
 volatility and the rate/equity correlation.
-
-All evaluations switch to 6-term Taylor expansions when beta*s < 1e-6 to
-avoid catastrophic cancellation in the beta -> 0 limit; the eta^2 part of
-a(s), which cancels down to O((beta*s)^3), takes a longer series up to
-beta*s = 0.5 when beta < 0.05 (see ``_eta_bracket``).
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from dataclasses import dataclass
 
 # NumPy is imported inside the functions that use arrays, so that the float
 # path (one price, one CDS curve) never loads it.
-from .errors import CalibrationError, ValidationError
+from .errors import CalibrationError, NumericalError, ValidationError
 
 __all__ = [
     "VasicekParams",
@@ -41,6 +36,7 @@ __all__ = [
     "int_b",
     "int_b_squared",
     "riskless_bond",
+    "vasicek_factors",
     "vasicek_yield",
     "fit_vasicek",
     "at_bound",
@@ -49,9 +45,9 @@ __all__ = [
     "estimate_rho1",
 ]
 
-# Below this value of beta*s the closed forms lose too many digits to
-# cancellation and the series branch takes over.
-SERIES_CUTOFF = 1e-6
+# Below this value of u = beta*s the closed forms of H and G lose digits to
+# cancellation and the Taylor series of H takes over (see _h_g).
+SERIES_CUTOFF = 0.5
 
 FIT_BOUNDS = {"alpha": (-0.5, 0.5), "beta": (1e-4, 5.0), "eta": (0.0, 1.0)}
 
@@ -105,93 +101,95 @@ class EquityParams:
             raise ValidationError(f"dividend yield must be >= 0, got {self.q}")
 
 
-def factor_b(beta: float, s: float) -> float:
-    """b(s) = (1 - exp(-beta*s)) / beta, with a series branch for beta*s -> 0."""
-    if beta <= 0:
-        raise ValidationError("beta must be > 0")
-    if s < 0:
-        raise ValidationError("s must be >= 0")
-    u = beta * s
+def _h_g(u: float):
+    """H(u) = u + expm1(-u) and G(u) = u/2 + expm1(-u) - expm1(-2u)/4, for u = beta*s >= 0.
+
+    The closed forms cancel from O(u) down to H ~ u^2/2 and G ~ u^3/6, so
+    below ``SERIES_CUTOFF`` the Taylor series of H takes over, as
+    H = u^2 m, m = 1/2 - u q, q = sum_{k>=3} (-u)^(k-3)/k!, cut where its
+    first omitted term is below 1e-17 of it. G follows from the same q
+    without cancellation: G = H/2 - expm1(-u)^2/4 = u^3/4 (2 (m - q) - u m^2).
+    Below the cutoff both lose under 6e-16; from it up the closed forms
+    lose under 3.1e-15 of G and 3.3e-16 of H.
+    """
     if u < SERIES_CUTOFF:
-        return s * (1 - u / 2 + u**2 / 6 - u**3 / 24 + u**4 / 120 - u**5 / 720)
-    return -math.expm1(-u) / beta
+        q = 1/6 - u * (1/24 - u * (1/120 - u * (1/720 - u * (1/5040 - u * (1/40320 - u * (
+            1/362880 - u * (1/3628800 - u * (1/39916800 - u * (1/479001600 - u * (
+                1/6227020800 - u * (1/87178291200 - u / 1307674368000)))))))))))
+        m = 1/2 - u * q
+        return u * u * m, u * u * u / 4 * (2 * (m - q) - u * m * m)
+    e1 = math.expm1(-u)
+    return u + e1, u / 2 + e1 - math.expm1(-2 * u) / 4
+
+
+def vasicek_factors(beta: float, s: float, alpha: float = 0.0, eta: float = 0.0):
+    """(b, int b, a, G/beta^3) at maturity s, from one evaluation of H and G at u = beta*s.
+
+    b = -expm1(-u)/beta, int b = H/beta^2 and a = -alpha int b + eta^2 G/beta^3;
+    int b^2 = 2 G/beta^3 and da/deta = 2 eta G/beta^3 follow. A power of beta
+    or eta out of float range raises NumericalError naming it.
+    """
+    if beta <= 0 or s < 0:
+        raise ValidationError(f"need beta > 0 and s >= 0, got beta = {beta}, s = {s}")
+    u = beta * s
+    h, g = _h_g(u)
+    try:
+        ib, g3 = h / beta**2, g / beta**3
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalError(f"beta = {beta} puts the Vasicek factors out of float range") from None
+    try:
+        eta2 = eta**2
+    except OverflowError:
+        raise NumericalError(f"eta = {eta} puts the Vasicek factors out of float range") from None
+    return -math.expm1(-u) / beta, ib, eta2 * g3 - alpha * ib, g3
+
+
+def _riskless(p: VasicekParams, b: float, a: float) -> float:
+    """The riskless bond exp(a - b*r) from its factors; NumericalError out of float range."""
+    try:
+        return math.exp(a - b * p.r)
+    except OverflowError:
+        raise NumericalError(f"the riskless bond exp({a - b * p.r:.6g}) is out of float range "
+                             f"at alpha = {p.alpha}, eta = {p.eta}, r = {p.r}") from None
+
+
+def factor_b(beta: float, s: float) -> float:
+    """b(s) = (1 - exp(-beta*s)) / beta."""
+    return vasicek_factors(beta, s)[0]
 
 
 def int_b(beta: float, s: float) -> float:
     """Integral of b over [0, s]: (s - b(s)) / beta."""
-    u = beta * s
-    if u < SERIES_CUTOFF:
-        return s * s * (1 / 2 - u / 6 + u**2 / 24 - u**3 / 120 + u**4 / 720 - u**5 / 5040)
-    return (s + math.expm1(-u) / beta) / beta
+    return vasicek_factors(beta, s)[1]
 
 
 def int_b_squared(beta: float, s: float) -> float:
-    """Integral of b^2 over [0, s]."""
-    u = beta * s
-    if u < SERIES_CUTOFF:
-        return s**3 * (1 / 3 - u / 4 + 7 * u**2 / 60 - u**3 / 24)
-    b = factor_b(beta, s)
-    return (int_b(beta, s) - b * b / 2) / beta
-
-
-# Taylor coefficients of G(u) = sum_{k>=3} (-1)^k (1 - 2^(k-2)) u^k / k!, from
-# u^3 on; for u < 0.5 the first omitted term is below 1e-17 of G.
-_G_SERIES = tuple((-1) ** k * (1 - 2 ** (k - 2)) / math.factorial(k) for k in range(20, 2, -1))
-_G_SERIES_CUTOFF = 0.5
-_G_SERIES_BETA = 0.05
-
-
-def _eta_bracket(beta: float, s: float) -> float:
-    """G(u) = u/2 + (exp(-u) - 1) - (exp(-2u) - 1)/4 with u = beta*s.
-
-    The eta-dependent part of a(s) equals (eta^2 / beta^3) * G; G ~ u^3/6
-    as u -> 0.
-
-    The closed form cancels from O(u) down to O(u^3). Its rounding, about
-    1e-16 * u, reaches the zero yield through eta^2 / (beta^3 s) as about
-    1e-16 * eta^2 / beta^2, whatever s. Below beta = 0.05 that can exceed
-    1e-13 (eta <= 1), so there G takes the series up to u = 0.5, beyond
-    which the closed form loses under 3e-15 of G; at any beta the series
-    also covers u < SERIES_CUTOFF.
-    """
-    u = beta * s
-    if u < SERIES_CUTOFF or (u < _G_SERIES_CUTOFF and beta < _G_SERIES_BETA):
-        acc = 0.0
-        for c in _G_SERIES:
-            acc = acc * u + c
-        return acc * u**3
-    return u / 2 + math.expm1(-u) - math.expm1(-2 * u) / 4
+    """Integral of b^2 over [0, s]: 2 G(beta*s) / beta^3."""
+    return 2 * vasicek_factors(beta, s)[3]
 
 
 def factor_a(p: VasicekParams, s: float) -> float:
     """a(s) in the exponent of the riskless bond; a(0) = 0."""
-    if s < 0:
-        raise ValidationError("s must be >= 0")
-    alpha, beta, eta = p.alpha, p.beta, p.eta
-    # alpha part is -(alpha/beta^2) * (u + expm1(-u)); reuse int_b to keep the
-    # series branch in one place: integral of b = (s - b)/beta.
-    alpha_part = -alpha * int_b(beta, s)
-    eta_part = eta * eta / beta**3 * _eta_bracket(beta, s)
-    return alpha_part + eta_part
+    return vasicek_factors(p.beta, s, p.alpha, p.eta)[2]
 
 
 def factor_a_deta(p: VasicekParams, s: float) -> float:
     """d a(s) / d eta = 2*eta/beta^3 * G(s)."""
-    return 2 * p.eta / p.beta**3 * _eta_bracket(p.beta, s)
+    return 2 * p.eta * vasicek_factors(p.beta, s)[3]
 
 
 def riskless_bond(p: VasicekParams, s: float) -> float:
     """Riskless zero-coupon bond price exp(a(s) - b(s)*r); equals 1 at s=0."""
-    return math.exp(factor_a(p, s) - factor_b(p.beta, s) * p.r)
+    b, _, a, _ = vasicek_factors(p.beta, s, p.alpha, p.eta)
+    return _riskless(p, b, a)
 
 
 def vasicek_yield(p: VasicekParams, s: float) -> float:
     """Continuously compounded zero yield -(a(s) - b(s)*r)/s; y(0) := r."""
-    if s < 0:
-        raise ValidationError("s must be >= 0")
     if s == 0:
         return p.r
-    return -(factor_a(p, s) - factor_b(p.beta, s) * p.r) / s
+    b, _, a, _ = vasicek_factors(p.beta, s, p.alpha, p.eta)
+    return -(a - b * p.r) / s
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +221,10 @@ def _yield_basis(betas, maturities, r):
     """
     import numpy as np
 
-    rows = []
-    for beta in betas:
-        beta3 = beta**3
-        rows.append([(int_b(beta, s) / s, -_eta_bracket(beta, s) / (beta3 * s),
-                      factor_b(beta, s) * r / s) for s in maturities])
-    cols = np.moveaxis(np.asarray(rows, dtype=float), -1, 0)
-    return cols[0], cols[1], cols[2]
+    b, ib, _, g3 = np.moveaxis(np.asarray(
+        [[vasicek_factors(beta, s) for s in maturities] for beta in betas], dtype=float), -1, 0)
+    s = np.asarray(maturities, dtype=float)
+    return ib / s, -g3 / s, b * r / s
 
 
 def _box_fit(c_alpha, c_eta2, target):

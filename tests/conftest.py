@@ -1,11 +1,16 @@
-"""Shared fixture parameter sets and synthetic quote builders."""
+"""Shared fixture parameter sets, synthetic quote builders and the hypothesis profile."""
 
 import pytest
+from hypothesis import settings
 
 from credeq.corrections import CorrectionParams, price_full
 from credeq.market_data import BondQuote, OptionQuote
 from credeq.pricing import CreditParams, PricingInputs
 from credeq.rates import EquityParams, VasicekParams
+
+# Every property test runs the same examples on every run, with no deadline.
+settings.register_profile("credeq", derandomize=True, deadline=None)
+settings.load_profile("credeq")
 
 # Calibrated single-name example: low rate vol, short-dated equity surface.
 SURFACE_VASICEK = VasicekParams(alpha=0.0063, beta=0.1034, eta=0.012, r=0.0476)

@@ -352,7 +352,9 @@ class TestOverflow:
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "OverflowError"
+        error = json.loads(lines[0])
+        assert error["error"] == "NumericalError"
+        assert f"{name} = 1e+200" in error["message"]
 
     def test_cds_series_writes_na(self, tmp_path, capsys):
         fits_dir = tmp_path / "fits"

@@ -60,8 +60,13 @@ KERNEL_RTOL = 1e-13
 COEFF_TOL = 1e-8
 RESIDUAL_RTOL = 1e-12
 
-# A maturity on the series branch of the Vasicek factors: beta * tau < 1e-6.
-SERIES_TAU_FACTOR = 0.5 * SERIES_CUTOFF
+# beta * tau of the tiny maturities (tau ~ 1e-6), where the log-moneyness
+# -q*tau must not carry the rounding of x_eff.
+TINY_BETA_TAU = 5e-7
+
+# beta * tau just below and just above the series/closed-form switch of the
+# Vasicek factors.
+AROUND_CUTOFF = (SERIES_CUTOFF * (1 - 1e-9), SERIES_CUTOFF * (1 + 1e-9))
 
 
 def vasicek(beta):
@@ -111,22 +116,23 @@ class TestKernelPaths:
             max_size=5,
         ),
     )
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     def test_option_grid_equals_float_path(self, va, eq, lams, quotes):
-        assert_options_match(va, eq, lams, quotes)
+        below, above = (u / va.beta for u in AROUND_CUTOFF)
+        assert_options_match(va, eq, lams, quotes + [(below, 0.9, True), (above, 1.1, False)])
 
     @given(
         va=vasicek(st.floats(0.05, 1.0)),
         eq=equity(st.floats(0.001, 0.05)),
         lams=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=3),
     )
-    @settings(derandomize=True, deadline=None, max_examples=30)
+    @settings(max_examples=30)
     def test_series_branch_option_equals_float_path(self, va, eq, lams):
         # At the money, so log(x / K) is exactly 0 and the log-moneyness is
         # -q*tau on both paths, free of x_eff's rounding; at this tau
         # near-the-money Greeks are otherwise ill-conditioned in float64
         # whichever path computes them.
-        tau = SERIES_TAU_FACTOR / va.beta
+        tau = TINY_BETA_TAU / va.beta
         assert_options_match(va, eq, lams, [(tau, 1.0, False), (tau, 1.0, True)])
 
     @given(
@@ -134,12 +140,12 @@ class TestKernelPaths:
         eq=equity(st.floats(0.001, 0.05)),
         lam=st.floats(0.0, 0.5),
     )
-    @settings(derandomize=True, deadline=None, max_examples=30)
+    @settings(max_examples=30)
     def test_log_moneyness_at_tiny_tau_is_free_of_dividend_rounding(self, va, eq, lam):
         # At K = x the log-moneyness log(x_eff / K) is exactly -q*tau. Taken
         # as log(x_eff / K), it would carry x_eff's rounding, about 1e-16,
         # which at tau ~ 1e-6 is 1e-10 of the log-moneyness itself.
-        tau = SERIES_TAU_FACTOR / va.beta
+        tau = TINY_BETA_TAU / va.beta
         pin = PricingInputs(va, eq, CreditParams(1.0, lam), tau, eq.x)
         d1, d2 = _d12(pin)
         v = variance_v(pin)
@@ -155,9 +161,10 @@ class TestKernelPaths:
         l_lambdas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
         taus=st.lists(st.floats(0.1, 30.0), min_size=1, max_size=5),
     )
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     def test_bond_grid_equals_float_path(self, va, l_lambdas, taus):
-        taus = taus + [SERIES_TAU_FACTOR / va.beta]
+        # The tiny and switch maturities, where they lie within the drawn 30 years.
+        taus = taus + [u / va.beta for u in (TINY_BETA_TAU, *AROUND_CUTOFF) if u <= 30 * va.beta]
         p0, cols = evaluate_bonds(va, np.asarray(l_lambdas), taus)
         assert cols.shape == p0.shape + (2,)
         for i, l_lambda in enumerate(l_lambdas):

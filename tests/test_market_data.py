@@ -75,7 +75,7 @@ class TestRoundTrips:
             unique_by=lambda t: t[0],
         )
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_treasury_round_trip(self, tmp_path_factory, pts):
         pts = sorted(pts)
         curve = TreasuryCurve(points=tuple(pts))

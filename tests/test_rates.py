@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -8,16 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from credeq.errors import CalibrationError, ValidationError
+from credeq.calibration import ModelFit, fit_bonds, fit_options
+from credeq.cds import annual_schedule, cds_spread
+from credeq.corrections import CorrectionParams, price_full
+from credeq.errors import CalibrationError, NumericalError, ValidationError
 from credeq.market_data import PriceHistory, TreasuryCurve
+from credeq.pricing import CreditParams, PricingInputs, variance_v
 from credeq.rates import (
     FIT_BOUNDS,
+    SERIES_CUTOFF,
+    EquityParams,
     VasicekParams,
+    _h_g,
     at_bound,
     curve_rmse,
     estimate_rho1,
     estimate_sigma2,
     factor_a,
+    factor_a_deta,
     factor_b,
     fit_vasicek,
     int_b,
@@ -26,7 +35,15 @@ from credeq.rates import (
     vasicek_yield,
 )
 
-from conftest import HIST_VASICEK, INDEX_VASICEK, SURFACE_VASICEK
+from conftest import (
+    HIST_VASICEK,
+    INDEX_VASICEK,
+    ROUNDTRIP_GRID,
+    SURFACE_EQUITY,
+    SURFACE_VASICEK,
+    make_bond_quotes,
+    make_option_quotes,
+)
 from scalar_reference import curve_sse, fit_vasicek_nelder_mead
 
 # The treasury maturities (years) of the benchmark's CLI day.
@@ -65,12 +82,6 @@ class TestFactorB:
         # b -> s as beta -> 0; the series branch avoids the 0/0
         assert factor_b(1e-9, 2.0) == pytest.approx(2.0, abs=1e-8)
 
-    def test_series_matches_closed_form_at_cutover(self):
-        for u in (0.9e-6, 1.1e-6):
-            beta = 0.5
-            s = u / beta
-            direct = -math.expm1(-u) / beta
-            assert factor_b(beta, s) == pytest.approx(direct, rel=1e-12)
 
     def test_monotone_concave_bounded(self):
         beta = 0.3
@@ -80,6 +91,62 @@ class TestFactorB:
         assert (d > 0).all()
         assert (np.diff(d) < 1e-12).all()
         assert all(0 <= b < 1 / beta for b in bs)
+
+
+def log_uniform(lo, hi):
+    """Floats in [lo, hi], log-uniform: small values are drawn as often as large ones."""
+    return st.floats(math.log(lo), math.log(hi)).map(lambda x: min(max(math.exp(x), lo), hi))
+
+
+def exact_factors(beta, s, alpha, eta):
+    """b, int b, int b^2, da/deta, a and |alpha int b| + |eta part of a| in 50-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        beta, s, alpha, eta = map(Decimal, (beta, s, alpha, eta))
+        u = beta * s
+        e1, e2 = (-u).exp() - 1, (-2 * u).exp() - 1
+        ib = (u + e1) / beta**2
+        g3 = (u / 2 + e1 - e2 / 4) / beta**3
+        return (-e1 / beta, ib, 2 * g3, 2 * eta * g3, eta**2 * g3 - alpha * ib,
+                abs(alpha * ib) + eta**2 * g3)
+
+
+class TestFactorAccuracy:
+    """The factors against 50-digit decimal, over the fit bounds and at tiny beta*s.
+
+    The tolerance is three times the largest error seen over 40,000 such
+    draws, 3.1e-15 of int b^2 just above SERIES_CUTOFF, where the closed form
+    of G cancels 16-fold. Switching at beta*s = 1e-6 with separate series
+    per factor, the errors reached 7.3e-4 (da/deta) and 4.2e-10 (int b) just
+    above the switch.
+    """
+
+    RTOL = 1e-14
+
+    @given(
+        beta=log_uniform(*FIT_BOUNDS["beta"]),
+        s=st.floats(0.01, 30.0),
+        u=log_uniform(1e-9, 1e-3),
+        tiny=st.booleans(),  # take s = u/beta instead
+        alpha=st.floats(*FIT_BOUNDS["alpha"]),
+        eta=st.floats(1e-8, FIT_BOUNDS["eta"][1]),  # da/deta of a subnormal eta underflows
+    )
+    @settings(max_examples=300)
+    def test_relative_error(self, beta, s, u, tiny, alpha, eta):
+        if tiny:
+            s = u / beta
+        p = VasicekParams(alpha=alpha, beta=beta, eta=eta, r=0.0)
+        *exact, a_exact, a_size = exact_factors(beta, s, alpha, eta)
+        got = (factor_b(beta, s), int_b(beta, s), int_b_squared(beta, s), factor_a_deta(p, s))
+        for name, value, want in zip(("b", "int b", "int b^2", "da/deta"), got, exact):
+            assert abs(Decimal(value) - want) <= Decimal(self.RTOL) * abs(want), name
+        assert abs(Decimal(factor_a(p, s)) - a_exact) <= Decimal(self.RTOL) * a_size
+
+    def test_h_and_g_are_continuous_across_the_cutoff(self):
+        below = _h_g(math.nextafter(SERIES_CUTOFF, 0.0))  # series
+        above = _h_g(SERIES_CUTOFF)  # closed forms
+        for lo, hi in zip(below, above):
+            assert lo < hi and hi - lo <= self.RTOL * hi
 
 
 class TestFactorA:
@@ -221,14 +288,12 @@ class TestFitVasicek:
 
     @given(
         alpha=st.floats(*FIT_BOUNDS["alpha"]),
-        # log-uniform, so that small beta, where the eta part cancels most,
-        # is drawn as often as large
-        beta=st.floats(*map(math.log, FIT_BOUNDS["beta"])).map(
-            lambda x: min(max(math.exp(x), FIT_BOUNDS["beta"][0]), FIT_BOUNDS["beta"][1])),
+        # small beta, where the eta part cancels most, as often as large
+        beta=log_uniform(*FIT_BOUNDS["beta"]),
         eta=st.floats(*FIT_BOUNDS["eta"]),
         r=st.floats(0.0, 0.1),
     )
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     def test_recovers_exact_curves(self, alpha, beta, eta, r):
         truth = VasicekParams(alpha=alpha, beta=beta, eta=eta, r=r)
         curve = self.curve_from(truth, TREASURY_MATURITIES)
@@ -292,6 +357,61 @@ class TestBoundHits:
         fitted = fit_vasicek(curve, truth.r)
         assert fitted.alpha == FIT_BOUNDS["alpha"][1]
         assert "alpha" in at_bound(fitted)
+
+
+# Finite parameters whose powers or riskless bond leave the float range; beta**3
+# underflows to 0 at beta = 1e-200.
+EXTREME_PARAMETERS = (("beta", 1e200), ("beta", 1e-200), ("eta", 1e200), ("sigma2", 1e200),
+                      ("eta", 1e153), ("alpha", -1e200), ("r", -1e200))
+
+
+class TestOverflowNamesTheParameter:
+    """A huge but finite parameter raises NumericalError naming it, never a bare OverflowError."""
+
+    @staticmethod
+    def huge(name, value=1e200):
+        """(vasicek, equity) of the surface example with ``name`` set to ``value``."""
+        va, eq = dict(vars(SURFACE_VASICEK)), dict(vars(SURFACE_EQUITY))
+        (eq if name in eq else va)[name] = value
+        return VasicekParams(**va), EquityParams(**eq)
+
+    # A bond has no equity leg, so sigma2 does not reach it.
+    @pytest.mark.parametrize("kind, name, value", [
+        (kind, name, value) for kind in ("call", "put", "bond") for name, value in EXTREME_PARAMETERS
+        if (kind, name) != ("bond", "sigma2")])
+    def test_price_full(self, kind, name, value):
+        va, eq = self.huge(name, value)
+        pin = PricingInputs(va, eq, CreditParams(0.4, 0.03), 0.5, None if kind == "bond" else 8.0)
+        with pytest.raises(NumericalError, match=re.escape(f"{name} = {value:g}")):
+            price_full(pin, CorrectionParams(), kind)
+
+    @pytest.mark.parametrize("name", ["sigma2", "eta"])
+    def test_variance_v(self, name):
+        pin = PricingInputs(*self.huge(name), CreditParams(1.0, 0.03), 0.5, 8.0)
+        with pytest.raises(NumericalError, match=re.escape(f"{name} = 1e+200")):
+            variance_v(pin)
+
+    @pytest.mark.parametrize("name", ["beta", "eta"])
+    def test_vasicek_yield(self, name):
+        with pytest.raises(NumericalError, match=re.escape(f"{name} = 1e+200")):
+            vasicek_yield(self.huge(name)[0], 2.0)
+
+    @pytest.mark.parametrize("name", ["beta", "eta"])
+    def test_cds_spread(self, name):
+        va, _ = self.huge(name)
+        fit = ModelFit(va, SURFACE_EQUITY, CreditParams(0.4, 0.03), CorrectionParams(v3=0.01))
+        with pytest.raises(NumericalError, match=re.escape(f"{name} = 1e+200")):
+            cds_spread(fit, annual_schedule(3.0))
+
+    @pytest.mark.parametrize("name", ["beta", "eta", "sigma2"])
+    def test_fit_options(self, name):
+        credit = CreditParams(0.3, 0.05)
+        bonds = make_bond_quotes(SURFACE_VASICEK, credit, CorrectionParams())
+        options = make_option_quotes(SURFACE_VASICEK, SURFACE_EQUITY, 0.05, CorrectionParams(),
+                                     ROUNDTRIP_GRID)
+        bond_fit = fit_bonds(bonds, SURFACE_VASICEK)
+        with pytest.raises(NumericalError, match=re.escape(f"{name} = 1e+200")):
+            fit_options(options, bond_fit, *self.huge(name))
 
 
 def business_days(n, start=dt.date(2006, 1, 2)):
