@@ -1,8 +1,9 @@
 """Monte-Carlo validation of the closed forms.
 
 With constant volatility and intensity every correction vanishes and the
-leading-order formulas are exact, so a full five-factor simulation must
-agree within its own standard error. Run: python demos/mc_validation.py
+leading-order formulas are exact, so a simulation of the short rate and
+the stock (the factors these payoffs read) must agree within its own
+standard error. Run: python demos/mc_validation.py
 (about half a minute).
 """
 

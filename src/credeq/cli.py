@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import market_data as md
@@ -41,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .implied_vol import implied_vol
-from .oracle_mc import FactorSpec, McConfig, mc_price
+from .oracle_mc import FactorSpec, McConfig, grid_steps, mc_price
 from .pricing import PricingInputs
 from .rates import (
     EquityParams,
@@ -259,9 +260,15 @@ def cmd_oracle(args) -> None:
     if args.instrument == "cds":
         schedule = annual_schedule(args.maturity, _FREQ[args.freq])
     pin = PricingInputs(fit.vasicek, fit.equity, fit.credit, args.maturity, args.strike)
+    start = time.perf_counter()
     est, se = mc_price(cfg, args.instrument, pin, schedule)
+    elapsed = time.perf_counter() - start
+    n_steps = grid_steps(schedule.payment_times if schedule else [args.maturity],
+                         args.steps_per_year)
     _emit(args, json.dumps({"instrument": args.instrument, "estimate": est,
-                            "std_error": se, "n_paths": args.paths}, indent=2))
+                            "std_error": se, "n_paths": args.paths, "n_steps": n_steps,
+                            "elapsed_s": elapsed,
+                            "path_steps_per_s": args.paths * n_steps / elapsed}, indent=2))
 
 
 def build_parser() -> argparse.ArgumentParser:

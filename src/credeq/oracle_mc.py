@@ -1,6 +1,6 @@
 """Full-model Monte-Carlo pricer used to validate the asymptotic formulas.
 
-Simulates the complete five-factor system under the pricing measure:
+Simulates the five-factor system under the pricing measure:
 
     dr  = (alpha - beta r) dt + eta dW1
     dY  = (1/eps)(m - Y) dt + nu*sqrt(2/eps) dW2          (fast intensity)
@@ -12,8 +12,21 @@ Simulates the complete five-factor system under the pricing measure:
 Default enters through survival-probability weighting: every payoff is
 discounted by exp(-int (r + l*f(Y,Z)) ds) instead of sampling the default
 time, which is exact for a doubly stochastic default and cuts variance.
-Antithetic pairs share each chunk's Gaussian draws with flipped signs,
-and fixed-size chunks with jumped PCG64 substreams make a fixed seed
+
+Only the factors that a payoff reads are stepped. r always is. The stock
+X is stepped only when the inputs carry a strike (calls and puts; bonds
+and CDS never read it). Y is stepped only when f is a function, Z only
+when f is a function and dlt > 0, and Yt only when sigma is a function
+and X is stepped. A constant intensity integrates to one number per step.
+So under ``FactorSpec.constant`` a bond or CDS steps r alone, and an
+option steps r and X.
+
+The random stream does not depend on what is live: every step draws a
+(paths, 5) block of standard normals and correlates it with the full 5x5
+Cholesky factor, so a fixed seed gives the same estimates bit for bit
+whichever factors a spec makes constant. Antithetic pairs share each
+draw: the base path adds an increment and its mirror subtracts it. Fixed-
+size chunks with jumped PCG64 substreams make a fixed seed
 bit-reproducible regardless of how the reduction is batched.
 
 This is a validation oracle, not a production pricer: one concrete,
@@ -51,7 +64,9 @@ class FactorSpec:
 
     ``rho`` couples the stock driver W0 to (W1..W4); ``rho_ij`` couples the
     factor drivers among themselves. The implied 5x5 correlation matrix
-    must be positive semidefinite.
+    must be positive semidefinite. ``sigma_fn`` and ``f_fn`` are functions
+    of the factors or plain numbers; a number is a constant, and the
+    factors that only it would read are not simulated.
     """
 
     eps: float
@@ -79,6 +94,8 @@ class FactorSpec:
             raise ValidationError("eps must be > 0 and dlt >= 0")
         if self.sigma_fn is None or self.f_fn is None:
             raise ValidationError("sigma_fn and f_fn are required")
+        if callable(self.f_fn) and self.dlt > 0 and (self.c_fn is None or self.g_fn is None):
+            raise ValidationError("a slow factor (dlt > 0) needs c_fn and g_fn")
 
     def correlation_matrix(self):
         import numpy as np
@@ -95,20 +112,10 @@ class FactorSpec:
         """Degenerate factors: constant volatility and intensity.
 
         All corrections vanish, so the closed-form leading order is exact
-        and the simulation validates the pricing kernel itself.
+        and the simulation validates the pricing kernel itself. Y, Z and Yt
+        are not simulated.
         """
-        import numpy as np
-
-        return cls(
-            eps=1.0,
-            dlt=0.0,
-            rho1=rho1,
-            sigma_fn=lambda yt: sigma * np.ones_like(np.asarray(yt, dtype=float)),
-            f_fn=lambda y, z: lam * np.ones_like(np.asarray(y, dtype=float)),
-            lambda_fn=None,
-            c_fn=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-            g_fn=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-        )
+        return cls(eps=1.0, dlt=0.0, rho1=rho1, sigma_fn=float(sigma), f_fn=float(lam))
 
     @classmethod
     def multiscale(cls, lam: float, eps: float, dlt: float) -> "FactorSpec":
@@ -163,14 +170,23 @@ def effective_params(spec: FactorSpec):
 
     sigma1 = <sigma>, sigma2 = sqrt(<sigma^2>) over the fast-volatility
     invariant distribution N(mt, nut^2); lam = <f(., z0)> over N(m, nu^2);
-    rho1_eff = rho1 * sigma1 / sigma2.
+    rho1_eff = rho1 * sigma1 / sigma2. A constant is its own average, so a
+    constant sigma gives (sigma, sigma, ., rho1) exactly.
     """
     import numpy as np
 
-    sigma1 = _gauss_mean(spec.sigma_fn, spec.mt, spec.nut)
-    sigma2 = math.sqrt(_gauss_mean(lambda y: np.asarray(spec.sigma_fn(y)) ** 2, spec.mt, spec.nut))
-    lam = _gauss_mean(lambda y: spec.f_fn(y, spec.z0 * np.ones_like(np.asarray(y))), spec.m, spec.nu)
-    rho1_eff = spec.rho1 * sigma1 / sigma2
+    sig, f = spec.sigma_fn, spec.f_fn
+    if callable(sig):
+        sigma1 = _gauss_mean(sig, spec.mt, spec.nut)
+        sigma2 = math.sqrt(_gauss_mean(lambda y: np.asarray(sig(y)) ** 2, spec.mt, spec.nut))
+        rho1_eff = spec.rho1 * sigma1 / sigma2
+    else:
+        sigma1 = sigma2 = float(sig)
+        rho1_eff = spec.rho1
+    if callable(f):
+        lam = _gauss_mean(lambda y: f(y, spec.z0 * np.ones_like(np.asarray(y))), spec.m, spec.nu)
+    else:
+        lam = float(f)
     return sigma1, sigma2, lam, rho1_eff
 
 
@@ -206,14 +222,20 @@ def _time_grid(horizons, steps_per_year: int):
     return np.asarray(sorted(pts))
 
 
+def grid_steps(horizons, steps_per_year: int) -> int:
+    """Time steps of a simulation to ``horizons``: each path takes this many."""
+    return len(_time_grid(sorted(horizons), steps_per_year)) - 1
+
+
 def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
-    """Simulate to each horizon; returns per-horizon integrals and final stock.
+    """Simulate to each horizon; returns per-horizon integrals and stock.
 
     Returns a dict with
 
     - ``int_r``:   array (H, 2, n_half), trapezoidal integral of r
     - ``int_lam``: array (H, 2, n_half), trapezoidal integral of f(Y, Z)
-    - ``x``:       array (2, n_half), stock at the last horizon
+    - ``x``:       array (H, 2, n_half), stock at each horizon; present
+      only when ``inputs.strike`` is set, as only then is it simulated
 
     Axis 1 separates the base paths from their antithetic mirrors.
     """
@@ -232,15 +254,14 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
     chol = np.linalg.cholesky(corr + max(0.0, -eigmin + 1e-14) * np.eye(5))
 
     grid = _time_grid(horizons, cfg.n_steps_per_year)
-    h_index = {h: int(np.argmin(np.abs(grid - h))) for h in horizons}
+    h_steps = {int(np.argmin(np.abs(grid - h))): k for k, h in enumerate(horizons)}
 
     n_half = cfg.n_paths // 2
-    n_h = len(horizons)
-    int_r = np.empty((n_h, 2, n_half))
-    int_lam = np.empty((n_h, 2, n_half))
-    x_out = np.empty((2, n_half))
+    shape = (len(horizons), 2, n_half)
+    out = {"int_r": np.empty(shape), "int_lam": np.empty(shape), "horizons": horizons}
+    if inputs.strike is not None:
+        out["x"] = np.empty(shape)
 
-    va, eq = inputs.vasicek, inputs.equity
     base_stream = np.random.PCG64(cfg.seed)
     start = 0
     chunk_idx = 0
@@ -248,68 +269,102 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
         size = min(CHUNK_BASE_PATHS, n_half - start)
         rng = np.random.Generator(base_stream.jumped(chunk_idx))
         sl = slice(start, start + size)
-        _simulate_chunk(
-            rng, size, grid, h_index, horizons, chol, spec, va, eq,
-            int_r[:, :, sl], int_lam[:, :, sl], x_out[:, sl],
-        )
+        _simulate_chunk(rng, size, grid, h_steps, chol, spec, inputs,
+                        {key: val[:, :, sl] for key, val in out.items() if key != "horizons"})
         start += size
         chunk_idx += 1
-    return {"int_r": int_r, "int_lam": int_lam, "x": x_out, "horizons": horizons}
+    return out
 
 
-def _simulate_chunk(rng, size, grid, h_index, horizons, chol, spec, va, eq,
-                    out_int_r, out_int_lam, out_x):
+def _mirrored(state, vol, d):
+    """Add vol*d to the base paths (row 0) and subtract it from the mirrors (row 1), in place.
+
+    ``state - vol*d`` is the same float as ``state + vol*(-d)``, so the
+    mirrors need no negated copy of the increments. ``vol`` is a number or
+    a (2, size) array.
+    """
     import numpy as np
 
+    shock = np.broadcast_to(vol * d, state.shape)
+    state[0] += shock[0]
+    state[1] -= shock[1]
+
+
+def _simulate_chunk(rng, size, grid, h_steps, chol, spec, inputs, out):
+    """Step one chunk's live factors over ``grid``; write ``out`` at each horizon step."""
+    import numpy as np
+
+    va, eq = inputs.vasicek, inputs.equity
+    sig_fn, f_fn = spec.sigma_fn, spec.f_fn
+    stock = "x" in out
+    live_yt = stock and callable(sig_fn)
+    live_y = callable(f_fn)
+    live_z = live_y and spec.dlt > 0
     sqeps = math.sqrt(spec.eps)
     fast_vol = spec.nu * math.sqrt(2.0) / sqeps
     fast_vol_t = spec.nut * math.sqrt(2.0) / sqeps
-    lam_fn, sig_fn, f_fn = spec.lambda_fn, spec.sigma_fn, spec.f_fn
 
     # state arrays: axis 0 = (base, antithetic)
-    r = np.full((2, size), va.r)
-    y = np.full((2, size), spec.y0)
-    yt = np.full((2, size), spec.yt0)
-    z = np.full((2, size), spec.z0)
-    logx = np.full((2, size), math.log(eq.x))
-    ir = np.zeros((2, size))
-    il = np.zeros((2, size))
+    shape = (2, size)
+    r = np.full(shape, va.r)
+    ir = np.zeros(shape)
+    if live_y:
+        y = np.full(shape, spec.y0)
+        z = np.full(shape, spec.z0) if live_z else np.broadcast_to(spec.z0, shape)
+        lam = np.asarray(f_fn(y, z))
+        il = np.zeros(shape)
+    else:
+        lam = float(f_fn)
+        il = 0.0
+    if stock:
+        logx = np.full(shape, math.log(eq.x))
+    if live_yt:
+        yt = np.full(shape, spec.yt0)
 
-    lam_prev = np.asarray(f_fn(y, z))
-    r_prev = r.copy()
-    h_steps = {h_index[h]: k for k, h in enumerate(horizons)}
-
-    for i in range(1, len(grid)):
-        dt = grid[i] - grid[i - 1]
+    draws = np.empty((size, 5))
+    dw = np.empty((size, 5))
+    for i, dt in enumerate(np.diff(grid).tolist(), start=1):
         sq_dt = math.sqrt(dt)
-        zdraw = rng.standard_normal((size, 5))
-        dw = (zdraw @ chol.T) * sq_dt  # (size, 5) correlated increments
-        dw = np.stack((dw, -dw))  # antithetic mirror, axes (2, size, 5)
+        # Five correlated columns every step, live or not: the stream stays fixed.
+        rng.standard_normal(out=draws)
+        np.matmul(draws, chol.T, out=dw)
 
-        sig = np.asarray(sig_fn(yt))
-        lam = lam_prev
-        drift_x = (r + lam - eq.q - 0.5 * sig * sig) * dt
-        logx += drift_x + sig * dw[:, :, 0]
-        r = r + (va.alpha - va.beta * r) * dt + va.eta * dw[:, :, 1]
-        y = y + (spec.m - y) / spec.eps * dt + fast_vol * dw[:, :, 2]
-        if spec.dlt > 0:
-            z = z + spec.dlt * np.asarray(spec.c_fn(z)) * dt + math.sqrt(spec.dlt) * np.asarray(spec.g_fn(z)) * dw[:, :, 3]
-        drift_yt = (spec.mt - yt) / spec.eps
-        if lam_fn is not None:
-            drift_yt = drift_yt - fast_vol_t * np.asarray(lam_fn(yt))
-        yt = yt + drift_yt * dt + fast_vol_t * dw[:, :, 4]
+        if stock:
+            sig = np.asarray(sig_fn(yt)) if live_yt else sig_fn
+            drift_x = (r + lam - eq.q - 0.5 * sig * sig) * dt
+            _mirrored(drift_x, sig, dw[:, 0] * sq_dt)
+            logx += drift_x
+        r_new = r + (va.alpha - va.beta * r) * dt
+        _mirrored(r_new, va.eta, dw[:, 1] * sq_dt)
+        if live_y:
+            y = y + (spec.m - y) / spec.eps * dt
+            _mirrored(y, fast_vol, dw[:, 2] * sq_dt)
+            if live_z:
+                vol_z = math.sqrt(spec.dlt) * np.asarray(spec.g_fn(z))
+                z = z + spec.dlt * np.asarray(spec.c_fn(z)) * dt
+                _mirrored(z, vol_z, dw[:, 3] * sq_dt)
+        if live_yt:
+            drift_yt = (spec.mt - yt) / spec.eps
+            if spec.lambda_fn is not None:
+                drift_yt = drift_yt - fast_vol_t * np.asarray(spec.lambda_fn(yt))
+            yt = yt + drift_yt * dt
+            _mirrored(yt, fast_vol_t, dw[:, 4] * sq_dt)
 
-        lam_new = np.asarray(f_fn(y, z))
-        ir += 0.5 * (r_prev + r) * dt
-        il += 0.5 * (lam_prev + lam_new) * dt
-        r_prev = r
-        lam_prev = lam_new
+        ir += 0.5 * (r + r_new) * dt
+        r = r_new
+        if live_y:
+            lam_new = np.asarray(f_fn(y, z))
+            il += 0.5 * (lam + lam_new) * dt
+            lam = lam_new
+        else:
+            il += 0.5 * (lam + lam) * dt
 
-        if i in h_steps:
-            k = h_steps[i]
-            out_int_r[k] = ir
-            out_int_lam[k] = il
-    out_x[:] = np.exp(logx)
+        k = h_steps.get(i)
+        if k is not None:
+            out["int_r"][k] = ir
+            out["int_lam"][k] = il
+            if stock:
+                out["x"][k] = np.exp(logx)
 
 
 def _pair_stats(values):
@@ -338,7 +393,7 @@ def mc_price(cfg: McConfig, instrument: str, inputs: PricingInputs, schedule=Non
             raise ValidationError("option pricing requires a strike")
         sim = simulate_terminals(cfg, inputs, [inputs.tau])
         df_full = np.exp(-sim["int_r"][0] - sim["int_lam"][0])
-        x_t = sim["x"]
+        x_t = sim["x"][0]
         if instrument == "call":
             vals = df_full * np.maximum(x_t - inputs.strike, 0.0)
         else:

@@ -154,8 +154,15 @@ def _log_survival_bond(inputs: PricingInputs) -> float:
 
 
 def _survival_bond(inputs: PricingInputs) -> float:
-    """Bc(l=1): the defaultable discount with full intensity."""
-    return math.exp(_log_survival_bond(inputs))
+    """Bc(l=1): the defaultable discount with full intensity; NumericalError out of float range."""
+    log_bond = _log_survival_bond(inputs)
+    try:
+        return math.exp(log_bond)
+    except OverflowError:
+        va = inputs.vasicek
+        raise NumericalError(f"the survival bond exp({log_bond:.6g}) is out of float range at "
+                             f"lam = {inputs.credit.lam}, alpha = {va.alpha}, eta = {va.eta}, "
+                             f"r = {va.r}") from None
 
 
 def _d12(inputs: PricingInputs):

@@ -297,11 +297,11 @@ def test_criterion_9_convergence_study():
                 n_paths=200_000, n_steps_per_year=504, seed=42, factor_spec=spec
             )
             mc_vals, p0_vals, rows = [], [], []
-            for tau in taus:
-                pin = PricingInputs(va, eq, cr, tau, strike=1.0)
-                sim = simulate_terminals(cfg, pin, [tau])
-                df = np.exp(-sim["int_r"][0] - sim["int_lam"][0])
-                x_t = sim["x"]
+            # one simulation per eps serves both maturities
+            sim = simulate_terminals(cfg, PricingInputs(va, eq, cr, max(taus), strike=1.0), taus)
+            for k, tau in enumerate(taus):
+                df = np.exp(-sim["int_r"][k] - sim["int_lam"][k])
+                x_t = sim["x"][k]
                 for m in strikes:
                     payoff = df * np.maximum(x_t - m, 0.0)
                     mc_vals.append(float((0.5 * (payoff[0] + payoff[1])).mean()))

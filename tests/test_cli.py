@@ -394,15 +394,16 @@ class TestCdsSeries:
 
 
 class TestOracleCommand:
+    FIT = {
+        "vasicek": {"alpha": 0.0063, "beta": 0.1034, "eta": 0.012, "r": 0.0476},
+        "equity": {"x": 8.04, "sigma2": 0.2576, "rho1": -0.0327},
+        "credit": {"l": 1.0, "lam": 0.027},
+        "corrections": {},
+    }
+
     def test_constant_factor_estimate(self, tmp_path, capsys):
-        fit = {
-            "vasicek": {"alpha": 0.0063, "beta": 0.1034, "eta": 0.012, "r": 0.0476},
-            "equity": {"x": 8.04, "sigma2": 0.2576, "rho1": -0.0327},
-            "credit": {"l": 1.0, "lam": 0.027},
-            "corrections": {},
-        }
         path = tmp_path / "fit.json"
-        path.write_text(json.dumps(fit))
+        path.write_text(json.dumps(self.FIT))
         code, out, err = run(
             capsys, "oracle", "--fit", str(path), "--instrument", "call",
             "--strike", "8.04", "--maturity", "0.25", "--paths", "20000", "--seed", "3",
@@ -413,6 +414,21 @@ class TestOracleCommand:
             SURFACE_VASICEK, SURFACE_EQUITY, CreditParams(1.0, 0.027), 0.25, 8.04
         )
         assert abs(payload["estimate"] - call_p0(pin)) < 4 * payload["std_error"]
+
+    @pytest.mark.parametrize("instrument, maturity, freq, n_steps", [
+        ("bond", "0.5", "annual", 126), ("cds", "2", "quarterly", 504)])
+    def test_reports_its_cost(self, tmp_path, capsys, instrument, maturity, freq, n_steps):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(self.FIT))
+        code, out, err = run(capsys, "oracle", "--fit", str(path), "--instrument", instrument,
+                             "--maturity", maturity, "--freq", freq, "--paths", "10000")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert list(payload) == ["instrument", "estimate", "std_error", "n_paths", "n_steps",
+                                 "elapsed_s", "path_steps_per_s"]
+        assert payload["n_steps"] == n_steps
+        assert payload["elapsed_s"] > 0
+        assert payload["path_steps_per_s"] == 10_000 * n_steps / payload["elapsed_s"]
 
 
 class TestArgumentErrors:

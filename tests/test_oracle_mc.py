@@ -89,6 +89,75 @@ class TestDeterminism:
         assert 2.0 * 0.8 < ratio < 2.0 * 1.2
 
 
+def constants_as_functions(sigma, lam, rho1):
+    """FactorSpec.constant's numbers as functions, with a slow factor: all five factors are stepped."""
+    return FactorSpec(eps=1.0, dlt=1.0, rho1=rho1,
+                      sigma_fn=lambda yt: sigma * np.ones_like(yt),
+                      f_fn=lambda y, z: lam * np.ones_like(y),
+                      c_fn=np.zeros_like, g_fn=np.zeros_like)
+
+
+class TestLiveFactors:
+    """Skipping the factors no payoff reads leaves every float of the oracle as it was."""
+
+    PINS = {
+        "call": PricingInputs(VA, EQ, CR, 0.5, 8.04),
+        "put": PricingInputs(VA, EQ, CR, 0.5, 8.04),
+        "bond": PricingInputs(VA, EQ, CR, 2.0),
+        "cds": PricingInputs(VA, EQ, CR, 3.0),
+    }
+
+    def price(self, spec, instrument, seed=1):
+        cfg = McConfig(n_paths=20_000, seed=seed, factor_spec=spec)
+        schedule = annual_schedule(3.0) if instrument == "cds" else None
+        return mc_price(cfg, instrument, self.PINS[instrument], schedule)
+
+    @pytest.mark.parametrize("instrument", ["call", "put", "bond", "cds"])
+    def test_constants_equal_constant_functions(self, instrument):
+        # The function spec steps Y, Z and Yt (and X for options) on the same draws.
+        numbers = FactorSpec.constant(sigma=EQ.sigma2, lam=CR.lam, rho1=EQ.rho1)
+        functions = constants_as_functions(EQ.sigma2, CR.lam, EQ.rho1)
+        assert self.price(numbers, instrument, seed=4) == self.price(functions, instrument, seed=4)
+
+    # (estimate, standard error) at seed 1 and 20,000 paths, recorded before the step loop
+    # skipped dead factors. A different stream moves each estimate by about one SE.
+    PINNED = {
+        "call": (0.8464442975632581, 0.005141419833369644),
+        "put": (0.6563506735325279, 0.003363420381574694),
+        "bond": (0.8507701675595208, 1.9317917744211332e-06),
+        "cds": (0.03387013181012283, 1.4788633894647728e-07),
+    }
+
+    @pytest.mark.parametrize("instrument", sorted(PINNED))
+    def test_stream_is_pinned(self, instrument):
+        spec = FactorSpec.constant(sigma=EQ.sigma2, lam=CR.lam, rho1=EQ.rho1)
+        assert self.price(spec, instrument) == pytest.approx(self.PINNED[instrument], rel=1e-12)
+
+    def test_effective_params_of_constants_are_exact(self):
+        spec = FactorSpec.constant(sigma=0.2576, lam=0.08, rho1=-0.25)
+        assert effective_params(spec) == (0.2576, 0.2576, 0.08, -0.25)
+
+    def test_stock_only_when_a_strike_is_set(self):
+        cfg = constant_cfg(n_paths=10_000)
+        assert "x" not in simulate_terminals(cfg, PricingInputs(VA, EQ, CR, 1.0), [0.5, 1.0])
+        sim = simulate_terminals(cfg, PricingInputs(VA, EQ, CR, 1.0, 8.0), [0.5, 1.0])
+        assert sim["x"].shape == sim["int_r"].shape == (2, 2, 5_000)
+
+    def test_earlier_horizon_equals_its_own_run(self):
+        # The [0.5, 1] grid starts with the 0.5 grid, so its first horizon is that run bit for bit.
+        spec = FactorSpec.multiscale(lam=0.06, eps=0.09, dlt=0.09)
+        cfg = McConfig(n_paths=10_000, n_steps_per_year=504, seed=42, factor_spec=spec)
+        pin = PricingInputs(VA, EQ, CR, 1.0, 8.0)
+        both = simulate_terminals(cfg, pin, [0.5, 1.0])
+        alone = simulate_terminals(cfg, pin, [0.5])
+        for key in ("int_r", "int_lam", "x"):
+            np.testing.assert_array_equal(both[key][0], alone[key][0])
+
+    def test_slow_factor_needs_its_functions(self):
+        with pytest.raises(ValidationError, match="c_fn and g_fn"):
+            FactorSpec(eps=0.1, dlt=0.1, sigma_fn=0.2, f_fn=lambda y, z: 0.05 + 0 * y)
+
+
 class TestMultiscale:
     def test_martingale_property(self):
         # discounted pre-default stock with full-intensity weighting
@@ -96,7 +165,7 @@ class TestMultiscale:
         cfg = McConfig(n_paths=100_000, seed=31, factor_spec=spec)
         pin = PricingInputs(VA, EQ, CreditParams(l=1.0, lam=0.06), 1.0, 8.0)
         sim = simulate_terminals(cfg, pin, [1.0])
-        vals = np.exp(-sim["int_r"][0] - sim["int_lam"][0]) * sim["x"]
+        vals = np.exp(-sim["int_r"][0] - sim["int_lam"][0]) * sim["x"][0]
         pair = 0.5 * (vals[0] + vals[1])
         est = pair.mean()
         se = pair.std(ddof=1) / np.sqrt(pair.size)

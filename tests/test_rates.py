@@ -14,7 +14,7 @@ from credeq.cds import annual_schedule, cds_spread
 from credeq.corrections import CorrectionParams, price_full
 from credeq.errors import CalibrationError, NumericalError, ValidationError
 from credeq.market_data import PriceHistory, TreasuryCurve
-from credeq.pricing import CreditParams, PricingInputs, variance_v
+from credeq.pricing import CreditParams, PricingInputs, call_p0, variance_v
 from credeq.rates import (
     FIT_BOUNDS,
     SERIES_CUTOFF,
@@ -384,6 +384,13 @@ class TestOverflowNamesTheParameter:
         pin = PricingInputs(va, eq, CreditParams(0.4, 0.03), 0.5, None if kind == "bond" else 8.0)
         with pytest.raises(NumericalError, match=re.escape(f"{name} = {value:g}")):
             price_full(pin, CorrectionParams(), kind)
+
+    # The survival bond exp(-lam*tau + a - b*r) overflows here; put_p0 stops at the riskless bond.
+    @pytest.mark.parametrize("name, value", [("eta", 1e153), ("alpha", -1e200), ("r", -1e200)])
+    def test_call_p0(self, name, value):
+        pin = PricingInputs(*self.huge(name, value), CreditParams(0.4, 0.03), 0.5, 8.0)
+        with pytest.raises(NumericalError, match=re.escape(f"{name} = {value:g}")):
+            call_p0(pin)
 
     @pytest.mark.parametrize("name", ["sigma2", "eta"])
     def test_variance_v(self, name):
