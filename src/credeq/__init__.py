@@ -17,14 +17,7 @@ from .calibration import (
     fit_options,
 )
 from .cds import CdsSchedule, annual_schedule, cds_series, cds_spread, cds_term_structure
-from .corrections import (
-    CorrectionParams,
-    GreekVector,
-    correction_fast,
-    correction_slow,
-    greeks,
-    price_full,
-)
+from .corrections import CorrectionParams, greeks, price_full
 from .errors import (
     CalibrationError,
     ConfigurationError,
@@ -33,10 +26,9 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .implied_vol import bs_price, bs_vega, implied_vol, zero_rate
+from .implied_vol import bs_price, bs_vega, implied_vol
 from .market_data import (
     BondQuote,
-    CdsQuote,
     OptionQuote,
     PriceHistory,
     TreasuryCurve,

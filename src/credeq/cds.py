@@ -18,6 +18,7 @@ maturity (credit triangle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -68,6 +69,10 @@ class CdsSchedule:
 
 def annual_schedule(maturity: float, delta: float = 1.0) -> CdsSchedule:
     """Payments at delta, 2*delta, ..., maturity; maturity must be a multiple."""
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValidationError(f"delta must be finite and > 0, got {delta}")
+    if not math.isfinite(maturity):
+        raise ValidationError(f"maturity must be finite, got {maturity}")
     n = round(maturity / delta)
     if n < 1 or abs(n * delta - maturity) > _SPACING_TOL:
         raise ValidationError(

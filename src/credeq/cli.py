@@ -168,13 +168,19 @@ def cmd_price(args) -> None:
 
 
 def _parse_maturities(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise ValidationError(f"empty maturity range {text!r}")
-        return [float(t) for t in range(lo_i, hi_i + 1)]
-    return [float(t) for t in text.split(",") if t]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            maturities = [float(t) for t in range(int(lo), int(hi) + 1)]
+        else:
+            maturities = [float(t) for t in text.split(",") if t]
+    except ValueError:
+        raise ValidationError(
+            f"bad --maturities {text!r}; expected 'LO..HI' (integers) or 'T1,T2,...'"
+        ) from None
+    if not maturities:
+        raise ValidationError(f"no maturities in --maturities {text!r}")
+    return maturities
 
 
 _FREQ = {"annual": 1.0, "semiannual": 0.5, "quarterly": 0.25}

@@ -64,15 +64,11 @@ from .rates import VasicekParams, _riskless, vasicek_factors
 
 __all__ = [
     "CorrectionParams",
-    "GreekVector",
     "VARIANTS",
     "Variant",
     "evaluate_bonds",
     "evaluate_options",
     "greeks",
-    "p0_partials",
-    "correction_fast",
-    "correction_slow",
     "get_variant",
     "price_full",
     "price_p0",
@@ -143,21 +139,6 @@ class CorrectionParams:
         for name in _COEFFICIENTS:
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"correction coefficient {name} must be finite")
-
-
-@dataclass(frozen=True)
-class GreekVector:
-    g1: float
-    g2: float
-    g3: float
-    g4: float
-    g5: float
-    g6: float
-    g7: float
-    g8: float
-
-    def as_tuple(self):
-        return (self.g1, self.g2, self.g3, self.g4, self.g5, self.g6, self.g7, self.g8)
 
 
 # ---------------------------------------------------------------------------
@@ -400,59 +381,14 @@ def evaluate_bonds(vasicek: VasicekParams, l_lambda, tau):
 # ---------------------------------------------------------------------------
 
 
-def _structural_loss(inputs: PricingInputs, kind: str) -> float:
-    """Options lose the full stock at default; bonds lose their loss-rate fraction."""
-    if kind in ("call", "put"):
-        return 1.0
-    if kind == "bond":
-        return inputs.credit.l
-    raise ValidationError(f"unknown instrument kind {kind!r}")
-
-
 def price_p0(inputs: PricingInputs, kind: str) -> float:
     """Leading-order price of the given instrument kind."""
     return _evaluate(inputs, kind)[0]
 
 
-def p0_partials(inputs: PricingInputs, kind: str):
-    """Analytic (P0, x*dP0/dx, dP0/dalpha, dP0/dr) for the closed forms."""
-    p0, partials, _ = _evaluate(inputs, kind)
-    return (p0, *partials)
-
-
-def greeks(inputs: PricingInputs, kind: str) -> GreekVector:
-    """Closed-form Greek vector g1..g8 for a call, put, or bond."""
-    return GreekVector(*_evaluate(inputs, kind)[2])
-
-
-def _fast(coeffs: CorrectionParams, g, l_eff: float) -> float:
-    return (
-        coeffs.v1 * g[0]
-        + coeffs.v2 * g[1]
-        + l_eff * coeffs.v3 * g[2]
-        + coeffs.v4 * g[3]
-        + coeffs.v5 * g[4]
-        + coeffs.v6 * g[5]
-    )
-
-
-def _slow(coeffs: CorrectionParams, g, l_eff: float) -> float:
-    return coeffs.w1 * g[6] + l_eff * coeffs.w2 * g[7]
-
-
-def correction_fast(inputs: PricingInputs, coeffs: CorrectionParams, kind: str) -> float:
-    """Fast-scale price adjustment V1*g1 + V2*g2 + l*V3*g3 + V4*g4 + V5*g5 + V6*g6."""
-    return _fast(coeffs, _evaluate(inputs, kind)[2], _structural_loss(inputs, kind))
-
-
-def correction_slow(inputs: PricingInputs, coeffs: CorrectionParams, kind: str) -> float:
-    """Slow-scale price adjustment V1'*g7 + l*V2'*g8.
-
-    The first-order (1-l) term of the general slow correction vanishes for
-    both supported cases: options carry l = 1 and the bond price has no
-    x-dependence.
-    """
-    return _slow(coeffs, _evaluate(inputs, kind)[2], _structural_loss(inputs, kind))
+def greeks(inputs: PricingInputs, kind: str) -> tuple:
+    """Closed-form Greeks (g1, ..., g8) of a call, put, or bond."""
+    return _evaluate(inputs, kind)[2]
 
 
 def _check_variant(inputs: PricingInputs, coeffs: CorrectionParams, variant: str) -> None:
@@ -481,11 +417,17 @@ def price_full(
     only checks its coefficients: the ones it ignores must be zero, so
     ``index`` (v3 = w1 = w2 = 0, lambda = 0) adds a zero slow correction and
     is bit-identical to ``seven_param`` with the same inputs.
+
+    The first-order (1-l) term of the general slow correction vanishes for
+    both kinds: options carry l = 1 and the bond price has no x-dependence.
     """
     _check_variant(inputs, coeffs, variant)
     p0, _, g = _evaluate(inputs, kind)
-    l_eff = _structural_loss(inputs, kind)
-    price = p0 + _fast(coeffs, g, l_eff) + _slow(coeffs, g, l_eff)
+    l_eff = inputs.credit.l if kind == "bond" else 1.0
+    fast = (coeffs.v1 * g[0] + coeffs.v2 * g[1] + l_eff * coeffs.v3 * g[2]
+            + coeffs.v4 * g[3] + coeffs.v5 * g[4] + coeffs.v6 * g[5])
+    slow = coeffs.w1 * g[6] + l_eff * coeffs.w2 * g[7]
+    price = p0 + fast + slow
     if not math.isfinite(price):
         raise NumericalError(f"corrected {kind} price is not finite")
     return price

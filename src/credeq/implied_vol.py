@@ -2,8 +2,8 @@
 
 Used for the vega weights of the calibration objective and for quoting
 model/market implied-volatility surfaces. The flat quoting rate for a
-maturity is the zero yield interpolated log-linearly in the discount
-factor (linear in yield * maturity) from a treasury curve.
+maturity is the fitted Vasicek model's zero yield at that maturity
+(:func:`credeq.rates.vasicek_yield`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "bs_price",
     "bs_vega",
     "implied_vol",
-    "zero_rate",
     "VEGA_FLOOR_FACTOR",
 ]
 
@@ -121,23 +120,3 @@ def implied_vol(price: float, x: float, strike: float, tau: float, rate: float, 
     # for the flat-vega regime; return the bracket midpoint.
     return 0.5 * (lo + hi)
 
-
-def zero_rate(curve, maturity: float) -> float:
-    """Treasury zero yield at a maturity, log-linear in the discount factor.
-
-    Linear interpolation of y*s in s between curve points, flat yield
-    extrapolation beyond the ends.
-    """
-    if maturity <= 0:
-        raise ValidationError("maturity must be > 0")
-    pts = curve.points
-    if maturity <= pts[0][0]:
-        return pts[0][1]
-    if maturity >= pts[-1][0]:
-        return pts[-1][1]
-    for (s0, y0), (s1, y1) in zip(pts[:-1], pts[1:]):
-        if s0 <= maturity <= s1:
-            w = (maturity - s0) / (s1 - s0)
-            ys = (1 - w) * y0 * s0 + w * y1 * s1
-            return ys / maturity
-    raise DomainError("maturity not bracketed by curve")  # unreachable

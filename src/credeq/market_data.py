@@ -8,7 +8,6 @@ par. File formats (UTF-8, header row required):
     bonds.csv     maturity_years,price
     options.csv   maturity_years,strike,kind,price,volume
     history.csv   date,value            (ISO-8601 dates)
-    cds.csv       date,maturity_years,spread_bps
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "BondQuote",
     "OptionQuote",
     "PriceHistory",
-    "CdsQuote",
     "load_treasury_csv",
     "save_treasury_csv",
     "load_bonds_csv",
@@ -34,8 +32,6 @@ __all__ = [
     "save_options_csv",
     "load_history_csv",
     "save_history_csv",
-    "load_cds_csv",
-    "save_cds_csv",
     "filter_options",
 ]
 
@@ -45,7 +41,6 @@ class TreasuryCurve:
     """Zero-yield curve points (maturity years, cc yield), strictly increasing."""
 
     points: tuple
-    asof: dt.date | None = None
 
     def __post_init__(self):
         if len(self.points) < 3:
@@ -121,19 +116,6 @@ class PriceHistory:
             prev = d
 
 
-@dataclass(frozen=True)
-class CdsQuote:
-    date: dt.date
-    maturity: float
-    spread_bps: float
-
-    def __post_init__(self):
-        if not (self.maturity > 0 and math.isfinite(self.maturity)):
-            raise ValidationError(f"cds maturity must be finite and > 0, got {self.maturity}")
-        if not math.isfinite(self.spread_bps):
-            raise ValidationError("cds spread must be finite")
-
-
 # ---------------------------------------------------------------------------
 # CSV plumbing
 # ---------------------------------------------------------------------------
@@ -177,14 +159,14 @@ def _parse_date(path, lineno, text):
         raise ValidationError(f"{path}:{lineno}: bad ISO date {text!r}") from None
 
 
-def load_treasury_csv(path, asof: dt.date | None = None) -> TreasuryCurve:
+def load_treasury_csv(path) -> TreasuryCurve:
     rows = _read_rows(path, ["maturity_years", "yield"])
     points = []
     for lineno, (s, y) in rows:
         points.append(
             (_parse_float(path, lineno, "maturity", s), _parse_float(path, lineno, "yield", y))
         )
-    return TreasuryCurve(points=tuple(points), asof=asof)
+    return TreasuryCurve(points=tuple(points))
 
 
 def save_treasury_csv(path, curve: TreasuryCurve) -> None:
@@ -254,28 +236,6 @@ def load_history_csv(path) -> PriceHistory:
 
 def save_history_csv(path, history: PriceHistory) -> None:
     _write_csv(path, ["date", "value"], [(d.isoformat(), _num(v)) for d, v in history.points])
-
-
-def load_cds_csv(path) -> list[CdsQuote]:
-    rows = _read_rows(path, ["date", "maturity_years", "spread_bps"])
-    out = []
-    for lineno, (d, s, sp) in rows:
-        out.append(
-            CdsQuote(
-                date=_parse_date(path, lineno, d),
-                maturity=_parse_float(path, lineno, "maturity", s),
-                spread_bps=_parse_float(path, lineno, "spread", sp),
-            )
-        )
-    return out
-
-
-def save_cds_csv(path, quotes) -> None:
-    _write_csv(
-        path,
-        ["date", "maturity_years", "spread_bps"],
-        [(q.date.isoformat(), _num(q.maturity), _num(q.spread_bps)) for q in quotes],
-    )
 
 
 def _num(x):

@@ -208,23 +208,30 @@ class McConfig:
             raise ValidationError("n_steps_per_year must be >= 1")
 
 
-def _time_grid(horizons, steps_per_year: int):
-    """Uniform grid refined to land exactly on every horizon."""
+def _segment_steps(horizons, steps_per_year: int):
+    """Steps from each sorted horizon's predecessor (0 for the first) to it."""
+    steps, prev = [], 0.0
+    for h in horizons:
+        steps.append(max(1, round((h - prev) * steps_per_year)))
+        prev = h
+    return steps
+
+
+def _time_grid(horizons, steps):
+    """Time points: ``steps[i]`` equal steps up to ``horizons[i]``, the last exactly on it."""
     import numpy as np
 
-    pts = {0.0}
-    prev = 0.0
-    for h in horizons:
-        n = max(1, round((h - prev) * steps_per_year))
-        pts.update(prev + (h - prev) * k / n for k in range(1, n + 1))
-        pts.add(h)
+    pts, prev = [0.0], 0.0
+    for h, n in zip(horizons, steps):
+        pts.extend(prev + (h - prev) * k / n for k in range(1, n))
+        pts.append(h)
         prev = h
-    return np.asarray(sorted(pts))
+    return np.asarray(pts)
 
 
 def grid_steps(horizons, steps_per_year: int) -> int:
     """Time steps of a simulation to ``horizons``: each path takes this many."""
-    return len(_time_grid(sorted(horizons), steps_per_year)) - 1
+    return sum(_segment_steps(sorted(horizons), steps_per_year))
 
 
 def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
@@ -253,8 +260,9 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
         raise ValidationError(f"correlation matrix not PSD (min eigenvalue {eigmin})")
     chol = np.linalg.cholesky(corr + max(0.0, -eigmin + 1e-14) * np.eye(5))
 
-    grid = _time_grid(horizons, cfg.n_steps_per_year)
-    h_steps = {int(np.argmin(np.abs(grid - h))): k for k, h in enumerate(horizons)}
+    steps = _segment_steps(horizons, cfg.n_steps_per_year)
+    grid = _time_grid(horizons, steps)
+    h_steps = {int(i): k for k, i in enumerate(np.cumsum(steps))}
 
     n_half = cfg.n_paths // 2
     shape = (len(horizons), 2, n_half)

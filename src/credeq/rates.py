@@ -93,12 +93,12 @@ class EquityParams:
             raise ValidationError(f"spot must be positive, got {self.x}")
         if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
             raise ValidationError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.sigma1 <= 0:
+        if not (self.sigma1 > 0 and math.isfinite(self.sigma1)):
             raise ValidationError(f"sigma1 must be positive, got {self.sigma1}")
         if not abs(self.rho1) < 1:
             raise ValidationError(f"|rho1| must be < 1, got {self.rho1}")
-        if self.q < 0:
-            raise ValidationError(f"dividend yield must be >= 0, got {self.q}")
+        if not (self.q >= 0 and math.isfinite(self.q)):
+            raise ValidationError(f"dividend yield must be finite and >= 0, got {self.q}")
 
 
 def _h_g(u: float):

@@ -13,7 +13,6 @@ from dataclasses import replace
 
 from scipy.integrate import quad
 
-from credeq.corrections import GreekVector
 from credeq.errors import NumericalError, ValidationError
 from credeq.pricing import (
     PricingInputs,
@@ -103,8 +102,8 @@ def _reprice(inputs: PricingInputs, kind: str, *, x=None, alpha=None, eta=None, 
     return forms[kind](pin)
 
 
-def greeks_fd(inputs: PricingInputs, kind: str) -> GreekVector:
-    """Greek vector from Richardson central differences of the closed forms.
+def greeks_fd(inputs: PricingInputs, kind: str) -> tuple:
+    """Greeks (g1, ..., g8) from Richardson central differences of the closed forms.
 
     Independent of the analytic derivative algebra; the oracle for
     :func:`credeq.corrections.greeks`.
@@ -129,7 +128,7 @@ def greeks_fd(inputs: PricingInputs, kind: str) -> GreekVector:
         d_r = _richardson_d1(lambda r: _reprice(inputs, kind, r=r), va.r, hr)
         g3 = d_alpha
         g8 = (-d_alpha + 0.5 * tau * tau * bond + tau * d_r) / va.beta
-        return GreekVector(0.0, 0.0, g3, 0.0, 0.0, 0.0, 0.0, g8)
+        return (0.0, 0.0, g3, 0.0, 0.0, 0.0, 0.0, g8)
 
     p0 = _reprice(inputs, kind)
     dx = _richardson_d1(p_of_x, x0, hx)
@@ -174,4 +173,4 @@ def greeks_fd(inputs: PricingInputs, kind: str) -> GreekVector:
     g8 = (
         g6 - d_alpha + 0.5 * tau * tau * (gamma2 - x0 * dx + p0) - tau * (x0 * dx_dr - d_r)
     ) / va.beta
-    return GreekVector(g1, g2, g3, g4, g5, g6, g7, g8)
+    return (g1, g2, g3, g4, g5, g6, g7, g8)

@@ -34,7 +34,7 @@ def bond_design(bonds, vasicek, l_lambda):
         pin = PricingInputs(vasicek, UNIT_EQUITY, credit, q.maturity)
         g = greeks(pin, "bond")
         p0[i] = price_p0(pin, "bond")
-        cols[i] = g.g3, g.g8
+        cols[i] = g[2], g[7]
     return p0, cols
 
 
@@ -47,7 +47,7 @@ def option_rows(options, vasicek, equity, lam, columns):
     credit = CreditParams(l=1.0, lam=lam)
     for i, q in enumerate(options):
         pin = PricingInputs(vasicek, equity, credit, q.maturity, q.strike)
-        gt = greeks(pin, q.kind).as_tuple()
+        gt = greeks(pin, q.kind)
         if not all(math.isfinite(t) for t in gt):
             raise NumericalError(f"non-finite greeks for quote {q}")
         p0[i] = price_p0(pin, q.kind)

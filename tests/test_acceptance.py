@@ -15,12 +15,7 @@ from scipy.integrate import quad
 
 from credeq.calibration import ModelFit, fit_bonds, fit_options
 from credeq.cds import annual_schedule, cds_spread, cds_term_structure
-from credeq.corrections import (
-    CorrectionParams,
-    greeks,
-    p0_partials,
-    price_full,
-)
+from credeq.corrections import CorrectionParams, _evaluate, greeks, price_full
 from credeq.implied_vol import bs_price, implied_vol
 from credeq.oracle_mc import FactorSpec, McConfig, effective_params, mc_price, simulate_terminals
 from credeq.pricing import (
@@ -139,14 +134,14 @@ def test_criterion_3_greek_correctness():
                 va, eq, cr, rng.uniform(0.25, 3), eq.x * rng.uniform(0.75, 1.35)
             )
             for kind in ("call", "put", "bond"):
-                analytic = greeks(pin, kind).as_tuple()
-                fd = greeks_fd(pin, kind).as_tuple()
+                analytic = greeks(pin, kind)
+                fd = greeks_fd(pin, kind)
                 scale = max(abs(t) for t in fd)
                 for a, f in zip(analytic, fd):
                     # components near a zero crossing are measured against
                     # the vector scale, where the FD oracle is noise-limited
                     assert abs(a - f) <= 1e-5 * max(abs(f), 5e-3 * scale)
-                p0, x_dpdx, dp_da, dp_dr = p0_partials(pin, kind)
+                p0, (x_dpdx, dp_da, dp_dr), _ = _evaluate(pin, kind)
                 lhs = -dp_da
                 rhs = (-pin.tau * (x_dpdx - p0) + dp_dr) / va.beta
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
@@ -307,7 +302,7 @@ def test_criterion_9_convergence_study():
                     mc_vals.append(float((0.5 * (payoff[0] + payoff[1])).mean()))
                     pin_k = PricingInputs(va, eq, cr, tau, strike=m)
                     p0_vals.append(call_p0(pin_k))
-                    rows.append(greeks(pin_k, "call").as_tuple())
+                    rows.append(greeks(pin_k, "call"))
             design = np.asarray(rows)
             rhs = np.asarray(mc_vals) - np.asarray(p0_vals)
             theta, *_ = np.linalg.lstsq(design, rhs, rcond=None)

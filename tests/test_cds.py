@@ -38,6 +38,13 @@ class TestSchedule:
         with pytest.raises(ValidationError):
             annual_schedule(2.5, 1.0)
 
+    @pytest.mark.parametrize("maturity, delta", [
+        (math.nan, 1.0), (math.inf, 1.0), (5.0, 0.0), (5.0, -1.0), (5.0, math.nan),
+        (5.0, math.inf)])
+    def test_bad_arguments_rejected(self, maturity, delta):
+        with pytest.raises(ValidationError):
+            annual_schedule(maturity, delta)
+
     def test_uneven_spacing_rejected(self):
         with pytest.raises(ValidationError):
             CdsSchedule((1.0, 2.0, 3.5))

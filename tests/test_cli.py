@@ -153,6 +153,23 @@ class TestEstimateEquity:
         assert eq["q"] == 0.01
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_dividend_yield_exit_2(self, tmp_path, capsys, value):
+        days = business_days(100)
+        prices = 8.0 * np.exp(0.01 * np.sin(np.arange(100)))
+        stock_csv, rates_csv = tmp_path / "stock.csv", tmp_path / "rates.csv"
+        save_history_csv(stock_csv, PriceHistory(points=tuple(zip(days, prices))))
+        rates = 0.05 + 1e-3 * np.cos(np.arange(100))
+        save_history_csv(rates_csv, PriceHistory(points=tuple(zip(days, rates))))
+        code, out, err = run(
+            capsys, "estimate-equity", "--stock", str(stock_csv),
+            "--spot-rate", str(rates_csv), "--dividend-yield", value,
+        )
+        assert code == 2
+        assert out == ""
+        assert "dividend yield" in json.loads(err)["message"]
+
+
 class TestCalibrateAndConsume:
     def test_full_daily_workflow(self, fixture_files, capsys):
         tmp_path, bonds_csv, options_csv, params_json = fixture_files
@@ -432,6 +449,39 @@ class TestOracleCommand:
 
 
 class TestArgumentErrors:
+    @pytest.mark.parametrize("argv", [
+        ["cds-curve", "--maturities", "1.5..3"],
+        ["cds-curve", "--maturities", "a"],
+        ["cds-curve", "--maturities", ""],
+        ["cds-curve", "--maturities", "inf"],
+        ["cds-series", "--maturity", "nan"],
+        ["cds-series", "--maturity", "inf"],
+        ["oracle", "--instrument", "cds", "--maturity", "nan"],
+        ["oracle", "--instrument", "cds", "--maturity", "inf"],
+    ])
+    def test_bad_maturities_exit_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit_dict()))
+        source = ["--fits-dir", str(tmp_path)] if argv[0] == "cds-series" else ["--fit", str(path)]
+        code, out, err = run(capsys, argv[0], *source, *argv[1:])
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("name", ["q", "sigma1"])
+    def test_non_finite_equity_in_fit_exits_2(self, tmp_path, capsys, name):
+        fit = fit_dict()
+        fit["equity"][name] = math.nan  # json writes NaN, which json reads back
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit))
+        code, out, err = run(capsys, "price", "--fit", str(path), "--kind", "call",
+                             "--strike", "8", "--maturity", "0.5")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValidationError"
+
     def test_calibrate_defaults_are_the_library_defaults(self):
         from credeq import calibration
         from credeq.cli import build_parser

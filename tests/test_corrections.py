@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from credeq.corrections import (
-    CorrectionParams,
-    correction_fast,
-    correction_slow,
-    greeks,
-    p0_partials,
-    price_full,
-    price_p0,
-)
+from credeq.corrections import CorrectionParams, _evaluate, greeks, price_full, price_p0
 from credeq.errors import ConfigurationError
 from credeq.pricing import CreditParams, PricingInputs, call_p0, norm_pdf
 from credeq.rates import EquityParams, VasicekParams, factor_b, int_b
@@ -45,8 +37,8 @@ def greek_errors(pin, kind):
     Near-zero components are measured against 5e-3 of the vector's sup
     norm, where the FD oracle itself is noise-limited.
     """
-    analytic = greeks(pin, kind).as_tuple()
-    fd = greeks_fd(pin, kind).as_tuple()
+    analytic = greeks(pin, kind)
+    fd = greeks_fd(pin, kind)
     scale = max(abs(t) for t in fd)
     return [abs(a - f) / max(abs(f), 5e-3 * scale) for a, f in zip(analytic, fd)]
 
@@ -67,8 +59,8 @@ class TestGreeksAgainstFiniteDifferences:
         )
         g = greeks(pin, "call")
         fd = greeks_fd(pin, "call")
-        assert g.g1 == pytest.approx(fd.g1, rel=1e-7)
-        gamma2 = -g.g1 / 0.75
+        assert g[0] == pytest.approx(fd[0], rel=1e-7)
+        gamma2 = -g[0] / 0.75
         from credeq.pricing import variance_v, _log_survival_bond
 
         v = variance_v(pin)
@@ -90,34 +82,34 @@ class TestGreeksAgainstFiniteDifferences:
         bbar = _survival_bond(pin)
         big_a = tau / va.beta + (math.exp(-va.beta * tau) - 1) / va.beta**2
         g = greeks(pin, "call")
-        assert g.g3 == pytest.approx(
+        assert g[2] == pytest.approx(
             -strike * bbar * big_a * (norm_cdf(d2) - norm_pdf(d2) / sv), rel=1e-13
         )
         x_gamma = SURFACE_EQUITY.x * norm_pdf(d1) / sv
-        assert g.g4 == pytest.approx(-x_gamma * d1 * big_a / sv, rel=1e-13)
-        assert g.g6 == pytest.approx(x_gamma * big_a, rel=1e-13)
-        assert g.g2 == pytest.approx(-tau * x_gamma * (1 - d1 / sv), rel=1e-13)
+        assert g[3] == pytest.approx(-x_gamma * d1 * big_a / sv, rel=1e-13)
+        assert g[5] == pytest.approx(x_gamma * big_a, rel=1e-13)
+        assert g[1] == pytest.approx(-tau * x_gamma * (1 - d1 / sv), rel=1e-13)
 
     def test_deep_otm_greeks_vanish(self):
         pin = PricingInputs(
             SURFACE_VASICEK, SURFACE_EQUITY, CreditParams(1, SURFACE_LAMBDA), 1.0, 1e6 * 8.04
         )
         g = greeks(pin, "call")
-        assert all(abs(t) < 1e-12 for t in (g.g1, g.g2, g.g4, g.g5, g.g6, g.g7))
+        assert all(abs(t) < 1e-12 for t in (g[0], g[1], g[3], g[4], g[5], g[6]))
 
     def test_bond_greek_structure(self):
         cr = CreditParams(l=0.4, lam=0.08)
         pin = PricingInputs(SURFACE_VASICEK, SURFACE_EQUITY, cr, 3.0)
         g = greeks(pin, "bond")
-        assert (g.g1, g.g2, g.g4, g.g5, g.g6, g.g7) == (0, 0, 0, 0, 0, 0)
+        assert (g[0], g[1], g[3], g[4], g[5], g[6]) == (0, 0, 0, 0, 0, 0)
         from credeq.pricing import defaultable_bond_p0
 
         bond = defaultable_bond_p0(pin)
         beta, tau = SURFACE_VASICEK.beta, 3.0
         da = -bond * (tau / beta + (math.exp(-beta * tau) - 1) / beta**2)
-        assert g.g3 == pytest.approx(da, rel=1e-13)
+        assert g[2] == pytest.approx(da, rel=1e-13)
         b = factor_b(beta, tau)
-        assert g.g8 == pytest.approx(
+        assert g[7] == pytest.approx(
             (-da + 0.5 * tau * tau * bond - tau * b * bond) / beta, rel=1e-13
         )
 
@@ -129,7 +121,7 @@ class TestRemarkStyleIdentity:
         for _ in range(100):
             pin = random_point(rng)
             for kind in ("call", "put", "bond"):
-                p0, x_dpdx, dp_da, dp_dr = p0_partials(pin, kind)
+                p0, (x_dpdx, dp_da, dp_dr), _ = _evaluate(pin, kind)
                 lhs = -dp_da
                 rhs = (-pin.tau * (x_dpdx - p0) + dp_dr) / pin.vasicek.beta
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
@@ -139,7 +131,7 @@ class TestRemarkStyleIdentity:
         for _ in range(20):
             pin = random_point(rng)
             for kind in ("call", "put", "bond"):
-                p0, x_dpdx, dp_da, dp_dr = p0_partials(pin, kind)
+                p0, (x_dpdx, dp_da, dp_dr), _ = _evaluate(pin, kind)
                 assert p0 == pytest.approx(price_p0(pin, kind), rel=1e-13)
                 fd_da = _richardson_d1(
                     lambda a: _reprice(pin, kind, alpha=a), pin.vasicek.alpha, FD_STEP_PARAM
@@ -149,6 +141,9 @@ class TestRemarkStyleIdentity:
                 )
                 assert dp_da == pytest.approx(fd_da, abs=2e-8 * max(1, abs(fd_da)))
                 assert dp_dr == pytest.approx(fd_dr, abs=2e-8 * max(1, abs(fd_dr)))
+
+
+FAST = ("v1", "v2", "v3", "v4", "v5", "v6")
 
 
 class TestCorrectionAssembly:
@@ -161,18 +156,21 @@ class TestCorrectionAssembly:
             8.04,
         )
 
+    def correction(self, pin, coeffs, kind):
+        """price_full minus P0: the fast plus slow correction that coeffs select."""
+        return price_full(pin, coeffs, kind) - price_p0(pin, kind)
+
     def test_zero_coefficients_zero_adjustment(self):
         zero = CorrectionParams()
         for kind in ("call", "put", "bond"):
-            assert correction_fast(self.pin(), zero, kind) == 0.0
-            assert correction_slow(self.pin(), zero, kind) == 0.0
+            assert self.correction(self.pin(), zero, kind) == 0.0
 
     def test_bond_fast_correction_is_loss_scaled_alpha_sensitivity(self):
         only_v3 = CorrectionParams(v3=0.0425)
         pin = self.pin(kind_l=0.283, tau=5.0)
         g = greeks(pin, "bond")
-        assert correction_fast(pin, only_v3, "bond") == pytest.approx(
-            0.283 * 0.0425 * g.g3, rel=1e-14
+        assert self.correction(pin, only_v3, "bond") == pytest.approx(
+            0.283 * 0.0425 * g[2], rel=1e-14
         )
 
     def test_bond_slow_correction_bracket(self):
@@ -185,25 +183,23 @@ class TestCorrectionAssembly:
         da = -int_b(beta, tau) * bond
         dr = -factor_b(beta, tau) * bond
         bracket = (-da + 0.5 * tau * tau * bond + tau * dr) / beta
-        assert correction_slow(pin, only_w2, "bond") == pytest.approx(
+        assert self.correction(pin, only_w2, "bond") == pytest.approx(
             0.283 * 0.0036 * bracket, rel=1e-13
         )
 
     def test_option_corrections_ignore_bond_loss_rate(self):
         # options always carry full loss of the stock at default
+        fast = CorrectionParams(**{n: getattr(SURFACE_COEFFS, n) for n in FAST})
+        slow = CorrectionParams(w1=SURFACE_COEFFS.w1, w2=SURFACE_COEFFS.w2)
         for kind in ("call", "put"):
-            a = correction_fast(self.pin(kind_l=0.2), SURFACE_COEFFS, kind)
-            b = correction_fast(self.pin(kind_l=1.0), SURFACE_COEFFS, kind)
-            assert a == b
-            c = correction_slow(self.pin(kind_l=0.2), SURFACE_COEFFS, kind)
-            d = correction_slow(self.pin(kind_l=1.0), SURFACE_COEFFS, kind)
-            assert c == d
+            for coeffs in (fast, slow):
+                a = price_full(self.pin(kind_l=0.2), coeffs, kind)
+                b = price_full(self.pin(kind_l=1.0), coeffs, kind)
+                assert a == b
 
     def test_surface_coefficients_give_finite_adjustment(self):
         pin = self.pin(kind_l=1.0, tau=1.0)
-        adj = correction_fast(pin, SURFACE_COEFFS, "call") + correction_slow(
-            pin, SURFACE_COEFFS, "call"
-        )
+        adj = self.correction(pin, SURFACE_COEFFS, "call")
         assert math.isfinite(adj) and adj != 0.0
 
     def test_corrections_vanish_superlinearly_at_short_maturity(self):
@@ -217,7 +213,7 @@ class TestCorrectionAssembly:
                     SURFACE_VASICEK, SURFACE_EQUITY, CreditParams(1, SURFACE_LAMBDA), tau,
                     strike,
                 )
-                vals.append(abs(greeks(pin, "call").as_tuple()[idx]))
+                vals.append(abs(greeks(pin, "call")[idx]))
             assert vals[1] <= 0.6 * vals[0] + 1e-300
             assert vals[2] <= 0.6 * vals[1] + 1e-300
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from credeq.errors import DomainError
-from credeq.implied_vol import bs_price, bs_vega, implied_vol, zero_rate
-from credeq.market_data import TreasuryCurve
+from credeq.implied_vol import bs_price, bs_vega, implied_vol
 from credeq.pricing import norm_cdf
 
 
@@ -85,24 +84,3 @@ class TestBsVega:
     def test_deep_otm_negligible(self):
         assert bs_vega(100, 10_000, 0.5, 0.03, 0.2) < 1e-4 * 100
 
-
-class TestZeroRate:
-    def curve(self):
-        return TreasuryCurve(points=((0.5, 0.040), (1.0, 0.045), (2.0, 0.050)))
-
-    def test_exact_at_nodes(self):
-        c = self.curve()
-        for s, y in c.points:
-            assert zero_rate(c, s) == pytest.approx(y, rel=1e-15)
-
-    def test_log_linear_in_discount_between_nodes(self):
-        c = self.curve()
-        s = 1.5
-        # linear interpolation of y*s between the 1y and 2y nodes
-        ys = 0.5 * (0.045 * 1.0) + 0.5 * (0.050 * 2.0)
-        assert zero_rate(c, s) == pytest.approx(ys / s, rel=1e-14)
-
-    def test_flat_extrapolation(self):
-        c = self.curve()
-        assert zero_rate(c, 0.1) == 0.040
-        assert zero_rate(c, 10.0) == 0.050

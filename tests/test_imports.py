@@ -11,8 +11,10 @@ tests do not count. Only module presence is asserted, never timings.
 """
 
 import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +94,20 @@ def pricing_commands(path):
         ["cds-curve", "--fit", str(path), "--maturities", "1..10"],
         ["ivol-surface", "--fit", str(path), "--grid", "0.25,0.5,1x7,8,9"],
     ]
+
+
+def test_exports_resolve():
+    # A stale name left in __all__ breaks only a star import, so nothing else would catch it.
+    for info in pkgutil.iter_modules(credeq.__path__):
+        module = importlib.import_module(f"credeq.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], info.name
+        exec(f"from credeq.{info.name} import *", {})
+    # What the package re-exports is public where it is defined.
+    for name, obj in vars(credeq).items():
+        owner = getattr(obj, "__module__", "")
+        if owner.startswith("credeq."):
+            assert name in getattr(importlib.import_module(owner), "__all__", [name]), name
 
 
 def test_no_library_module_imports_scipy():

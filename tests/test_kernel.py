@@ -99,7 +99,7 @@ def assert_options_match(va, eq, lams, quotes):
         for j, (tau, strike, put) in enumerate(zip(taus, strikes, puts)):
             pin = PricingInputs(va, eq, CreditParams(1.0, lam), tau, strike)
             kind = "put" if put else "call"
-            want = np.array((price_p0(pin, kind),) + greeks(pin, kind).as_tuple())
+            want = np.array((price_p0(pin, kind),) + greeks(pin, kind))
             got = np.concatenate(([p0[i, j]], g[i, j]))
             scale = max(np.max(np.abs(want)), pin.x_eff, strike)
             assert np.all(np.abs(got - want) <= KERNEL_RTOL * scale), (kind, tau, lam, got - want)
@@ -171,7 +171,7 @@ class TestKernelPaths:
             for j, tau in enumerate(taus):
                 pin = PricingInputs(va, SURFACE_EQUITY, CreditParams(1.0, l_lambda), tau)
                 g = greeks(pin, "bond")
-                want = np.array((price_p0(pin, "bond"), g.g3, g.g8))
+                want = np.array((price_p0(pin, "bond"), g[2], g[7]))
                 got = np.array((p0[i, j], *cols[i, j]))
                 scale = np.max(np.abs(want))
                 assert np.all(np.abs(got - want) <= KERNEL_RTOL * scale), (tau, got - want)
@@ -234,7 +234,7 @@ class TestNonFiniteGreeks:
 
     def test_kernel_yields_nan(self):
         pin = PricingInputs(self.VASICEK, self.EQUITY, CreditParams(1.0, 0.0), 0.5, 7.0)
-        assert math.isnan(greeks(pin, "call").g5)
+        assert math.isnan(greeks(pin, "call")[4])
 
     def test_fit_options_raises(self):
         bond_fit = fit_bonds(day(*ON_GRID)[0], self.VASICEK)
@@ -247,17 +247,20 @@ class TestNonFiniteGreeks:
 
 
 def test_price_full_is_p0_plus_both_corrections():
-    # P0 + fast + slow from one kernel result equals the separate wrappers.
-    from credeq.corrections import correction_fast, correction_slow, price_full
+    # P0 + fast + slow, each summed in the kernel's order from price_p0 and greeks.
+    from credeq.corrections import price_full
 
-    coeffs = CorrectionParams(v1=0.01, v2=-0.002, v3=0.003, v4=0.001, v5=-0.02, v6=0.01,
-                              w1=-0.005, w2=0.0004)
+    c = CorrectionParams(v1=0.01, v2=-0.002, v3=0.003, v4=0.001, v5=-0.02, v6=0.01,
+                         w1=-0.005, w2=0.0004)
     for kind, strike in (("call", 7.5), ("put", 8.5), ("bond", None)):
         pin = PricingInputs(SURFACE_VASICEK, SURFACE_EQUITY, CreditParams(0.4, 0.03), 1.5,
                             strike)
-        separate = (price_p0(pin, kind) + correction_fast(pin, coeffs, kind)
-                    + correction_slow(pin, coeffs, kind))
-        assert price_full(pin, coeffs, kind) == separate
+        g = greeks(pin, kind)
+        l = 0.4 if kind == "bond" else 1.0
+        fast = (c.v1 * g[0] + c.v2 * g[1] + l * c.v3 * g[2] + c.v4 * g[3] + c.v5 * g[4]
+                + c.v6 * g[5])
+        slow = c.w1 * g[6] + l * c.w2 * g[7]
+        assert price_full(pin, c, kind) == price_p0(pin, kind) + fast + slow
 
 
 class TestArrayNormalCdf:

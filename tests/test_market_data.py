@@ -110,17 +110,6 @@ class TestRoundTrips:
         save_history_csv(path, hist)
         assert load_history_csv(path).points == hist.points
 
-    def test_cds_round_trip(self, tmp_path):
-        from credeq.market_data import CdsQuote, load_cds_csv, save_cds_csv
-
-        quotes = [
-            CdsQuote(dt.date(2006, 9, 18), 3.0, 195.25),
-            CdsQuote(dt.date(2006, 9, 18), 5.0, 247.5),
-        ]
-        path = tmp_path / "cds.csv"
-        save_cds_csv(path, quotes)
-        assert load_cds_csv(path) == quotes
-
 
 class TestQuoteValidation:
     def test_bond_price_bounds(self):
@@ -154,12 +143,6 @@ class TestQuoteValidation:
     def test_non_finite_values_rejected(self, make, value):
         with pytest.raises(ValidationError):
             make(value)
-
-    def test_non_finite_cds_maturity_rejected(self):
-        from credeq.market_data import CdsQuote
-
-        with pytest.raises(ValidationError):
-            CdsQuote(dt.date(2006, 9, 18), math.inf, 100.0)
 
     def test_history_dates_increase(self):
         with pytest.raises(ValidationError):

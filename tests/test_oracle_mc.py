@@ -158,6 +158,23 @@ class TestLiveFactors:
             FactorSpec(eps=0.1, dlt=0.1, sigma_fn=0.2, f_fn=lambda y, z: 0.05 + 0 * y)
 
 
+class TestTimeGrid:
+    def test_single_horizon_takes_rounded_steps(self):
+        # Exactly round(h * 252) steps: no extra step about 1e-16 long, which a
+        # grid point rounding away from h would add (at 3.91 y, for one).
+        for i in range(1, 500):
+            h = i / 100
+            assert oracle_mc.grid_steps([h], 252) == round(h * 252), h
+
+    def test_grid_ends_each_segment_on_its_horizon(self):
+        horizons = [0.25 * m for m in range(1, 9)]
+        steps = oracle_mc._segment_steps(horizons, 252)
+        grid = oracle_mc._time_grid(horizons, steps)
+        assert len(grid) == 1 + sum(steps) == 1 + oracle_mc.grid_steps(horizons, 252)
+        assert list(grid[np.cumsum(steps)]) == horizons
+        assert np.all(np.diff(grid) > 0)
+
+
 class TestMultiscale:
     def test_martingale_property(self):
         # discounted pre-default stock with full-intensity weighting

@@ -430,6 +430,14 @@ def business_days(n, start=dt.date(2006, 1, 2)):
     return days
 
 
+class TestEquityParams:
+    @pytest.mark.parametrize("name", ["q", "sigma1"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=str(value)):
+            EquityParams(x=8.0, sigma2=0.3, rho1=0.0, **{name: value})
+
+
 class TestHistoricalEstimators:
     def test_constant_series_has_zero_vol(self):
         hist = PriceHistory(points=tuple((d, 10.0) for d in business_days(60)))
