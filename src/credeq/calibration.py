@@ -53,6 +53,7 @@ __all__ = [
     "build_report",
 ]
 
+# The fixed grids: l*lambda on [0, DEFAULT_M1] and l on [DEFAULT_L_MIN, 1].
 DEFAULT_M1 = 1.0
 DEFAULT_BOND_GRID = 201
 DEFAULT_L_MIN = 0.05
@@ -156,12 +157,7 @@ def _check_finite(p0, cols, quotes, what: str) -> None:
         raise NumericalError(f"non-finite {what} greeks for quote {quotes[int(np.argmax(bad))]}")
 
 
-def fit_bonds(
-    bonds,
-    vasicek: VasicekParams,
-    m1: float = DEFAULT_M1,
-    n_grid: int = DEFAULT_BOND_GRID,
-) -> BondFit:
+def fit_bonds(bonds, vasicek: VasicekParams) -> BondFit:
     """Fit {l*lambda, l*V3, l*W2} to a corporate bond curve.
 
     Parameters
@@ -170,15 +166,13 @@ def fit_bonds(
         At least 3 quotes (three unknowns).
     vasicek : VasicekParams
         Riskless curve parameters fitted beforehand.
-    m1, n_grid : float, int
-        The l*lambda grid is ``n_grid`` uniform points on [0, m1].
     """
     import numpy as np
 
     if len(bonds) < 3:
         raise ValidationError(f"need at least 3 bond quotes, got {len(bonds)}")
     prices = np.asarray([q.price for q in bonds])
-    grid = np.linspace(0.0, m1, n_grid)
+    grid = np.linspace(0.0, DEFAULT_M1, DEFAULT_BOND_GRID)
     p0, cols = evaluate_bonds(vasicek, grid, [q.maturity for q in bonds])
     _check_finite(p0, cols, bonds, "bond")
     theta, resid, sing = _least_squares(
@@ -268,8 +262,6 @@ def fit_options(
     bond_fit: BondFit,
     vasicek: VasicekParams,
     equity: EquityParams,
-    l_min: float = DEFAULT_L_MIN,
-    n_l_grid: int = DEFAULT_L_GRID,
     variant: str = "seven_param",
 ) -> OptionFit:
     """Fit the loss rate and the option-side coefficients to option quotes.
@@ -285,7 +277,8 @@ def fit_options(
     row = get_variant(variant)
     if not row.bond_step:
         raise ConfigurationError(f"{variant} variant has no bond step; use calibrate_index")
-    return _option_step(options, bond_fit, vasicek, equity, np.linspace(l_min, 1.0, n_l_grid), row)
+    grid = np.linspace(DEFAULT_L_MIN, 1.0, DEFAULT_L_GRID)
+    return _option_step(options, bond_fit, vasicek, equity, grid, row)
 
 
 def calibrate_index(options, vasicek: VasicekParams, equity: EquityParams) -> OptionFit:

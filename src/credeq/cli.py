@@ -4,8 +4,8 @@ Subcommands mirror the daily workflow: ``fit-rates`` and ``estimate-equity``
 produce parameter JSON, ``calibrate`` runs the two-step bond+option fit and
 emits a report, ``price``/``ivol-surface``/``cds-curve``/``cds-series``
 consume a fit JSON without re-reading raw quotes, and ``oracle`` runs the
-Monte-Carlo validator. Exit codes: 0 success, 2 validation error,
-3 numerical failure. Errors print one machine-readable JSON line on stderr.
+Monte-Carlo validator. Exit codes: 0 success, 2 validation error (a bad
+argument too), 3 numerical failure; every error prints one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -16,12 +16,9 @@ import sys
 import time
 from pathlib import Path
 
+from . import calibration as cal
 from . import market_data as md
 from .calibration import (
-    DEFAULT_BOND_GRID,
-    DEFAULT_L_GRID,
-    DEFAULT_L_MIN,
-    DEFAULT_M1,
     ZERO_BOND_FIT,
     ModelFit,
     build_report,
@@ -121,21 +118,20 @@ def cmd_calibrate(args) -> None:
     row = _VARIANT_FLAG[args.variant]
 
     options = md.load_options_csv(args.options)
-    options = md.filter_options(options, args.min_maturity, args.min_volume)
+    options = md.filter_options(options)
     digests = {"options": quotes_digest(options)}
-    config = {"variant": row.name, "min_maturity": args.min_maturity,
-              "min_volume": args.min_volume}
+    config = {"variant": row.name, "min_maturity": md.DEFAULT_MIN_MATURITY,
+              "min_volume": md.DEFAULT_MIN_VOLUME}
 
     if row.bond_step:
         if not args.bonds:
             raise ValidationError(f"--bonds is required with --variant {args.variant}")
         bonds = md.load_bonds_csv(args.bonds)
         digests["bonds"] = quotes_digest(bonds)
-        bond_fit = fit_bonds(bonds, vasicek, m1=args.m1, n_grid=args.bond_grid)
-        option_fit = fit_options(options, bond_fit, vasicek, equity, l_min=args.l_min,
-                                 n_l_grid=args.l_grid, variant=row.name)
-        config.update(m1=args.m1, bond_grid=args.bond_grid, l_min=args.l_min,
-                      l_grid=args.l_grid)
+        bond_fit = fit_bonds(bonds, vasicek)
+        option_fit = fit_options(options, bond_fit, vasicek, equity, variant=row.name)
+        config.update({"m1": cal.DEFAULT_M1, "bond_grid": cal.DEFAULT_BOND_GRID,
+                       "l_min": cal.DEFAULT_L_MIN, "l_grid": cal.DEFAULT_L_GRID})
     else:
         bond_fit = ZERO_BOND_FIT
         option_fit = calibrate_index(options, vasicek, equity)
@@ -277,8 +273,15 @@ def cmd_oracle(args) -> None:
                             "path_steps_per_s": args.paths * n_steps / elapsed}, indent=2))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ValidationError: exit 2 with one JSON line, like any other."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="credeq",
         description="Defaultable bond / equity option / CDS pricing and calibration",
     )
@@ -305,12 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", action="append", required=True,
                    help="parameter JSON (repeatable; later files override)")
     p.add_argument("--variant", choices=sorted(_VARIANT_FLAG), default="seven")
-    p.add_argument("--min-maturity", type=float, default=md.DEFAULT_MIN_MATURITY)
-    p.add_argument("--min-volume", type=int, default=md.DEFAULT_MIN_VOLUME)
-    p.add_argument("--m1", type=float, default=DEFAULT_M1)
-    p.add_argument("--bond-grid", type=int, default=DEFAULT_BOND_GRID)
-    p.add_argument("--l-min", type=float, default=DEFAULT_L_MIN)
-    p.add_argument("--l-grid", type=int, default=DEFAULT_L_GRID)
     p.add_argument("--out")
     p.set_defaults(func=cmd_calibrate)
 
@@ -361,9 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except (ValidationError, ConfigurationError, DomainError, FileNotFoundError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")

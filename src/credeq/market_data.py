@@ -258,14 +258,12 @@ DEFAULT_MIN_MATURITY = 9 / 365
 DEFAULT_MIN_VOLUME = 0
 
 
-def filter_options(quotes, min_maturity: float = DEFAULT_MIN_MATURITY,
-                   min_volume: int = DEFAULT_MIN_VOLUME):
-    """Drop quotes with volume <= min_volume or maturity < min_maturity.
+def filter_options(quotes):
+    """Drop quotes with volume <= DEFAULT_MIN_VOLUME or maturity < DEFAULT_MIN_MATURITY.
 
     Order is preserved; the result is a subset of the input and the filter
-    is idempotent. Defaults drop zero-volume quotes and maturities shorter
-    than 9 calendar days (ACT/365).
+    is idempotent. It drops zero-volume quotes and maturities shorter than
+    9 calendar days (ACT/365).
     """
-    if min_maturity < 0:
-        raise ValidationError("min_maturity must be >= 0")
-    return [q for q in quotes if q.volume > min_volume and q.maturity >= min_maturity]
+    return [q for q in quotes
+            if q.volume > DEFAULT_MIN_VOLUME and q.maturity >= DEFAULT_MIN_MATURITY]

@@ -90,8 +90,8 @@ class FactorSpec:
     g_fn: object = None
 
     def __post_init__(self):
-        if self.eps <= 0 or self.dlt < 0:
-            raise ValidationError("eps must be > 0 and dlt >= 0")
+        if not (0 < self.eps < math.inf and 0 <= self.dlt < math.inf):
+            raise ValidationError("eps must be finite and > 0, dlt finite and >= 0")
         if self.sigma_fn is None or self.f_fn is None:
             raise ValidationError("sigma_fn and f_fn are required")
         if callable(self.f_fn) and self.dlt > 0 and (self.c_fn is None or self.g_fn is None):
@@ -266,7 +266,7 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
 
     n_half = cfg.n_paths // 2
     shape = (len(horizons), 2, n_half)
-    out = {"int_r": np.empty(shape), "int_lam": np.empty(shape), "horizons": horizons}
+    out = {"int_r": np.empty(shape), "int_lam": np.empty(shape)}
     if inputs.strike is not None:
         out["x"] = np.empty(shape)
 
@@ -278,7 +278,7 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
         rng = np.random.Generator(base_stream.jumped(chunk_idx))
         sl = slice(start, start + size)
         _simulate_chunk(rng, size, grid, h_steps, chol, spec, inputs,
-                        {key: val[:, :, sl] for key, val in out.items() if key != "horizons"})
+                        {key: val[:, :, sl] for key, val in out.items()})
         start += size
         chunk_idx += 1
     return out

@@ -15,6 +15,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
+from credeq import calibration
 from credeq.calibration import _quote_weights
 from credeq.corrections import VARIANTS, greeks, price_p0
 from credeq.errors import NumericalError
@@ -56,11 +57,12 @@ def option_rows(options, vasicek, equity, lam, columns):
     return p0, known, cols
 
 
-def fit_bonds_loop(bonds, vasicek, m1=1.0, n_grid=201):
+def fit_bonds_loop(bonds, vasicek):
     """(grid index, l*lambda, (l*V3, l*W2), residual) of the first minimum."""
     prices = np.asarray([q.price for q in bonds])
     best = None
-    for i, l_lambda in enumerate(np.linspace(0.0, m1, n_grid)):
+    grid = np.linspace(0.0, calibration.DEFAULT_M1, calibration.DEFAULT_BOND_GRID)
+    for i, l_lambda in enumerate(grid):
         p0, cols = bond_design(bonds, vasicek, float(l_lambda))
         rhs = prices - p0
         theta, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
@@ -81,12 +83,12 @@ def option_residuals(options, weights, bond_fit, vasicek, equity, l, variant="se
     return theta, float(np.sum((wrhs - wcols @ theta) ** 2))
 
 
-def fit_options_loop(options, bond_fit, vasicek, equity, l_min=0.05, n_l_grid=96,
-                     variant="seven_param"):
+def fit_options_loop(options, bond_fit, vasicek, equity, variant="seven_param"):
     """(grid index, l, theta, weighted residual) of the first minimum."""
     weights = _quote_weights(options, vasicek, equity)
     best = None
-    for i, l in enumerate(np.linspace(l_min, 1.0, n_l_grid)):
+    grid = np.linspace(calibration.DEFAULT_L_MIN, 1.0, calibration.DEFAULT_L_GRID)
+    for i, l in enumerate(grid):
         theta, resid = option_residuals(options, weights, bond_fit, vasicek, equity, l, variant)
         if best is None or resid < best[3]:
             best = (i, float(l), theta, resid)

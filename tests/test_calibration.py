@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from credeq import calibration
 from credeq.calibration import (
     ModelFit,
     build_report,
@@ -61,11 +62,13 @@ class TestFitBonds:
         assert abs(fit.l_v3) < 1e-12
         assert abs(fit.l_w2) < 1e-12
 
-    def test_grid_refinement_never_degrades(self):
+    def test_grid_refinement_never_degrades(self, monkeypatch):
         credit = CreditParams(l=0.4, lam=0.0633)  # off-grid product
         bonds = make_bond_quotes(SURFACE_VASICEK, credit, SURFACE_COEFFS)
-        coarse = fit_bonds(bonds, SURFACE_VASICEK, n_grid=11)
-        fine = fit_bonds(bonds, SURFACE_VASICEK, n_grid=21)  # contains the coarse grid
+        monkeypatch.setattr(calibration, "DEFAULT_BOND_GRID", 11)
+        coarse = fit_bonds(bonds, SURFACE_VASICEK)
+        monkeypatch.setattr(calibration, "DEFAULT_BOND_GRID", 21)  # contains the coarse grid
+        fine = fit_bonds(bonds, SURFACE_VASICEK)
         assert fine.residual <= coarse.residual + 1e-18
 
     def test_two_quotes_rejected(self):

@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from credeq.cli import main
+from credeq.cli import build_parser, main
 from credeq.market_data import (
     save_bonds_csv,
     save_history_csv,
@@ -182,6 +183,7 @@ class TestCalibrateAndConsume:
         assert code == 0, err
         report = json.loads(report_path.read_text())
         pars = report["parameters"]
+        assert pars["variant"] == "seven_param"  # the default --variant
         assert pars["credit"]["l"] == pytest.approx(TRUE_LOSS, abs=1e-12)
         assert pars["credit"]["lam"] == pytest.approx(TRUE_LAMBDA, abs=1e-10)
         assert pars["corrections"]["v1"] == pytest.approx(SURFACE_COEFFS.v1, abs=1e-8)
@@ -447,6 +449,18 @@ class TestOracleCommand:
         assert payload["elapsed_s"] > 0
         assert payload["path_steps_per_s"] == 10_000 * n_steps / payload["elapsed_s"]
 
+    @pytest.mark.parametrize("scales", [["--eps", "nan"], ["--eps", "inf"],
+                                        ["--eps", "0.1", "--dlt", "nan"],
+                                        ["--eps", "0.1", "--dlt", "inf"]])
+    def test_non_finite_factor_scale_exits_2(self, tmp_path, capsys, scales):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(self.FIT))
+        code, out, err = run(capsys, "oracle", "--fit", str(path), "--instrument", "bond",
+                             "--maturity", "0.5", "--paths", "10000", *scales)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValidationError"
+
 
 class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [
@@ -482,18 +496,38 @@ class TestArgumentErrors:
         assert out == ""
         assert json.loads(err)["error"] == "ValidationError"
 
-    def test_calibrate_defaults_are_the_library_defaults(self):
-        from credeq import calibration
-        from credeq.cli import build_parser
-        from credeq.market_data import DEFAULT_MIN_MATURITY, DEFAULT_MIN_VOLUME, filter_options
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["cds-curve", "--fit", "fit.json", "--maturities", "-1..2"],
+        ["price", "--fit", "fit.json", "--kind", "bond", "--maturity", "2", "--bogus"],
+        ["calibrate", "--options", "o.csv", "--params", "p.json", "--l-grid", "96"],
+    ])
+    def test_unparsable_arguments_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ValidationError"
 
-        args = build_parser().parse_args(["calibrate", "--options", "o.csv", "--params", "p.json"])
-        assert (args.m1, args.bond_grid, args.l_min, args.l_grid) == (
-            calibration.DEFAULT_M1, calibration.DEFAULT_BOND_GRID,
-            calibration.DEFAULT_L_MIN, calibration.DEFAULT_L_GRID)
-        assert (args.min_maturity, args.min_volume) == (DEFAULT_MIN_MATURITY, DEFAULT_MIN_VOLUME)
-        assert filter_options.__defaults__ == (DEFAULT_MIN_MATURITY, DEFAULT_MIN_VOLUME)
-        assert args.variant == "seven"
+    def test_option_set_of_each_subcommand(self):
+        """Adding or removing a flag is a deliberate edit of this table."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {name: [s for a in p._actions if not isinstance(a, argparse._HelpAction)
+                          for s in a.option_strings]
+                   for name, p in sub.choices.items()}
+        assert options == {
+            "fit-rates": ["--treasury", "--r-proxy", "--out"],
+            "estimate-equity": ["--stock", "--spot-rate", "--spot", "--dividend-yield", "--out"],
+            "calibrate": ["--bonds", "--options", "--params", "--variant", "--out"],
+            "price": ["--fit", "--kind", "--strike", "--maturity", "--out"],
+            "cds-curve": ["--fit", "--maturities", "--freq", "--out"],
+            "cds-series": ["--fits-dir", "--maturity", "--freq", "--out"],
+            "ivol-surface": ["--fit", "--grid", "--kind", "--out"],
+            "oracle": ["--fit", "--instrument", "--strike", "--maturity", "--paths", "--seed",
+                       "--steps-per-year", "--eps", "--dlt", "--freq", "--out"],
+        }
 
     def test_unknown_variant_in_fit_exits_2(self, tmp_path, capsys):
         fit = dict(fit_dict(), variant="five_param")

@@ -160,21 +160,21 @@ class TestFilterOptions:
         ]
 
     def test_zero_volume_excluded(self):
-        kept = filter_options(self.quotes(), min_maturity=0.0, min_volume=0)
+        kept = filter_options(self.quotes())
         assert all(q.volume > 0 for q in kept)
 
     def test_short_maturity_excluded(self):
-        kept = filter_options(self.quotes(), min_maturity=9 / 365, min_volume=0)
+        kept = filter_options(self.quotes())
         assert all(q.maturity >= 9 / 365 for q in kept)
         # the 9-day quote sits exactly on the threshold and stays
         assert any(q.maturity == 9 / 365 for q in kept)
         assert not any(q.maturity == 8 / 365 for q in kept)
 
     def test_empty_input(self):
-        assert filter_options([], 9 / 365, 0) == []
+        assert filter_options([]) == []
 
     def test_subset_order_and_idempotence(self):
         src = self.quotes()
-        once = filter_options(src, 9 / 365, 0)
+        once = filter_options(src)
         assert [src.index(q) for q in once] == sorted(src.index(q) for q in once)
-        assert filter_options(once, 9 / 365, 0) == once
+        assert filter_options(once) == once

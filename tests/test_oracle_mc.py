@@ -246,6 +246,12 @@ class TestValidation:
         with pytest.raises(ValidationError, match="PSD"):
             mc_price(cfg, "call", pin)
 
+    @pytest.mark.parametrize("eps, dlt", [(math.nan, 0.0), (math.inf, 0.0), (0.0, 0.0),
+                                          (0.1, math.nan), (0.1, math.inf), (0.1, -0.1)])
+    def test_bad_factor_scales_rejected(self, eps, dlt):
+        with pytest.raises(ValidationError, match="eps"):
+            FactorSpec(eps=eps, dlt=dlt, sigma_fn=0.2, f_fn=0.05)
+
     def test_path_count_floor(self):
         with pytest.raises(ValidationError):
             McConfig(n_paths=5_000, factor_spec=FactorSpec.constant(0.2, 0.05))
