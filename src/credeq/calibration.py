@@ -46,6 +46,7 @@ __all__ = [
     "OptionFit",
     "ModelFit",
     "ZERO_BOND_FIT",
+    "read_block",
     "fit_bonds",
     "fit_options",
     "calibrate_index",
@@ -112,16 +113,28 @@ class ModelFit:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelFit":
         src = d.get("parameters", d)  # accept a full report or its parameter block
-        try:
-            return cls(
-                vasicek=VasicekParams(**src["vasicek"]),
-                equity=EquityParams(**src["equity"]),
-                credit=CreditParams(**src["credit"]),
-                coeffs=CorrectionParams(**src["corrections"]),
-                variant=src.get("variant", "seven_param"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed fit parameters: {exc}") from None
+        return cls(
+            vasicek=read_block(src, "vasicek", VasicekParams),
+            equity=read_block(src, "equity", EquityParams),
+            credit=read_block(src, "credit", CreditParams),
+            coeffs=read_block(src, "corrections", CorrectionParams),
+            variant=src.get("variant", "seven_param"),
+        )
+
+
+def read_block(params, name: str, cls):
+    """The JSON object ``params[name]`` as a ``cls``, e.g. the ``vasicek`` block.
+
+    A missing block, a block that is not an object, and a missing, extra or
+    mistyped key raise ValidationError.
+    """
+    block = params.get(name) if isinstance(params, dict) else None
+    if not isinstance(block, dict):
+        raise ValidationError(f"parameters need a '{name}' object, got {block!r}")
+    try:
+        return cls(**block)
+    except TypeError as exc:
+        raise ValidationError(f"malformed '{name}' block: {exc}") from None
 
 
 def _least_squares(design, rhs, rank_message: str):
@@ -324,13 +337,7 @@ def build_report(
     return {
         "inputs_digest": digests,
         "parameters": fit.to_dict(),
-        "bond_fit": {
-            "l_lambda": bond_fit.l_lambda,
-            "l_v3": bond_fit.l_v3,
-            "l_w2": bond_fit.l_w2,
-            "residual": bond_fit.residual,
-            "condition_number": bond_fit.condition_number,
-        },
+        "bond_fit": asdict(bond_fit),
         "option_fit": {
             "weighted_residual": option_fit.weighted_residual,
             "condition_number": option_fit.condition_number,

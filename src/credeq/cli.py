@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import calibration as cal
@@ -26,6 +27,7 @@ from .calibration import (
     fit_bonds,
     fit_options,
     quotes_digest,
+    read_block,
     report_json,
 )
 from .cds import annual_schedule, cds_spread, cds_term_structure
@@ -65,9 +67,12 @@ def _emit(args, payload: str) -> None:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _load_fit(path: str) -> ModelFit:
@@ -77,11 +82,8 @@ def _load_fit(path: str) -> ModelFit:
 def cmd_fit_rates(args) -> None:
     curve = md.load_treasury_csv(args.treasury)
     params = fit_vasicek(curve, args.r_proxy)
-    out = {
-        "vasicek": {"alpha": params.alpha, "beta": params.beta, "eta": params.eta, "r": params.r},
-        "residual_rmse": curve_rmse(params, curve),
-        "at_bound": at_bound(params),
-    }
+    out = {"vasicek": asdict(params), "residual_rmse": curve_rmse(params, curve),
+           "at_bound": at_bound(params)}
     _emit(args, json.dumps(out, indent=2))
 
 
@@ -92,16 +94,7 @@ def cmd_estimate_equity(args) -> None:
     rho1 = estimate_rho1(stock, rates_hist)
     spot = args.spot if args.spot is not None else stock.points[-1][1]
     eq = EquityParams(x=spot, sigma2=sigma2, rho1=rho1, q=args.dividend_yield)
-    out = {
-        "equity": {
-            "x": eq.x,
-            "sigma2": eq.sigma2,
-            "rho1": eq.rho1,
-            "sigma1": eq.sigma1,
-            "q": eq.q,
-        }
-    }
-    _emit(args, json.dumps(out, indent=2))
+    _emit(args, json.dumps({"equity": asdict(eq)}, indent=2))
 
 
 _VARIANT_FLAG = {row.flag: row for row in VARIANTS.values()}
@@ -111,10 +104,8 @@ def cmd_calibrate(args) -> None:
     params: dict = {}
     for path in args.params:
         params.update(_load_json(path))
-    if "vasicek" not in params or "equity" not in params:
-        raise ValidationError("--params file(s) must supply 'vasicek' and 'equity' blocks")
-    vasicek = VasicekParams(**params["vasicek"])
-    equity = EquityParams(**params["equity"])
+    vasicek = read_block(params, "vasicek", VasicekParams)
+    equity = read_block(params, "equity", EquityParams)
     row = _VARIANT_FLAG[args.variant]
 
     options = md.load_options_csv(args.options)
@@ -245,9 +236,12 @@ def cmd_ivol_surface(args) -> None:
 
 
 def cmd_oracle(args) -> None:
+    if args.dlt is not None and args.eps is None:
+        raise ValidationError("--dlt scales the multiscale slow factor; it needs --eps")
     fit = _load_fit(args.fit)
     if args.eps is not None:
-        spec = FactorSpec.multiscale(lam=fit.credit.lam, eps=args.eps, dlt=args.dlt)
+        dlt = 0.0 if args.dlt is None else args.dlt
+        spec = FactorSpec.multiscale(lam=fit.credit.lam, eps=args.eps, dlt=dlt)
     else:
         spec = FactorSpec.constant(
             sigma=fit.equity.sigma2, lam=fit.credit.lam, rho1=fit.equity.rho1
@@ -350,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps-per-year", type=int, default=252)
     p.add_argument("--eps", type=float, default=None,
                    help="activate multiscale factors with this eps")
-    p.add_argument("--dlt", type=float, default=0.0)
+    p.add_argument("--dlt", type=float, help="multiscale slow-factor scale (needs --eps; default 0)")
     p.add_argument("--freq", choices=sorted(_FREQ), default="annual")
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)

@@ -2,12 +2,10 @@
 
 All maturities are ACT/365 year fractions fixed at ingestion, yields are
 continuously compounded decimals (0.05 = 5%), and bond prices are per 1 of
-par. File formats (UTF-8, header row required):
-
-    treasury.csv  maturity_years,yield
-    bonds.csv     maturity_years,price
-    options.csv   maturity_years,strike,kind,price,volume
-    history.csv   date,value            (ISO-8601 dates)
+par. Each CSV file (UTF-8, header row required) is written down once, as a
+column table: ``_TREASURY``, ``_BONDS``, ``_OPTIONS`` and ``_HISTORY`` give
+each column's header, parser and writer, and one ``_read`` / ``_write``
+pair serves all four. History dates are ISO-8601.
 """
 
 from __future__ import annotations
@@ -15,7 +13,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import astuple, dataclass
 
 from .errors import ValidationError
 
@@ -117,136 +116,106 @@ class PriceHistory:
 
 
 # ---------------------------------------------------------------------------
-# CSV plumbing
+# CSV formats: one column table per file, read by _read and written by _write
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path, expected_header):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise ValidationError(
-                f"{path}: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(expected_header):
-                raise ValidationError(
-                    f"{path}:{lineno}: expected {len(expected_header)} fields, got {len(row)}"
-                )
-            rows.append((lineno, [c.strip() for c in row]))
-    return rows
-
-
-def _parse_float(path, lineno, name, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ValidationError(f"{path}:{lineno}: bad {name} {text!r}") from None
-
-
-def _parse_date(path, lineno, text):
-    try:
-        return dt.date.fromisoformat(text)
-    except ValueError:
-        raise ValidationError(f"{path}:{lineno}: bad ISO date {text!r}") from None
-
-
-def load_treasury_csv(path) -> TreasuryCurve:
-    rows = _read_rows(path, ["maturity_years", "yield"])
-    points = []
-    for lineno, (s, y) in rows:
-        points.append(
-            (_parse_float(path, lineno, "maturity", s), _parse_float(path, lineno, "yield", y))
-        )
-    return TreasuryCurve(points=tuple(points))
-
-
-def save_treasury_csv(path, curve: TreasuryCurve) -> None:
-    _write_csv(path, ["maturity_years", "yield"], [(_num(s), _num(y)) for s, y in curve.points])
-
-
-def load_bonds_csv(path) -> list[BondQuote]:
-    rows = _read_rows(path, ["maturity_years", "price"])
-    out = []
-    for lineno, (s, p) in rows:
-        try:
-            out.append(
-                BondQuote(
-                    maturity=_parse_float(path, lineno, "maturity", s),
-                    price=_parse_float(path, lineno, "price", p),
-                )
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    return out
-
-
-def save_bonds_csv(path, quotes) -> None:
-    _write_csv(
-        path, ["maturity_years", "price"], [(_num(q.maturity), _num(q.price)) for q in quotes]
-    )
-
-
-def load_options_csv(path) -> list[OptionQuote]:
-    rows = _read_rows(path, ["maturity_years", "strike", "kind", "price", "volume"])
-    out = []
-    for lineno, (s, k, kind, p, vol) in rows:
-        try:
-            volume = int(vol)
-        except ValueError:
-            raise ValidationError(f"{path}:{lineno}: bad volume {vol!r}") from None
-        try:
-            out.append(
-                OptionQuote(
-                    maturity=_parse_float(path, lineno, "maturity", s),
-                    strike=_parse_float(path, lineno, "strike", k),
-                    kind=kind,
-                    price=_parse_float(path, lineno, "price", p),
-                    volume=volume,
-                )
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    return out
-
-
-def save_options_csv(path, quotes) -> None:
-    _write_csv(
-        path,
-        ["maturity_years", "strike", "kind", "price", "volume"],
-        [(_num(q.maturity), _num(q.strike), q.kind, _num(q.price), str(int(q.volume))) for q in quotes],
-    )
-
-
-def load_history_csv(path) -> PriceHistory:
-    rows = _read_rows(path, ["date", "value"])
-    points = []
-    for lineno, (d, v) in rows:
-        points.append((_parse_date(path, lineno, d), _parse_float(path, lineno, "value", v)))
-    return PriceHistory(points=tuple(points))
-
-
-def save_history_csv(path, history: PriceHistory) -> None:
-    _write_csv(path, ["date", "value"], [(d.isoformat(), _num(v)) for d, v in history.points])
+# One CSV column: its header, its name in errors ("bad <name> '<cell>'"), a
+# parser that raises ValueError on a bad cell, and the writer it inverts exactly.
+_Column = namedtuple("_Column", "header name parse write")
 
 
 def _num(x):
     return repr(float(x))
 
 
-def _write_csv(path, header, rows):
+_MATURITY = _Column("maturity_years", "maturity", float, _num)
+_PRICE = _Column("price", "price", float, _num)
+_TREASURY = (_MATURITY, _Column("yield", "yield", float, _num))
+_BONDS = (_MATURITY, _PRICE)
+_OPTIONS = (_MATURITY, _Column("strike", "strike", float, _num), _Column("kind", "kind", str, str),
+            _PRICE, _Column("volume", "volume", int, lambda v: str(int(v))))
+_HISTORY = (_Column("date", "ISO date", dt.date.fromisoformat, dt.date.isoformat),
+            _Column("value", "value", float, _num))
+
+
+def _cell(column, text):
+    try:
+        return column.parse(text)
+    except ValueError:
+        raise ValidationError(f"bad {column.name} {text!r}") from None
+
+
+def _read(path, columns, record=None) -> list:
+    """The rows of ``path`` in ``columns``: each ``record(*cells)``, or the tuple of cells.
+
+    Blank rows are skipped. A bad cell, or a ``ValidationError`` from
+    ``record``, is prefixed with ``path:line:``.
+    """
+    header = [c.header for c in columns]
+    out = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            got = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: empty file") from None
+        if [h.strip() for h in got] != header:
+            raise ValidationError(
+                f"{path}: expected header {','.join(header)!r}, got {','.join(got)!r}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                cells = tuple(_cell(c, text.strip()) for c, text in zip(columns, row))
+                out.append(record(*cells) if record else cells)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    return out
+
+
+def _write(path, columns, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow([c.header for c in columns])
+        writer.writerows([c.write(v) for c, v in zip(columns, row)] for row in rows)
+
+
+def load_treasury_csv(path) -> TreasuryCurve:
+    return TreasuryCurve(points=tuple(_read(path, _TREASURY)))
+
+
+def save_treasury_csv(path, curve: TreasuryCurve) -> None:
+    _write(path, _TREASURY, curve.points)
+
+
+def load_bonds_csv(path) -> list[BondQuote]:
+    return _read(path, _BONDS, BondQuote)
+
+
+def save_bonds_csv(path, quotes) -> None:
+    _write(path, _BONDS, map(astuple, quotes))
+
+
+def load_options_csv(path) -> list[OptionQuote]:
+    return _read(path, _OPTIONS, OptionQuote)
+
+
+def save_options_csv(path, quotes) -> None:
+    _write(path, _OPTIONS, map(astuple, quotes))
+
+
+def load_history_csv(path) -> PriceHistory:
+    return PriceHistory(points=tuple(_read(path, _HISTORY)))
+
+
+def save_history_csv(path, history: PriceHistory) -> None:
+    _write(path, _HISTORY, history.points)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,10 @@ __all__ = [
 
 CHUNK_BASE_PATHS = 16384
 MIN_PATHS = 10_000
+# The fast factors' invariant laws N(_M, _NU^2) and N(_MT, _NUT^2), and every factor's start.
+_M = _MT = 0.0
+_NU = _NUT = 0.5
+_Y0 = _YT0 = _Z0 = 0.0
 
 
 @dataclass(frozen=True)
@@ -71,13 +75,6 @@ class FactorSpec:
 
     eps: float
     dlt: float
-    nu: float = 0.5
-    nut: float = 0.5
-    m: float = 0.0
-    mt: float = 0.0
-    y0: float = 0.0
-    yt0: float = 0.0
-    z0: float = 0.0
     rho1: float = 0.0
     rho2: float = 0.0
     rho3: float = 0.0
@@ -127,13 +124,10 @@ class FactorSpec:
         """
         import numpy as np
 
-        nu = 0.5
-        norm = _gauss_mean(lambda y: np.exp(np.minimum(y, 2.0)), 0.0, nu)
-        spec = cls(
+        norm = _gauss_mean(lambda y: np.exp(np.minimum(y, 2.0)), _M, _NU)
+        return cls(
             eps=eps,
             dlt=dlt,
-            nu=nu,
-            nut=0.5,
             rho1=-0.2,
             rho2=-0.3,
             rho3=-0.1,
@@ -145,7 +139,6 @@ class FactorSpec:
             c_fn=lambda z: -z,
             g_fn=lambda z: 0.5 * np.ones_like(np.asarray(z, dtype=float)),
         )
-        return spec
 
 
 @lru_cache(maxsize=None)
@@ -177,14 +170,14 @@ def effective_params(spec: FactorSpec):
 
     sig, f = spec.sigma_fn, spec.f_fn
     if callable(sig):
-        sigma1 = _gauss_mean(sig, spec.mt, spec.nut)
-        sigma2 = math.sqrt(_gauss_mean(lambda y: np.asarray(sig(y)) ** 2, spec.mt, spec.nut))
+        sigma1 = _gauss_mean(sig, _MT, _NUT)
+        sigma2 = math.sqrt(_gauss_mean(lambda y: np.asarray(sig(y)) ** 2, _MT, _NUT))
         rho1_eff = spec.rho1 * sigma1 / sigma2
     else:
         sigma1 = sigma2 = float(sig)
         rho1_eff = spec.rho1
     if callable(f):
-        lam = _gauss_mean(lambda y: f(y, spec.z0 * np.ones_like(np.asarray(y))), spec.m, spec.nu)
+        lam = _gauss_mean(lambda y: f(y, _Z0 * np.ones_like(np.asarray(y))), _M, _NU)
     else:
         lam = float(f)
     return sigma1, sigma2, lam, rho1_eff
@@ -309,16 +302,16 @@ def _simulate_chunk(rng, size, grid, h_steps, chol, spec, inputs, out):
     live_y = callable(f_fn)
     live_z = live_y and spec.dlt > 0
     sqeps = math.sqrt(spec.eps)
-    fast_vol = spec.nu * math.sqrt(2.0) / sqeps
-    fast_vol_t = spec.nut * math.sqrt(2.0) / sqeps
+    fast_vol = _NU * math.sqrt(2.0) / sqeps
+    fast_vol_t = _NUT * math.sqrt(2.0) / sqeps
 
     # state arrays: axis 0 = (base, antithetic)
     shape = (2, size)
     r = np.full(shape, va.r)
     ir = np.zeros(shape)
     if live_y:
-        y = np.full(shape, spec.y0)
-        z = np.full(shape, spec.z0) if live_z else np.broadcast_to(spec.z0, shape)
+        y = np.full(shape, _Y0)
+        z = np.full(shape, _Z0) if live_z else np.broadcast_to(_Z0, shape)
         lam = np.asarray(f_fn(y, z))
         il = np.zeros(shape)
     else:
@@ -327,7 +320,7 @@ def _simulate_chunk(rng, size, grid, h_steps, chol, spec, inputs, out):
     if stock:
         logx = np.full(shape, math.log(eq.x))
     if live_yt:
-        yt = np.full(shape, spec.yt0)
+        yt = np.full(shape, _YT0)
 
     draws = np.empty((size, 5))
     dw = np.empty((size, 5))
@@ -345,14 +338,14 @@ def _simulate_chunk(rng, size, grid, h_steps, chol, spec, inputs, out):
         r_new = r + (va.alpha - va.beta * r) * dt
         _mirrored(r_new, va.eta, dw[:, 1] * sq_dt)
         if live_y:
-            y = y + (spec.m - y) / spec.eps * dt
+            y = y + (_M - y) / spec.eps * dt
             _mirrored(y, fast_vol, dw[:, 2] * sq_dt)
             if live_z:
                 vol_z = math.sqrt(spec.dlt) * np.asarray(spec.g_fn(z))
                 z = z + spec.dlt * np.asarray(spec.c_fn(z)) * dt
                 _mirrored(z, vol_z, dw[:, 3] * sq_dt)
         if live_yt:
-            drift_yt = (spec.mt - yt) / spec.eps
+            drift_yt = (_MT - yt) / spec.eps
             if spec.lambda_fn is not None:
                 drift_yt = drift_yt - fast_vol_t * np.asarray(spec.lambda_fn(yt))
             yt = yt + drift_yt * dt

@@ -11,6 +11,7 @@ from credeq.calibration import (
     fit_bonds,
     fit_options,
     quotes_digest,
+    read_block,
     report_json,
     _quote_weights,
 )
@@ -18,7 +19,7 @@ from credeq.corrections import CorrectionParams
 from credeq.errors import CalibrationError, ValidationError
 from credeq.market_data import BondQuote, OptionQuote
 from credeq.pricing import CreditParams
-from credeq.rates import EquityParams, riskless_bond
+from credeq.rates import EquityParams, VasicekParams, riskless_bond
 
 from scalar_reference import option_residuals
 from conftest import (
@@ -249,6 +250,23 @@ class TestReport:
         assert fit.coeffs == option_fit.coeffs
         # bare parameter block loads the same way
         assert ModelFit.from_dict(parsed["parameters"]) == fit
+
+    VASICEK = {"alpha": 0.004, "beta": 0.09, "eta": 0.001, "r": 0.05}
+
+    def test_read_block(self):
+        assert read_block({"vasicek": self.VASICEK}, "vasicek", VasicekParams) == VasicekParams(
+            **self.VASICEK)
+
+    @pytest.mark.parametrize("params", [
+        [], {}, {"vasicek": None}, {"vasicek": list(VASICEK.values())},
+        {"vasicek": {"alpha": 0.004, "beta": 0.09, "eta": 0.001}},
+        {"vasicek": dict(VASICEK, kappa=1.0)},
+        {"vasicek": dict(VASICEK, alpha="0.004")},
+    ], ids=["list", "no-block", "null-block", "list-block", "missing-key", "extra-key",
+            "string-value"])
+    def test_read_block_rejects_malformed(self, params):
+        with pytest.raises(ValidationError, match="'vasicek'"):
+            read_block(params, "vasicek", VasicekParams)
 
     def test_digest_orders_and_values(self, roundtrip_fixture):
         bonds, _ = roundtrip_fixture

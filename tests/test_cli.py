@@ -412,6 +412,46 @@ class TestCdsSeries:
         assert float(lines[1].rsplit(",", 1)[1]) == float(lines[3].rsplit(",", 1)[1])
 
 
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValidationError"
+
+
+class TestMalformedJson:
+    """Parameter and fit JSON that is not an object of complete blocks exits 2."""
+
+    EDITS = {
+        "top-level-list": lambda p: [p],
+        "list-of-pairs": lambda p: list(p.items()),  # dict.update would take it
+        "missing-key": lambda p: dict(p, vasicek={k: v for k, v in p["vasicek"].items()
+                                                  if k != "r"}),
+        "extra-key": lambda p: dict(p, equity=dict(p["equity"], spot=8.0)),
+        "missing-block": lambda p: {"vasicek": p["vasicek"]},
+        "list-block": lambda p: dict(p, vasicek=list(p["vasicek"].values())),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_calibrate_params(self, fixture_files, capsys, edit):
+        tmp_path, bonds_csv, options_csv, params_json = fixture_files
+        params_json.write_text(json.dumps(self.EDITS[edit](json.loads(params_json.read_text()))))
+        code, out, err = run(capsys, "calibrate", "--bonds", str(bonds_csv),
+                             "--options", str(options_csv), "--params", str(params_json))
+        assert_one_error_line(code, out, err)
+
+    @pytest.mark.parametrize("argv", [
+        ["price", "--kind", "bond", "--maturity", "2"],
+        ["cds-curve"],
+    ], ids=["price", "cds-curve"])
+    def test_top_level_list_fit(self, tmp_path, capsys, argv):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps([fit_dict()]))
+        code, out, err = run(capsys, argv[0], "--fit", str(path), *argv[1:])
+        assert_one_error_line(code, out, err)
+
+
 class TestOracleCommand:
     FIT = {
         "vasicek": {"alpha": 0.0063, "beta": 0.1034, "eta": 0.012, "r": 0.0476},
@@ -460,6 +500,26 @@ class TestOracleCommand:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("dlt", ["nan", "0.1", "0"])
+    def test_dlt_without_eps_exits_2(self, tmp_path, capsys, dlt):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(self.FIT))
+        code, out, err = run(capsys, "oracle", "--fit", str(path), "--instrument", "bond",
+                             "--maturity", "0.5", "--paths", "10000", "--dlt", dlt)
+        assert_one_error_line(code, out, err)
+
+    def test_dlt_defaults_to_zero_with_eps(self, tmp_path, capsys):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(self.FIT))
+        argv = ["oracle", "--fit", str(path), "--instrument", "bond", "--maturity", "0.5",
+                "--paths", "10000", "--eps", "0.25"]
+        estimates = []
+        for extra in ([], ["--dlt", "0"]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == 0, err
+            estimates.append(json.loads(out)["estimate"])
+        assert estimates[0] == estimates[1]
 
 
 class TestArgumentErrors:

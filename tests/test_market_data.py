@@ -1,10 +1,13 @@
 import datetime as dt
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from credeq import market_data as md
 from credeq.errors import ValidationError
 from credeq.market_data import (
     BondQuote,
@@ -109,6 +112,64 @@ class TestRoundTrips:
         path = tmp_path / "h.csv"
         save_history_csv(path, hist)
         assert load_history_csv(path).points == hist.points
+
+
+class TestEveryFormat:
+    """The four CSV formats, each read and written through its column table."""
+
+    # One valid data row per format, in the order of its header.
+    GOOD_ROWS = {
+        load_treasury_csv: ("maturity_years,yield", "1.0,0.05"),
+        load_bonds_csv: ("maturity_years,price", "1.0,0.9"),
+        load_options_csv: ("maturity_years,strike,kind,price,volume", "0.5,8.0,call,1.0,10"),
+        load_history_csv: ("date,value", "2006-09-18,8.04"),
+    }
+    CELLS = [(load, column) for load, (header, _) in GOOD_ROWS.items()
+             for column in header.split(",")]
+
+    @pytest.mark.parametrize("load, column", CELLS,
+                             ids=[f"{load.__name__}-{column}" for load, column in CELLS])
+    def test_bad_cell_names_path_and_line_once(self, tmp_path, load, column):
+        header, good = self.GOOD_ROWS[load]
+        cells = dict(zip(header.split(","), good.split(",")), **{column: "abc"})
+        path = write(tmp_path / "f.csv", f"{header}\n{good}\n{','.join(cells.values())}\n")
+        with pytest.raises(ValidationError) as info:
+            load(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}:3: ")
+        assert message.count(path) == 1
+
+    RECORDS = {
+        "treasury": (save_treasury_csv, load_treasury_csv, TreasuryCurve(
+            points=((1 / 12, -0.001), (0.25, 0.0412345678901234), (30.0, 1e-300)))),
+        "bonds": (save_bonds_csv, load_bonds_csv, [
+            BondQuote(0.1, 1.5), BondQuote(1 / 3, 1e-300), BondQuote(29.999999999999996, 0.7)]),
+        "options": (save_options_csv, load_options_csv, [
+            OptionQuote(5 / 365, 1 / 3, "put", 0.0, 0), OptionQuote(2.0, 8.04, "call", 1e-12, 10**9)]),
+        "history": (save_history_csv, load_history_csv, PriceHistory(
+            points=((dt.date(1999, 12, 31), 1e-300), (dt.date(2000, 2, 29), 8.123456789012345)))),
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(RECORDS))
+    def test_save_load_save(self, tmp_path, fmt):
+        """Saving, loading and saving again gives equal records and the same bytes."""
+        save, load, records = self.RECORDS[fmt]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        save(first, records)
+        loaded = load(first)
+        assert loaded == records
+        save(second, loaded)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_readme_headers_are_the_column_tables(self):
+        """The README's format table states the headers that the column tables define."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## CLI workflow", 1)[1].split("\n## ", 1)[0]
+        documented = dict(re.findall(r"^\| (\w+\.csv) \| `([^`]+)`", section, re.MULTILINE))
+        tables = {"treasury.csv": md._TREASURY, "bonds.csv": md._BONDS,
+                  "options.csv": md._OPTIONS, "history.csv": md._HISTORY}
+        assert documented == {name: ",".join(c.header for c in columns)
+                              for name, columns in tables.items()}
 
 
 class TestQuoteValidation:
