@@ -48,8 +48,6 @@ from .rates import (
     VasicekParams,
     estimate_rho1,
     estimate_sigma2,
-    factor_a,
-    factor_b,
     fit_vasicek,
     riskless_bond,
     vasicek_yield,

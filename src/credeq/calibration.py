@@ -101,6 +101,11 @@ class ModelFit:
     coeffs: CorrectionParams
     variant: str = "seven_param"
 
+    def __post_init__(self):
+        if not isinstance(self.variant, str):
+            raise ValidationError(f"variant must be a string, got {self.variant!r}")
+        get_variant(self.variant)  # an unknown name raises ConfigurationError
+
     def to_dict(self) -> dict:
         return {
             "vasicek": asdict(self.vasicek),

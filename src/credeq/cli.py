@@ -355,7 +355,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.func(args)
-    except (ValidationError, ConfigurationError, DomainError, FileNotFoundError) as exc:
+    except (ValidationError, ConfigurationError, DomainError, OSError,
+            UnicodeDecodeError) as exc:
+        # OSError: a missing or unreadable path, or a directory; UnicodeDecodeError: not UTF-8.
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return VALIDATION_EXIT
     except (NumericalError, CalibrationError, OverflowError) as exc:

@@ -13,32 +13,33 @@ Default enters through survival-probability weighting: every payoff is
 discounted by exp(-int (r + l*f(Y,Z)) ds) instead of sampling the default
 time, which is exact for a doubly stochastic default and cuts variance.
 
-Only the factors that a payoff reads are stepped. r always is. The stock
-X is stepped only when the inputs carry a strike (calls and puts; bonds
-and CDS never read it). Y is stepped only when f is a function, Z only
-when f is a function and dlt > 0, and Yt only when sigma is a function
-and X is stepped. A constant intensity integrates to one number per step.
-So under ``FactorSpec.constant`` a bond or CDS steps r alone, and an
-option steps r and X.
+Two models fill in sigma, f, L, c, g and the correlations (``FactorSpec``).
+Constant factors (``FactorSpec.constant``) take sigma and f = lam as
+numbers and correlate only W0 and W1, by rho1; every correction vanishes,
+so the leading-order closed forms are exact, and Y, Z and Yt are never
+stepped: a bond or CDS steps r alone, an option r and X. Multiscale
+factors (``FactorSpec.multiscale``) are one bounded, smooth choice:
+sigma(yt) = 0.2 + 0.1 tanh(yt), f(y, z) = lam exp(min(y + z, 2)) scaled so
+that its fast average at z0 is lam, L(yt) = 0.2 tanh(yt), c(z) = -z,
+g = 0.5 and the fixed ``_MULTISCALE_CORR``; a bond or CDS steps r and Y,
+an option also X and Yt, and Z is stepped only when dlt > 0.
 
-The random stream does not depend on what is live: every step draws a
+The random stream does not depend on what is stepped: every step draws a
 (paths, 5) block of standard normals and correlates it with the full 5x5
 Cholesky factor, so a fixed seed gives the same estimates bit for bit
-whichever factors a spec makes constant. Antithetic pairs share each
-draw: the base path adds an increment and its mirror subtracts it. Fixed-
-size chunks with jumped PCG64 substreams make a fixed seed
-bit-reproducible regardless of how the reduction is batched.
+whichever factors a payoff reads. Antithetic pairs share each draw: the
+base path adds an increment and its mirror subtracts it. Fixed-size chunks
+with jumped PCG64 substreams make a fixed seed bit-reproducible regardless
+of how the reduction is batched.
 
-This is a validation oracle, not a production pricer: one concrete,
-bounded, smooth instantiation of the latent factors is supplied for
-experiments; only its averaged quantities are ever compared against the
-closed forms.
+This is a validation oracle, not a production pricer: only its averaged
+quantities are ever compared against the closed forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 # NumPy is imported inside each function, so that importing the package,
@@ -60,85 +61,90 @@ MIN_PATHS = 10_000
 _M = _MT = 0.0
 _NU = _NUT = 0.5
 _Y0 = _YT0 = _Z0 = 0.0
+# Correlations of (W0, W1, W2, W3, W4) under the multiscale model; positive definite.
+_MULTISCALE_CORR = (
+    (1.0, -0.2, -0.3, -0.1, -0.4),
+    (-0.2, 1.0, 0.1, 0.0, 0.1),
+    (-0.3, 0.1, 1.0, 0.0, 0.2),
+    (-0.1, 0.0, 0.0, 1.0, 0.0),
+    (-0.4, 0.1, 0.2, 0.0, 1.0),
+)
+_SLOW_G = 0.5  # g(z) of the multiscale slow factor; c(z) = -z
 
 
 @dataclass(frozen=True)
 class FactorSpec:
-    """Concrete latent-factor choice: functions, scales, and correlations.
+    """One of the two factor models, by its numbers: build it with ``constant`` or ``multiscale``.
 
-    ``rho`` couples the stock driver W0 to (W1..W4); ``rho_ij`` couples the
-    factor drivers among themselves. The implied 5x5 correlation matrix
-    must be positive semidefinite. ``sigma_fn`` and ``f_fn`` are functions
-    of the factors or plain numbers; a number is a constant, and the
-    factors that only it would read are not simulated.
+    ``lam`` is the (averaged) intensity of both. Constant factors set
+    ``sigma`` and ``rho1`` and leave ``eps`` None; multiscale factors set
+    ``eps`` and ``dlt`` and leave ``sigma`` and ``rho1`` None, as their
+    volatility and correlations are fixed by the model.
     """
 
-    eps: float
-    dlt: float
-    rho1: float = 0.0
-    rho2: float = 0.0
-    rho3: float = 0.0
-    rho4: float = 0.0
-    rho_ij: dict = field(default_factory=dict)  # e.g. {(1, 2): 0.1}
-    sigma_fn: object = None
-    f_fn: object = None
-    lambda_fn: object = None  # market price of volatility risk
-    c_fn: object = None
-    g_fn: object = None
+    lam: float
+    sigma: float | None = None
+    rho1: float | None = None
+    eps: float | None = None
+    dlt: float | None = None
 
     def __post_init__(self):
-        if not (0 < self.eps < math.inf and 0 <= self.dlt < math.inf):
-            raise ValidationError("eps must be finite and > 0, dlt finite and >= 0")
-        if self.sigma_fn is None or self.f_fn is None:
-            raise ValidationError("sigma_fn and f_fn are required")
-        if callable(self.f_fn) and self.dlt > 0 and (self.c_fn is None or self.g_fn is None):
-            raise ValidationError("a slow factor (dlt > 0) needs c_fn and g_fn")
+        unset = [v is None for v in (self.sigma, self.rho1, self.eps, self.dlt)]
+        if unset not in ([False, False, True, True], [True, True, False, False]):
+            raise ValidationError("set sigma and rho1 (constant factors) "
+                                  "or eps and dlt (multiscale factors)")
+        if not 0 <= self.lam < math.inf:
+            raise ValidationError(f"lam must be finite and >= 0, got {self.lam}")
+        if self.multiscale_model:
+            if not (0 < self.eps < math.inf and 0 <= self.dlt < math.inf):
+                raise ValidationError("eps must be finite and > 0, dlt finite and >= 0")
+        elif not 0 < self.sigma < math.inf:
+            raise ValidationError(f"sigma must be finite and > 0, got {self.sigma}")
+        elif not abs(self.rho1) < 1:
+            raise ValidationError(f"rho1 must lie in (-1, 1), got {self.rho1}")
 
-    def correlation_matrix(self):
-        import numpy as np
-
-        corr = np.eye(5)
-        for i, r in enumerate((self.rho1, self.rho2, self.rho3, self.rho4), start=1):
-            corr[0, i] = corr[i, 0] = r
-        for (i, j), r in self.rho_ij.items():
-            corr[i, j] = corr[j, i] = r
-        return corr
+    @property
+    def multiscale_model(self) -> bool:
+        return self.eps is not None
 
     @classmethod
     def constant(cls, sigma: float, lam: float, rho1: float = 0.0) -> "FactorSpec":
-        """Degenerate factors: constant volatility and intensity.
-
-        All corrections vanish, so the closed-form leading order is exact
-        and the simulation validates the pricing kernel itself. Y, Z and Yt
-        are not simulated.
-        """
-        return cls(eps=1.0, dlt=0.0, rho1=rho1, sigma_fn=float(sigma), f_fn=float(lam))
+        """Constant volatility ``sigma`` and intensity ``lam``; ``rho1`` couples W0 and W1."""
+        return cls(lam=float(lam), sigma=float(sigma), rho1=rho1)
 
     @classmethod
     def multiscale(cls, lam: float, eps: float, dlt: float) -> "FactorSpec":
-        """Bounded smooth multiscale factors with averaged intensity lam at z0.
+        """The multiscale factors: averaged intensity ``lam`` at z0, scales ``eps`` and ``dlt``."""
+        return cls(lam=lam, eps=eps, dlt=dlt)
 
-        sigma(yt) = 0.2 + 0.1 tanh(yt); f(y, z) = lam * exp(min(y+z, 2)),
-        normalized so the fast-average of f at the starting z equals lam.
-        The slow factor mean-reverts to zero with constant diffusion.
-        """
-        import numpy as np
 
-        norm = _gauss_mean(lambda y: np.exp(np.minimum(y, 2.0)), _M, _NU)
-        return cls(
-            eps=eps,
-            dlt=dlt,
-            rho1=-0.2,
-            rho2=-0.3,
-            rho3=-0.1,
-            rho4=-0.4,
-            rho_ij={(1, 2): 0.1, (1, 4): 0.1, (2, 4): 0.2},
-            sigma_fn=lambda yt: 0.2 + 0.1 * np.tanh(yt),
-            f_fn=lambda y, z: lam * np.exp(np.minimum(y + z, 2.0)) / norm,
-            lambda_fn=lambda yt: 0.2 * np.tanh(yt),
-            c_fn=lambda z: -z,
-            g_fn=lambda z: 0.5 * np.ones_like(np.asarray(z, dtype=float)),
-        )
+def _sigma(yt):
+    """Multiscale volatility sigma(yt)."""
+    import numpy as np
+
+    return 0.2 + 0.1 * np.tanh(yt)
+
+
+def _vol_risk_price(yt):
+    """Multiscale market price of volatility risk L(yt)."""
+    import numpy as np
+
+    return 0.2 * np.tanh(yt)
+
+
+def _intensity(lam, y, z):
+    """Multiscale intensity f(y, z), whose fast average at z0 is ``lam``."""
+    import numpy as np
+
+    return lam * np.exp(np.minimum(y + z, 2.0)) / _intensity_norm()
+
+
+@lru_cache(maxsize=None)
+def _intensity_norm() -> float:
+    """<exp(min(y, 2))> over the fast law N(m, nu^2): f's normaliser."""
+    import numpy as np
+
+    return _gauss_mean(lambda y: np.exp(np.minimum(y, 2.0)), _M, _NU)
 
 
 @lru_cache(maxsize=None)
@@ -163,24 +169,15 @@ def effective_params(spec: FactorSpec):
 
     sigma1 = <sigma>, sigma2 = sqrt(<sigma^2>) over the fast-volatility
     invariant distribution N(mt, nut^2); lam = <f(., z0)> over N(m, nu^2);
-    rho1_eff = rho1 * sigma1 / sigma2. A constant is its own average, so a
-    constant sigma gives (sigma, sigma, ., rho1) exactly.
+    rho1_eff = rho1 * sigma1 / sigma2, with rho1 the W0-W1 correlation.
+    Constant factors are their own averages: (sigma, sigma, lam, rho1) exactly.
     """
-    import numpy as np
-
-    sig, f = spec.sigma_fn, spec.f_fn
-    if callable(sig):
-        sigma1 = _gauss_mean(sig, _MT, _NUT)
-        sigma2 = math.sqrt(_gauss_mean(lambda y: np.asarray(sig(y)) ** 2, _MT, _NUT))
-        rho1_eff = spec.rho1 * sigma1 / sigma2
-    else:
-        sigma1 = sigma2 = float(sig)
-        rho1_eff = spec.rho1
-    if callable(f):
-        lam = _gauss_mean(lambda y: f(y, _Z0 * np.ones_like(np.asarray(y))), _M, _NU)
-    else:
-        lam = float(f)
-    return sigma1, sigma2, lam, rho1_eff
+    if not spec.multiscale_model:
+        return spec.sigma, spec.sigma, spec.lam, spec.rho1
+    sigma1 = _gauss_mean(_sigma, _MT, _NUT)
+    sigma2 = math.sqrt(_gauss_mean(lambda y: _sigma(y) ** 2, _MT, _NUT))
+    lam = _gauss_mean(lambda y: _intensity(spec.lam, y, _Z0), _M, _NU)
+    return sigma1, sigma2, lam, _MULTISCALE_CORR[0][1] * sigma1 / sigma2
 
 
 @dataclass(frozen=True)
@@ -247,11 +244,12 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
         raise ValidationError(f"horizons must be finite and positive, got {horizons}")
     if len(set(horizons)) < len(horizons):
         raise ValidationError(f"horizons must be distinct, got {horizons}")
-    corr = spec.correlation_matrix()
-    eigmin = float(np.linalg.eigvalsh(corr)[0])
-    if eigmin < -1e-10:
-        raise ValidationError(f"correlation matrix not PSD (min eigenvalue {eigmin})")
-    chol = np.linalg.cholesky(corr + max(0.0, -eigmin + 1e-14) * np.eye(5))
+    if spec.multiscale_model:
+        corr = np.array(_MULTISCALE_CORR)
+    else:
+        corr = np.eye(5)
+        corr[0, 1] = corr[1, 0] = spec.rho1
+    chol = np.linalg.cholesky(corr)
 
     steps = _segment_steps(horizons, cfg.n_steps_per_year)
     grid = _time_grid(horizons, steps)
@@ -292,30 +290,30 @@ def _mirrored(state, vol, d):
 
 
 def _simulate_chunk(rng, size, grid, h_steps, chol, spec, inputs, out):
-    """Step one chunk's live factors over ``grid``; write ``out`` at each horizon step."""
+    """Step one chunk's factors over ``grid``; write ``out`` at each horizon step."""
     import numpy as np
 
     va, eq = inputs.vasicek, inputs.equity
-    sig_fn, f_fn = spec.sigma_fn, spec.f_fn
     stock = "x" in out
-    live_yt = stock and callable(sig_fn)
-    live_y = callable(f_fn)
-    live_z = live_y and spec.dlt > 0
-    sqeps = math.sqrt(spec.eps)
-    fast_vol = _NU * math.sqrt(2.0) / sqeps
-    fast_vol_t = _NUT * math.sqrt(2.0) / sqeps
+    multi = spec.multiscale_model
+    live_z = multi and spec.dlt > 0
+    live_yt = multi and stock
 
     # state arrays: axis 0 = (base, antithetic)
     shape = (2, size)
     r = np.full(shape, va.r)
     ir = np.zeros(shape)
-    if live_y:
+    if multi:
+        sqeps = math.sqrt(spec.eps)
+        fast_vol = _NU * math.sqrt(2.0) / sqeps
+        fast_vol_t = _NUT * math.sqrt(2.0) / sqeps
+        vol_z = math.sqrt(spec.dlt) * _SLOW_G
         y = np.full(shape, _Y0)
         z = np.full(shape, _Z0) if live_z else np.broadcast_to(_Z0, shape)
-        lam = np.asarray(f_fn(y, z))
+        lam = _intensity(spec.lam, y, z)
         il = np.zeros(shape)
     else:
-        lam = float(f_fn)
+        lam = spec.lam
         il = 0.0
     if stock:
         logx = np.full(shape, math.log(eq.x))
@@ -326,35 +324,32 @@ def _simulate_chunk(rng, size, grid, h_steps, chol, spec, inputs, out):
     dw = np.empty((size, 5))
     for i, dt in enumerate(np.diff(grid).tolist(), start=1):
         sq_dt = math.sqrt(dt)
-        # Five correlated columns every step, live or not: the stream stays fixed.
+        # Five correlated columns every step, stepped or not: the stream stays fixed.
         rng.standard_normal(out=draws)
         np.matmul(draws, chol.T, out=dw)
 
         if stock:
-            sig = np.asarray(sig_fn(yt)) if live_yt else sig_fn
+            sig = _sigma(yt) if live_yt else spec.sigma
             drift_x = (r + lam - eq.q - 0.5 * sig * sig) * dt
             _mirrored(drift_x, sig, dw[:, 0] * sq_dt)
             logx += drift_x
         r_new = r + (va.alpha - va.beta * r) * dt
         _mirrored(r_new, va.eta, dw[:, 1] * sq_dt)
-        if live_y:
+        if multi:
             y = y + (_M - y) / spec.eps * dt
             _mirrored(y, fast_vol, dw[:, 2] * sq_dt)
             if live_z:
-                vol_z = math.sqrt(spec.dlt) * np.asarray(spec.g_fn(z))
-                z = z + spec.dlt * np.asarray(spec.c_fn(z)) * dt
+                z = z + spec.dlt * -z * dt
                 _mirrored(z, vol_z, dw[:, 3] * sq_dt)
         if live_yt:
-            drift_yt = (_MT - yt) / spec.eps
-            if spec.lambda_fn is not None:
-                drift_yt = drift_yt - fast_vol_t * np.asarray(spec.lambda_fn(yt))
+            drift_yt = (_MT - yt) / spec.eps - fast_vol_t * _vol_risk_price(yt)
             yt = yt + drift_yt * dt
             _mirrored(yt, fast_vol_t, dw[:, 4] * sq_dt)
 
         ir += 0.5 * (r + r_new) * dt
         r = r_new
-        if live_y:
-            lam_new = np.asarray(f_fn(y, z))
+        if multi:
+            lam_new = _intensity(spec.lam, y, z)
             il += 0.5 * (lam + lam_new) * dt
             lam = lam_new
         else:

@@ -30,11 +30,6 @@ from .errors import CalibrationError, NumericalError, ValidationError
 __all__ = [
     "VasicekParams",
     "EquityParams",
-    "factor_b",
-    "factor_a",
-    "factor_a_deta",
-    "int_b",
-    "int_b_squared",
     "riskless_bond",
     "vasicek_factors",
     "vasicek_yield",
@@ -151,31 +146,6 @@ def _riskless(p: VasicekParams, b: float, a: float) -> float:
     except OverflowError:
         raise NumericalError(f"the riskless bond exp({a - b * p.r:.6g}) is out of float range "
                              f"at alpha = {p.alpha}, eta = {p.eta}, r = {p.r}") from None
-
-
-def factor_b(beta: float, s: float) -> float:
-    """b(s) = (1 - exp(-beta*s)) / beta."""
-    return vasicek_factors(beta, s)[0]
-
-
-def int_b(beta: float, s: float) -> float:
-    """Integral of b over [0, s]: (s - b(s)) / beta."""
-    return vasicek_factors(beta, s)[1]
-
-
-def int_b_squared(beta: float, s: float) -> float:
-    """Integral of b^2 over [0, s]: 2 G(beta*s) / beta^3."""
-    return 2 * vasicek_factors(beta, s)[3]
-
-
-def factor_a(p: VasicekParams, s: float) -> float:
-    """a(s) in the exponent of the riskless bond; a(0) = 0."""
-    return vasicek_factors(p.beta, s, p.alpha, p.eta)[2]
-
-
-def factor_a_deta(p: VasicekParams, s: float) -> float:
-    """d a(s) / d eta = 2*eta/beta^3 * G(s)."""
-    return 2 * p.eta * vasicek_factors(p.beta, s)[3]
 
 
 def riskless_bond(p: VasicekParams, s: float) -> float:
@@ -380,23 +350,21 @@ def fit_vasicek(curve, r_proxy: float | None = None) -> VasicekParams:
     def sse_at(b):
         return float(project([b])[2][0])
 
-    # The lowest grid minimum is polished to xtol; the others only closely
-    # enough to rank them, and the one that beats it is then polished on.
-    best, beta, refine = sses[minima[0]], grid[minima[0]], None
+    # Each minimum is polished to full precision before they are ranked: a
+    # deep minimum on a kink of the profile (a box bound that becomes active
+    # there) can rank below a shallow one until both are polished.
+    best, beta = sses[minima[0]], grid[minima[0]]
     for k in minima:
         lo_k, hi_k = max(k - 1, 0), min(k + 1, len(grid) - 1)
         ends = (grid[lo_k], float(sses[lo_k]), grid[hi_k], float(sses[hi_k]))
-        xtol = 1e-13 if k == minima[0] else 1e-6
-        polished, value = _brent_min(sse_at, *ends, grid[k], float(sses[k]), xtol=xtol)
+        polished, value = _brent_min(sse_at, *ends, grid[k], float(sses[k]), xtol=1e-13)
         # Near a bound the SSE's rounding can put a spurious minimum just
         # inside it; a minimum on a bound stays there unless the polish
         # gains more than that rounding.
         if grid[k] in (lo, hi) and value > sses[k] * (1 - _BOUND_RTOL):
             continue
         if value < best:
-            best, beta, refine = value, polished, (ends if k != minima[0] else None)
-    if refine is not None:
-        beta, best = _brent_min(sse_at, *refine, beta, best, xtol=1e-13)
+            best, beta = value, polished
     (alpha,), (eta2,), _ = project([beta])
 
     if not (math.isfinite(alpha) and math.isfinite(eta2)):

@@ -26,7 +26,7 @@ from credeq.pricing import (
     put_p0,
     variance_v,
 )
-from credeq.rates import EquityParams, VasicekParams, factor_b, riskless_bond, vasicek_yield
+from credeq.rates import EquityParams, VasicekParams, riskless_bond, vasicek_factors, vasicek_yield
 
 from conftest import (
     CDS_SET_A,
@@ -103,8 +103,8 @@ def test_criterion_2_variance_consistency():
             pin = PricingInputs(va, eq, CreditParams(1, 0.1), tau)
             ref, _ = quad(
                 lambda s: eq.sigma2**2
-                + (va.eta * factor_b(va.beta, s)) ** 2
-                + 2 * eq.rho1 * eq.sigma2 * va.eta * factor_b(va.beta, s),
+                + (va.eta * vasicek_factors(va.beta, s)[0]) ** 2
+                + 2 * eq.rho1 * eq.sigma2 * va.eta * vasicek_factors(va.beta, s)[0],
                 0,
                 tau,
                 epsabs=1e-14,

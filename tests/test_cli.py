@@ -412,12 +412,12 @@ class TestCdsSeries:
         assert float(lines[1].rsplit(",", 1)[1]) == float(lines[3].rsplit(",", 1)[1])
 
 
-def assert_one_error_line(code, out, err):
+def assert_one_error_line(code, out, err, error="ValidationError"):
     assert code == 2
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "ValidationError"
+    assert json.loads(lines[0])["error"] == error
 
 
 class TestMalformedJson:
@@ -450,6 +450,44 @@ class TestMalformedJson:
         path.write_text(json.dumps([fit_dict()]))
         code, out, err = run(capsys, argv[0], "--fit", str(path), *argv[1:])
         assert_one_error_line(code, out, err)
+
+
+    @pytest.mark.parametrize("variant, error", [
+        (["seven_param"], "ValidationError"), (7, "ValidationError"),
+        (None, "ValidationError"), ("five_param", "ConfigurationError"),
+    ], ids=["list", "number", "null", "unknown"])
+    @pytest.mark.parametrize("argv", [
+        ["price", "--kind", "bond", "--maturity", "2"],
+        ["cds-curve"],
+    ], ids=["price", "cds-curve"])
+    def test_bad_variant(self, tmp_path, capsys, argv, variant, error):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(dict(fit_dict(), variant=variant)))
+        code, out, err = run(capsys, argv[0], "--fit", str(path), *argv[1:])
+        assert_one_error_line(code, out, err, error)
+
+
+class TestUnreadableInput:
+    """A path that is a directory, or a file that is not UTF-8, exits 2 with one JSON line."""
+
+    def test_directory_path(self, tmp_path, capsys):
+        code, out, err = run(capsys, "fit-rates", "--treasury", str(tmp_path))
+        assert_one_error_line(code, out, err, "IsADirectoryError")
+
+    def test_utf16_csv(self, tmp_path, capsys):
+        path = tmp_path / "treasury.csv"
+        save_treasury_csv(path, TreasuryCurve(points=((0.25, 0.05), (1.0, 0.051), (5.0, 0.052))))
+        path.write_bytes(path.read_text(encoding="utf-8").encode("utf-16"))
+        code, out, err = run(capsys, "fit-rates", "--treasury", str(path))
+        assert_one_error_line(code, out, err, "UnicodeDecodeError")
+
+    def test_utf16_fit_json(self, tmp_path, capsys):
+        path = tmp_path / "fit.json"
+        path.write_bytes(json.dumps(fit_dict()).encode("utf-16"))
+        assert path.read_bytes()[:2] == b"\xff\xfe"
+        code, out, err = run(capsys, "price", "--fit", str(path), "--kind", "bond",
+                             "--maturity", "2")
+        assert_one_error_line(code, out, err, "UnicodeDecodeError")
 
 
 class TestOracleCommand:

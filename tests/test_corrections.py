@@ -6,7 +6,7 @@ import pytest
 from credeq.corrections import CorrectionParams, _evaluate, greeks, price_full, price_p0
 from credeq.errors import ConfigurationError
 from credeq.pricing import CreditParams, PricingInputs, call_p0, norm_pdf
-from credeq.rates import EquityParams, VasicekParams, factor_b, int_b
+from credeq.rates import EquityParams, VasicekParams, vasicek_factors
 
 from conftest import SURFACE_COEFFS, SURFACE_EQUITY, SURFACE_LAMBDA, SURFACE_VASICEK
 from reference_oracles import FD_STEP_PARAM, _reprice, _richardson_d1, greeks_fd
@@ -108,7 +108,7 @@ class TestGreeksAgainstFiniteDifferences:
         beta, tau = SURFACE_VASICEK.beta, 3.0
         da = -bond * (tau / beta + (math.exp(-beta * tau) - 1) / beta**2)
         assert g[2] == pytest.approx(da, rel=1e-13)
-        b = factor_b(beta, tau)
+        b = vasicek_factors(beta, tau)[0]
         assert g[7] == pytest.approx(
             (-da + 0.5 * tau * tau * bond - tau * b * bond) / beta, rel=1e-13
         )
@@ -180,8 +180,8 @@ class TestCorrectionAssembly:
 
         bond = defaultable_bond_p0(pin)
         beta, tau = pin.vasicek.beta, pin.tau
-        da = -int_b(beta, tau) * bond
-        dr = -factor_b(beta, tau) * bond
+        da = -vasicek_factors(beta, tau)[1] * bond
+        dr = -vasicek_factors(beta, tau)[0] * bond
         bracket = (-da + 0.5 * tau * tau * bond + tau * dr) / beta
         assert self.correction(pin, only_w2, "bond") == pytest.approx(
             0.283 * 0.0036 * bracket, rel=1e-13

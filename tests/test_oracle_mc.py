@@ -89,14 +89,6 @@ class TestDeterminism:
         assert 2.0 * 0.8 < ratio < 2.0 * 1.2
 
 
-def constants_as_functions(sigma, lam, rho1):
-    """FactorSpec.constant's numbers as functions, with a slow factor: all five factors are stepped."""
-    return FactorSpec(eps=1.0, dlt=1.0, rho1=rho1,
-                      sigma_fn=lambda yt: sigma * np.ones_like(yt),
-                      f_fn=lambda y, z: lam * np.ones_like(y),
-                      c_fn=np.zeros_like, g_fn=np.zeros_like)
-
-
 class TestLiveFactors:
     """Skipping the factors no payoff reads leaves every float of the oracle as it was."""
 
@@ -111,13 +103,6 @@ class TestLiveFactors:
         cfg = McConfig(n_paths=20_000, seed=seed, factor_spec=spec)
         schedule = annual_schedule(3.0) if instrument == "cds" else None
         return mc_price(cfg, instrument, self.PINS[instrument], schedule)
-
-    @pytest.mark.parametrize("instrument", ["call", "put", "bond", "cds"])
-    def test_constants_equal_constant_functions(self, instrument):
-        # The function spec steps Y, Z and Yt (and X for options) on the same draws.
-        numbers = FactorSpec.constant(sigma=EQ.sigma2, lam=CR.lam, rho1=EQ.rho1)
-        functions = constants_as_functions(EQ.sigma2, CR.lam, EQ.rho1)
-        assert self.price(numbers, instrument, seed=4) == self.price(functions, instrument, seed=4)
 
     # (estimate, standard error) at seed 1 and 20,000 paths, recorded before the step loop
     # skipped dead factors. A different stream moves each estimate by about one SE.
@@ -153,9 +138,26 @@ class TestLiveFactors:
         for key in ("int_r", "int_lam", "x"):
             np.testing.assert_array_equal(both[key][0], alone[key][0])
 
-    def test_slow_factor_needs_its_functions(self):
-        with pytest.raises(ValidationError, match="c_fn and g_fn"):
-            FactorSpec(eps=0.1, dlt=0.1, sigma_fn=0.2, f_fn=lambda y, z: 0.05 + 0 * y)
+    # (estimate, standard error) at seed 1 and 20,000 paths, recorded while the multiscale
+    # model's functions were fields of FactorSpec: an option steps X, r, Y and Yt, and Z
+    # when dlt > 0; a bond or CDS steps r, Y and Z.
+    MULTISCALE_PINNED = {
+        ("call", 0.09): (0.6877998785574673, 0.003571569583325978),
+        ("bond", 0.09): (0.8641394835958752, 1.77914720569523e-05),
+        ("cds", 0.09): (0.025080063892048286, 1.0182647770646681e-05),
+        ("call", 0.0): (0.6878606737824413, 0.0035757315819580932),
+    }
+
+    @pytest.mark.parametrize("instrument, dlt", sorted(MULTISCALE_PINNED))
+    def test_multiscale_stream_is_pinned(self, instrument, dlt):
+        spec = FactorSpec.multiscale(lam=0.06, eps=0.09, dlt=dlt)
+        assert self.price(spec, instrument) == self.MULTISCALE_PINNED[instrument, dlt]
+
+    @pytest.mark.parametrize("eps", [0.25, 0.09, 0.01])
+    def test_multiscale_effective_params_are_pinned(self, eps):
+        # The criterion-9 specs, recorded as for MULTISCALE_PINNED: the averages do not read eps.
+        assert effective_params(FactorSpec.multiscale(lam=0.06, eps=eps, dlt=eps)) == (
+            0.2, 0.20429185356818252, 0.06000000000000001, -0.19579831158881714)
 
 
 class TestTimeGrid:
@@ -194,7 +196,8 @@ class TestMultiscale:
         assert lam == pytest.approx(0.05, rel=1e-10)
         assert sigma1 == pytest.approx(0.2, abs=1e-9)  # tanh averages to zero
         assert sigma2 > sigma1  # Jensen
-        assert rho_eff == pytest.approx(spec.rho1 * sigma1 / sigma2, rel=1e-12)
+        rho1 = oracle_mc._MULTISCALE_CORR[0][1]
+        assert rho_eff == pytest.approx(rho1 * sigma1 / sigma2, rel=1e-12)
 
     @pytest.mark.parametrize("n", [64, 128, 201])
     def test_hermite_nodes_match_scipy(self, n):
@@ -232,25 +235,40 @@ class TestMultiscale:
 
 class TestValidation:
     def test_non_psd_correlations_rejected(self):
-        spec = FactorSpec(
-            eps=0.1,
-            dlt=0.0,
-            rho1=0.95,
-            rho2=0.95,
-            rho_ij={(1, 2): -0.9},
-            sigma_fn=lambda y: 0.2 * np.ones_like(np.asarray(y)),
-            f_fn=lambda y, z: 0.05 * np.ones_like(np.asarray(y)),
-        )
-        cfg = McConfig(n_paths=10_000, seed=1, factor_spec=spec)
-        pin = PricingInputs(VA, EQ, CR, 0.5, 8.0)
-        with pytest.raises(ValidationError, match="PSD"):
-            mc_price(cfg, "call", pin)
+        # rho1 is the one correlation a caller sets; at |rho1| >= 1 (or NaN) the 5x5
+        # correlation matrix has no Cholesky factor.
+        for rho1 in (1.0, -1.0, 1.5, math.nan):
+            with pytest.raises(ValidationError, match="rho1"):
+                FactorSpec.constant(sigma=0.2, lam=0.05, rho1=rho1)
 
     @pytest.mark.parametrize("eps, dlt", [(math.nan, 0.0), (math.inf, 0.0), (0.0, 0.0),
                                           (0.1, math.nan), (0.1, math.inf), (0.1, -0.1)])
     def test_bad_factor_scales_rejected(self, eps, dlt):
         with pytest.raises(ValidationError, match="eps"):
-            FactorSpec(eps=eps, dlt=dlt, sigma_fn=0.2, f_fn=0.05)
+            FactorSpec.multiscale(lam=0.05, eps=eps, dlt=dlt)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(sigma=math.nan), "sigma"), (dict(sigma=math.inf), "sigma"),
+        (dict(sigma=0.0), "sigma"), (dict(sigma=-0.2), "sigma"),
+        (dict(lam=math.nan), "lam"), (dict(lam=math.inf), "lam"), (dict(lam=-1.0), "lam"),
+        (dict(rho1=math.nan), "rho1"), (dict(rho1=-1.0), "rho1"),
+    ])
+    def test_bad_constant_numbers_rejected(self, kwargs, name):
+        with pytest.raises(ValidationError, match=name):
+            FactorSpec.constant(**{"sigma": 0.2, "lam": 0.05, "rho1": -0.25, **kwargs})
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.01])
+    def test_bad_multiscale_intensity_rejected(self, lam):
+        with pytest.raises(ValidationError, match="lam"):
+            FactorSpec.multiscale(lam=lam, eps=0.09, dlt=0.09)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(sigma=0.2, rho1=0.0, eps=0.1, dlt=0.1), dict(sigma=0.2, eps=0.1, dlt=0.1),
+        dict(sigma=0.2), dict(eps=0.1), dict(),
+    ])
+    def test_numbers_of_one_model_only(self, kwargs):
+        with pytest.raises(ValidationError, match="sigma and rho1"):
+            FactorSpec(lam=0.05, **kwargs)
 
     def test_path_count_floor(self):
         with pytest.raises(ValidationError):

@@ -15,7 +15,7 @@ from credeq.pricing import (
     put_p0,
     variance_v,
 )
-from credeq.rates import EquityParams, VasicekParams, factor_b, riskless_bond, vasicek_yield
+from credeq.rates import EquityParams, VasicekParams, riskless_bond, vasicek_factors, vasicek_yield
 
 from conftest import SURFACE_EQUITY, SURFACE_LAMBDA, SURFACE_VASICEK
 from reference_oracles import generic_p0
@@ -56,8 +56,8 @@ class TestVarianceV:
             va, eq = pin.vasicek, pin.equity
             ref, _ = quad(
                 lambda s: eq.sigma2**2
-                + (va.eta * factor_b(va.beta, s)) ** 2
-                + 2 * eq.rho1 * eq.sigma2 * va.eta * factor_b(va.beta, s),
+                + (va.eta * vasicek_factors(va.beta, s)[0]) ** 2
+                + 2 * eq.rho1 * eq.sigma2 * va.eta * vasicek_factors(va.beta, s)[0],
                 0,
                 pin.tau,
                 epsabs=1e-14,
@@ -89,8 +89,8 @@ class TestVarianceV:
         va, eq = pin.vasicek, pin.equity
         ref, _ = quad(
             lambda s: eq.sigma2**2
-            + (va.eta * factor_b(va.beta, s)) ** 2
-            + 2 * eq.rho1 * eq.sigma2 * va.eta * factor_b(va.beta, s),
+            + (va.eta * vasicek_factors(va.beta, s)[0]) ** 2
+            + 2 * eq.rho1 * eq.sigma2 * va.eta * vasicek_factors(va.beta, s)[0],
             0,
             1.0,
             epsabs=1e-14,
