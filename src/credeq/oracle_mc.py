@@ -32,6 +32,12 @@ base path adds an increment and its mirror subtracts it. Fixed-size chunks
 with jumped PCG64 substreams make a fixed seed bit-reproducible regardless
 of how the reduction is batched.
 
+``simulate_terminals`` runs the paths to a set of horizons, and
+``mc_estimate`` turns the run into any call, put, bond or CDS estimate on
+them, with the only copy of each payoff; ``mc_price`` does both for one
+payoff. A payoff at the run's first horizon equals its own run bit for
+bit; a later horizon's time grid differs from its own run's.
+
 This is a validation oracle, not a production pricer: only its averaged
 quantities are ever compared against the closed forms.
 """
@@ -39,7 +45,7 @@ quantities are ever compared against the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 # NumPy is imported inside each function, so that importing the package,
@@ -52,6 +58,7 @@ __all__ = [
     "McConfig",
     "effective_params",
     "simulate_terminals",
+    "mc_estimate",
     "mc_price",
 ]
 
@@ -185,11 +192,15 @@ class McConfig:
     n_paths: int
     n_steps_per_year: int = 252
     seed: int = 0
-    factor_spec: FactorSpec | None = None
+    factor_spec: FactorSpec = field(kw_only=True)
 
     def __post_init__(self):
-        if self.factor_spec is None:
-            raise ValidationError("factor_spec is required")
+        for name in ("n_paths", "n_steps_per_year", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an int, got {value!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.n_paths < MIN_PATHS:
             raise ValidationError(f"n_paths must be >= {MIN_PATHS}")
         if self.n_paths % 2:
@@ -233,6 +244,8 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
     - ``int_lam``: array (H, 2, n_half), trapezoidal integral of f(Y, Z)
     - ``x``:       array (H, 2, n_half), stock at each horizon; present
       only when ``inputs.strike`` is set, as only then is it simulated
+    - ``horizons``: the H horizons, sorted; ``vasicek``, ``equity``: the
+      blocks of ``inputs`` the run read, which ``mc_estimate`` checks
 
     Axis 1 separates the base paths from their antithetic mirrors.
     """
@@ -262,17 +275,13 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
         out["x"] = np.empty(shape)
 
     base_stream = np.random.PCG64(cfg.seed)
-    start = 0
-    chunk_idx = 0
-    while start < n_half:
+    for chunk_idx, start in enumerate(range(0, n_half, CHUNK_BASE_PATHS)):
         size = min(CHUNK_BASE_PATHS, n_half - start)
         rng = np.random.Generator(base_stream.jumped(chunk_idx))
         sl = slice(start, start + size)
         _simulate_chunk(rng, size, grid, h_steps, chol, spec, inputs,
                         {key: val[:, :, sl] for key, val in out.items()})
-        start += size
-        chunk_idx += 1
-    return out
+    return {**out, "horizons": horizons, "vasicek": inputs.vasicek, "equity": inputs.equity}
 
 
 def _mirrored(state, vol, d):
@@ -366,65 +375,71 @@ def _simulate_chunk(rng, size, grid, h_steps, chol, spec, inputs, out):
 def _pair_stats(values):
     """Mean and standard error from antithetic pair means; values (2, n_half)."""
     pair_means = 0.5 * (values[0] + values[1])
-    n = pair_means.size
-    est = float(pair_means.mean())
-    se = float(pair_means.std(ddof=1) / math.sqrt(n))
-    return est, se
+    return (float(pair_means.mean()),
+            float(pair_means.std(ddof=1) / math.sqrt(pair_means.size)))
 
 
-def mc_price(cfg: McConfig, instrument: str, inputs: PricingInputs, schedule=None):
-    """(estimate, standard error) for a call, put, bond, or CDS spread.
+def _payoff_horizons(instrument: str, inputs: PricingInputs, schedule):
+    """The horizons a payoff reads: ``inputs.tau``, or a CDS schedule's payment times."""
+    if instrument not in ("call", "put", "bond", "cds"):
+        raise ValidationError(f"unknown instrument {instrument!r}")
+    if instrument in ("call", "put") and inputs.strike is None:
+        raise ValidationError("option pricing requires a strike")
+    if instrument == "cds" and schedule is None:
+        raise ValidationError("cds pricing requires a payment schedule")
+    return list(schedule.payment_times) if instrument == "cds" else [inputs.tau]
+
+
+def mc_estimate(instrument: str, sim, inputs: PricingInputs, schedule=None):
+    """(estimate, standard error) of a call, put, bond or CDS spread from ``simulate_terminals``.
 
     Options discount with the full intensity (worthless at default; the put
     additionally collects the strike when default occurs). The bond uses
     the loss-scaled intensity. ``instrument="cds"`` needs a payment
     ``schedule`` and returns the annualized spread with a delta-method
-    standard error.
+    standard error. ``inputs`` must hold the run's vasicek and equity blocks.
     """
     import numpy as np
 
-    credit = inputs.credit
-    if instrument in ("call", "put"):
-        if inputs.strike is None:
-            raise ValidationError("option pricing requires a strike")
-        sim = simulate_terminals(cfg, inputs, [inputs.tau])
-        df_full = np.exp(-sim["int_r"][0] - sim["int_lam"][0])
-        x_t = sim["x"][0]
-        if instrument == "call":
-            vals = df_full * np.maximum(x_t - inputs.strike, 0.0)
-        else:
-            df_riskless = np.exp(-sim["int_r"][0])
-            vals = df_full * np.maximum(inputs.strike - x_t, 0.0) + inputs.strike * (
-                df_riskless - df_full
-            )
-        return _pair_stats(vals)
+    if (inputs.vasicek, inputs.equity) != (sim["vasicek"], sim["equity"]):
+        raise ValidationError("inputs' vasicek and equity blocks are not the simulation's")
+    times = _payoff_horizons(instrument, inputs, schedule)
+    if not set(times) <= set(sim["horizons"]):
+        raise ValidationError(f"the simulation did not reach every horizon of {times}")
+    ks = [sim["horizons"].index(t) for t in times]
+    k = ks[-1]
+    int_r, int_lam, l = sim["int_r"], sim["int_lam"], inputs.credit.l
     if instrument == "bond":
-        sim = simulate_terminals(cfg, inputs, [inputs.tau])
-        vals = np.exp(-sim["int_r"][0] - credit.l * sim["int_lam"][0])
-        return _pair_stats(vals)
+        return _pair_stats(np.exp(-int_r[k] - l * int_lam[k]))
     if instrument == "cds":
-        if schedule is None:
-            raise ValidationError("cds pricing requires a payment schedule")
-        times = list(schedule.payment_times)
-        sim = simulate_terminals(cfg, inputs, times)
-        last = len(times) - 1
-        numer = np.exp(-sim["int_r"][last]) - np.exp(
-            -sim["int_r"][last] - credit.l * sim["int_lam"][last]
-        )
-        denom = np.exp(-sim["int_r"] - sim["int_lam"]).sum(axis=0)
+        numer = np.exp(-int_r[k]) - np.exp(-int_r[k] - l * int_lam[k])
+        denom = np.exp(-int_r[ks] - int_lam[ks]).sum(axis=0)
         n_pair = 0.5 * (numer[0] + numer[1])
         d_pair = 0.5 * (denom[0] + denom[1])
-        n = n_pair.size
         nbar, dbar = n_pair.mean(), d_pair.mean()
         if dbar <= 0:
             raise NumericalError("degenerate premium annuity in simulation")
         spread = nbar / dbar / schedule.delta
         # delta method for the ratio of means
         cov = np.cov(n_pair, d_pair, ddof=1)
-        var = (
-            cov[0, 0] / dbar**2
-            + nbar**2 * cov[1, 1] / dbar**4
-            - 2 * nbar * cov[0, 1] / dbar**3
-        ) / n
+        var = (cov[0, 0] / dbar**2 + nbar**2 * cov[1, 1] / dbar**4
+               - 2 * nbar * cov[0, 1] / dbar**3) / n_pair.size
         return spread, math.sqrt(max(var, 0.0)) / schedule.delta
-    raise ValidationError(f"unknown instrument {instrument!r}")
+    if "x" not in sim:
+        raise ValidationError("a call or put needs a simulation of the stock")
+    df_full = np.exp(-int_r[k] - int_lam[k])
+    x_t, strike = sim["x"][k], inputs.strike
+    if instrument == "call":
+        return _pair_stats(df_full * np.maximum(x_t - strike, 0.0))
+    return _pair_stats(df_full * np.maximum(strike - x_t, 0.0)
+                       + strike * (np.exp(-int_r[k]) - df_full))
+
+
+def mc_price(cfg: McConfig, instrument: str, inputs: PricingInputs, schedule=None):
+    """(estimate, standard error) of one payoff (see ``mc_estimate``): simulate, then estimate.
+
+    Only a call or put simulates the stock; a strike on a bond or CDS is ignored.
+    """
+    horizons = _payoff_horizons(instrument, inputs, schedule)
+    run = inputs if instrument in ("call", "put") else replace(inputs, strike=None)
+    return mc_estimate(instrument, simulate_terminals(cfg, run, horizons), inputs, schedule)

@@ -70,9 +70,10 @@ class VasicekParams:
 class EquityParams:
     """Equity state: spot, effective volatilities, rate correlation, dividend yield.
 
-    ``rho1`` is the effective rate/equity correlation; only the product
-    eta * rho1 * sigma2 ever enters the pricing formulas, so ``sigma1``
-    (defaulting to ``sigma2``) matters only through that combination.
+    ``rho1`` is the effective rate/equity correlation; the pricing formulas
+    read it only in the product eta * rho1 * sigma2. ``sigma2`` is the only
+    volatility any formula reads: ``sigma1`` (defaulting to ``sigma2``) is
+    validated and round-trips through fit JSON, but no formula reads it.
     """
 
     x: float

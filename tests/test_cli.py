@@ -547,6 +547,15 @@ class TestOracleCommand:
                              "--maturity", "0.5", "--paths", "10000", "--dlt", dlt)
         assert_one_error_line(code, out, err)
 
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, seed):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(self.FIT))
+        code, out, err = run(capsys, "oracle", "--fit", str(path), "--instrument", "bond",
+                             "--maturity", "0.5", "--paths", "10000", "--seed", seed)
+        assert_one_error_line(code, out, err)
+        assert "seed" in json.loads(err)["message"]
+
     def test_dlt_defaults_to_zero_with_eps(self, tmp_path, capsys):
         path = tmp_path / "fit.json"
         path.write_text(json.dumps(self.FIT))
