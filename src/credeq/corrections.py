@@ -24,12 +24,23 @@ are taken in the bond-curve convention used by the calibration:
     g3_bond = dBc/dalpha
     g8_bond = (1/beta)[ -dBc/dalpha + tau^2/2 Bc + tau dBc/dr ].
 
+The kernel skips g8's bracket, which cancels to O(beta) before its division
+by beta. The alpha- and r-partials of P0 are multiples of c = x P0_x - P0
+(K Bc(1) N(d2) - put K Bc(0)): P0_alpha = int b * c, P0_r = b * c. With
+D = x^2 P0_xx - c and J = int_0^tau s b(s) ds = int b^2 + beta/2 (int b)^2,
+
+    g3 = int b * D,   g8 = J * D   (call, put);   g8_bond = J * Bc.
+
+g3 uses K Bc(1) phi(d2) = x_eff phi(d1). The bracket is D times
+(int b + tau^2/2 - tau b)/beta; that factor and J vanish at tau = 0 and have
+tau-derivative tau b, as b + beta int b = tau. J adds two terms >= 0.
+
 One kernel holds this algebra: ``_option_terms`` gives P0 and g1..g8 of a
 call or put, ``_bond_terms`` those of a bond. Put terms enter through a 0/1
 flag (put = call - x + K*B), not a branch. The same body runs on Python
 floats, for single prices, and on NumPy arrays, for whole calibration
 grids (``evaluate_options``, ``evaluate_bonds``). The Vasicek factors it
-needs (b, int b, int b^2, a, da/deta, B) come from one call of
+needs (b, int b, int b^2, J, a, da/deta, B) come from one call of
 :func:`credeq.rates.vasicek_factors` per distinct maturity. The tests check
 them against an independent finite-difference engine with Richardson
 extrapolation over the closed forms of :mod:`credeq.pricing`
@@ -246,25 +257,25 @@ def _array_namespace():
 
 
 def _rate_factors(va: VasicekParams, tau: float):
-    """(b, int b, a, G/beta^3, B) at one maturity; B = exp(a - b*r) is the riskless bond."""
+    """(b, int b, a, G/beta^3, J, B) at one maturity; B = exp(a - b*r) is the riskless bond."""
     b, big_a, a, g3 = vasicek_factors(va.beta, tau, va.alpha, va.eta)
-    return b, big_a, a, g3, _riskless(va, b, a)
+    j = 2 * g3 + 0.5 * va.beta * big_a * big_a  # J = int b^2 + beta/2 (int b)^2, both >= 0
+    return b, big_a, a, g3, j, _riskless(va, b, a)
 
 
 def _option_factors(va: VasicekParams, eq, tau: float):
-    """(b, int b, a, B, da/deta, v, dv/deta) at one maturity.
+    """(b, int b, a, B, da/deta, v, dv/deta, J) at one maturity.
 
     v and dv/deta are those of :func:`credeq.pricing.variance_v`.
     """
-    b, big_a, a, g3, riskless = _rate_factors(va, tau)
+    b, big_a, a, g3, j, riskless = _rate_factors(va, tau)
     v, v_eta = _variance(va, eq, tau, big_a, g3)
     if v <= 0:
         raise DomainError(f"variance must be positive for option pricing, got {v}")
-    return b, big_a, a, riskless, 2 * va.eta * g3, v, v_eta
+    return b, big_a, a, riskless, 2 * va.eta * g3, v, v_eta, j
 
 
-def _option_terms(ns, put, x, q, strike, tau, log_bc1, b, big_a, a_eta, v, v_eta, riskless,
-                  beta):
+def _option_terms(ns, put, x, q, strike, tau, log_bc1, b, big_a, a_eta, v, v_eta, riskless, j):
     """P0, (x dP0/dx, dP0/dalpha, dP0/dr) and (g1, ..., g8) of a call or put.
 
     ``put`` is 0 for a call and 1 for a put; ``x`` is the spot and ``q`` the
@@ -285,53 +296,47 @@ def _option_terms(ns, put, x, q, strike, tau, log_bc1, b, big_a, a_eta, v, v_eta
 
     p0 = -put * x_eff + x_eff * n1 - kb * n2 + put * kb0
     x_dpdx = x_eff * n1 - put * x_eff
-    dp_dalpha = kb * big_a * n2 - put * kb0 * big_a
-    dp_dr = kb * b * n2 - put * kb0 * b
+    c = kb * n2 - put * kb0  # x P0_x - P0
+    dp_dalpha, dp_dr = big_a * c, b * c
 
     gamma2 = x_eff * pdf1 / sv  # x^2 P0_xx
+    d = gamma2 - c
     g1 = -tau * gamma2
     g2 = -tau * gamma2 * (1 - d1 / sv)
-    g3 = -kb * big_a * (n2 - ns.pdf(d2) / sv) + put * kb0 * big_a  # put: -K dB/dalpha
+    g3 = big_a * d
     g4 = -gamma2 * d1 * big_a / sv
     g5 = x_eff * pdf1 * (-a_eta / sv + v_eta * (0.25 / sv - 0.5 * log_ratio / (v * sv)))
     g6 = gamma2 * big_a
     g7 = 0.5 * tau * tau * gamma2
-    x_dpdrdx = b * gamma2
-    g8 = (
-        g6
-        - dp_dalpha
-        + 0.5 * tau * tau * (gamma2 - x_dpdx + p0)
-        - tau * (x_dpdrdx - dp_dr)
-    ) / beta
+    g8 = j * d
     return p0, (x_dpdx, dp_dalpha, dp_dr), (g1, g2, g3, g4, g5, g6, g7, g8)
 
 
-def _bond_terms(bond, tau, b, big_a, beta):
+def _bond_terms(bond, b, big_a, j):
     """The bond's P0, partials and Greeks, from its price Bc = exp(-l*lambda*tau) B."""
     zero = 0.0 * bond
     g3 = -big_a * bond  # dBc/dalpha
-    g8 = bond * (big_a + 0.5 * tau * tau - tau * b) / beta
-    return bond, (zero, g3, -b * bond), (zero, zero, g3, zero, zero, zero, zero, g8)
+    return bond, (zero, g3, -b * bond), (zero, zero, g3, zero, zero, zero, zero, bond * j)
 
 
 def _evaluate(inputs: PricingInputs, kind: str):
     """The kernel on floats: (P0, partials, Greeks) of one instrument."""
     va, tau = inputs.vasicek, inputs.tau
     if kind == "bond":
-        b, big_a, _, _, riskless = _rate_factors(va, tau)
+        b, big_a, _, _, j, riskless = _rate_factors(va, tau)
         c = inputs.credit
-        return _bond_terms(math.exp(-c.l * c.lam * tau) * riskless, tau, b, big_a, va.beta)
+        return _bond_terms(math.exp(-c.l * c.lam * tau) * riskless, b, big_a, j)
     if kind not in ("call", "put"):
         raise ValidationError(f"unknown instrument kind {kind!r}")
     if inputs.strike is None:
         raise ValidationError(f"a {kind} requires a strike")
     if tau <= 0:
         raise ValidationError(f"a {kind} requires tau > 0")
-    b, big_a, a, riskless, a_eta, v, v_eta = _option_factors(va, inputs.equity, tau)
+    b, big_a, a, riskless, a_eta, v, v_eta, j = _option_factors(va, inputs.equity, tau)
     log_bc1 = -inputs.credit.lam * tau + a - b * va.r
     eq = inputs.equity
     return _option_terms(_FLOAT, 1.0 if kind == "put" else 0.0, eq.x, eq.q, inputs.strike, tau,
-                         log_bc1, b, big_a, a_eta, v, v_eta, riskless, va.beta)
+                         log_bc1, b, big_a, a_eta, v, v_eta, riskless, j)
 
 
 def _per_maturity(factors, tau):
@@ -352,12 +357,12 @@ def evaluate_options(vasicek: VasicekParams, equity, lam, tau, strike, put):
     import numpy as np
 
     tau = np.asarray(tau, dtype=float)
-    b, big_a, a, riskless, a_eta, v, v_eta = _per_maturity(
+    b, big_a, a, riskless, a_eta, v, v_eta, j = _per_maturity(
         lambda s: _option_factors(vasicek, equity, s), tau)
     log_bc1 = -np.asarray(lam, dtype=float)[:, None] * tau + a - b * vasicek.r
     p0, _, g = _option_terms(_array_namespace(), np.asarray(put, dtype=float), equity.x, equity.q,
                              np.asarray(strike, dtype=float), tau, log_bc1, b, big_a, a_eta, v,
-                             v_eta, riskless, vasicek.beta)
+                             v_eta, riskless, j)
     return p0, np.stack(g, axis=-1)
 
 
@@ -370,9 +375,9 @@ def evaluate_bonds(vasicek: VasicekParams, l_lambda, tau):
     import numpy as np
 
     tau = np.asarray(tau, dtype=float)
-    b, big_a, _, _, riskless = _per_maturity(lambda s: _rate_factors(vasicek, s), tau)
+    b, big_a, _, _, j, riskless = _per_maturity(lambda s: _rate_factors(vasicek, s), tau)
     bond = np.exp(-np.asarray(l_lambda, dtype=float)[:, None] * tau) * riskless
-    p0, _, g = _bond_terms(bond, tau, b, big_a, vasicek.beta)
+    p0, _, g = _bond_terms(bond, b, big_a, j)
     return p0, np.stack((g[2], g[7]), axis=-1)
 
 

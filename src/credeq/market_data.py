@@ -101,7 +101,7 @@ class OptionQuote:
 
 @dataclass(frozen=True)
 class PriceHistory:
-    """Dated positive values with strictly increasing dates."""
+    """Dated finite values (a rate may cross zero) with strictly increasing dates."""
 
     points: tuple  # of (date, value)
 
@@ -110,8 +110,8 @@ class PriceHistory:
         for d, v in self.points:
             if prev is not None and not d > prev:
                 raise ValidationError(f"history dates must be strictly increasing at {d}")
-            if not (v > 0 and math.isfinite(v)):
-                raise ValidationError(f"history value at {d} must be positive, got {v}")
+            if not math.isfinite(v):
+                raise ValidationError(f"history value at {d} must be finite, got {v}")
             prev = d
 
 

@@ -266,6 +266,9 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
 
     steps = _segment_steps(horizons, cfg.n_steps_per_year)
     grid = _time_grid(horizons, steps)
+    # The fast factors step as y + (m - y) dt/eps, which diverges once dt reaches 2 eps.
+    if spec.multiscale_model and (dt := float(np.max(np.diff(grid)))) >= 2 * spec.eps:
+        raise ValidationError(f"eps = {spec.eps} needs time steps < 2*eps; the largest is {dt:.6g}")
     h_steps = {int(i): k for k, i in enumerate(np.cumsum(steps))}
 
     n_half = cfg.n_paths // 2

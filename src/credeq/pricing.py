@@ -37,7 +37,6 @@ __all__ = [
     "CreditParams",
     "PricingInputs",
     "variance_v",
-    "mean_m",
     "defaultable_bond_p0",
     "call_p0",
     "put_p0",
@@ -125,19 +124,6 @@ def variance_v(inputs: PricingInputs) -> float:
             f"negative integrated variance {v}; rho1/eta combination inadmissible"
         )
     return v
-
-
-def mean_m(inputs: PricingInputs) -> float:
-    """Mean of terminal log price under the forward measure."""
-    va, tau = inputs.vasicek, inputs.tau
-    b, _, a, _ = vasicek_factors(va.beta, tau, va.alpha, va.eta)
-    return (
-        math.log(inputs.x_eff)
-        + inputs.credit.lam * tau
-        - a
-        + b * va.r
-        - 0.5 * variance_v(inputs)
-    )
 
 
 def defaultable_bond_p0(inputs: PricingInputs) -> float:

@@ -389,16 +389,23 @@ def at_bound(params: VasicekParams) -> list[str]:
 TRADING_DAYS = 252
 
 
+def _log_returns(points):
+    """Log returns of (date, stock value) points; ValidationError names a value <= 0 by date."""
+    import numpy as np
+
+    for d, v in points:
+        if v <= 0:
+            raise ValidationError(f"stock value at {d} must be positive for a log return, got {v}")
+    return np.diff(np.log([v for _, v in points]))
+
+
 def estimate_sigma2(history) -> float:
     """Annualized standard deviation of daily log returns (sqrt(252) scaling)."""
     import numpy as np
 
-    values = np.asarray([v for _, v in history.points], dtype=float)
-    if values.size < 30:
-        raise ValidationError(
-            f"need at least 30 observations to estimate volatility, got {values.size}"
-        )
-    rets = np.diff(np.log(values))
+    if (n := len(history.points)) < 30:
+        raise ValidationError(f"need at least 30 observations to estimate volatility, got {n}")
+    rets = _log_returns(history.points)
     return float(np.std(rets, ddof=1)) * math.sqrt(TRADING_DAYS)
 
 
@@ -423,9 +430,8 @@ def estimate_rho1(stock, spot_rate) -> float:
         raise ValidationError(
             f"need at least 30 overlapping dates, got {len(common)}"
         )
-    s = np.asarray([stock_by_date[d] for d in common], dtype=float)
     r = np.asarray([rate_by_date[d] for d in common], dtype=float)
-    rets = np.diff(np.log(s))
+    rets = _log_returns([(d, stock_by_date[d]) for d in common])
     drates = np.diff(r)
     sd_r, sd_d = np.std(rets), np.std(drates)
     if sd_r == 0 or sd_d == 0:

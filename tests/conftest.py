@@ -1,7 +1,10 @@
 """Shared fixture parameter sets, synthetic quote builders and the hypothesis profile."""
 
+import math
+
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from credeq.corrections import CorrectionParams, price_full
 from credeq.market_data import BondQuote, OptionQuote
@@ -11,6 +14,12 @@ from credeq.rates import EquityParams, VasicekParams
 # Every property test runs the same examples on every run, with no deadline.
 settings.register_profile("credeq", derandomize=True, deadline=None)
 settings.load_profile("credeq")
+
+
+def log_uniform(lo, hi):
+    """Floats in [lo, hi], log-uniform: small values are drawn as often as large ones."""
+    return st.floats(math.log(lo), math.log(hi)).map(lambda x: min(max(math.exp(x), lo), hi))
+
 
 # Calibrated single-name example: low rate vol, short-dated equity surface.
 SURFACE_VASICEK = VasicekParams(alpha=0.0063, beta=0.1034, eta=0.012, r=0.0476)

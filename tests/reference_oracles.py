@@ -1,8 +1,8 @@
 """Independent oracles the closed forms and their Greeks are tested against.
 
 * ``generic_p0``: adaptive quadrature (scipy ``quad``) of the pricing
-  integral for any payoff, sharing only the log-price mean and variance
-  with the closed-form calls and puts of :mod:`credeq.pricing`.
+  integral for any payoff, sharing only the log-price mean (``mean_m``)
+  and variance with the closed-form calls and puts of :mod:`credeq.pricing`.
 * ``greeks_fd``: the eight Greeks from Richardson-extrapolated central
   differences of those closed forms, independent of the analytic
   derivative algebra in :mod:`credeq.corrections`.
@@ -18,15 +18,27 @@ from credeq.pricing import (
     PricingInputs,
     call_p0,
     defaultable_bond_p0,
-    mean_m,
     norm_pdf,
     put_p0,
     variance_v,
 )
-from credeq.rates import VasicekParams
+from credeq.rates import VasicekParams, vasicek_factors
 
 # Integration half-width in standard deviations.
 QUAD_Z_RANGE = 12.0
+
+
+def mean_m(inputs: PricingInputs) -> float:
+    """Mean of terminal log price under the forward measure."""
+    va, tau = inputs.vasicek, inputs.tau
+    b, _, a, _ = vasicek_factors(va.beta, tau, va.alpha, va.eta)
+    return (
+        math.log(inputs.x_eff)
+        + inputs.credit.lam * tau
+        - a
+        + b * va.r
+        - 0.5 * variance_v(inputs)
+    )
 
 
 def generic_p0(inputs: PricingInputs, payoff) -> float:

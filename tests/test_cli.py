@@ -153,6 +153,31 @@ class TestEstimateEquity:
         assert eq["x"] == prices[-1]
         assert eq["q"] == 0.01
 
+    def write_and_run(self, tmp_path, capsys, days, prices, rates):
+        stock_csv, rates_csv = tmp_path / "stock.csv", tmp_path / "rates.csv"
+        save_history_csv(stock_csv, PriceHistory(points=tuple(zip(days, prices))))
+        save_history_csv(rates_csv, PriceHistory(points=tuple(zip(days, rates))))
+        return run(capsys, "estimate-equity", "--stock", str(stock_csv),
+                   "--spot-rate", str(rates_csv))
+
+    def test_spot_rates_may_touch_and_cross_zero(self, tmp_path, capsys):
+        days = business_days(60)
+        prices = 8.0 * np.exp(0.01 * np.sin(np.arange(60)))
+        rates = 0.002 * np.cos(np.arange(60) / 5.0)
+        rates[10] = 0.0
+        code, out, err = self.write_and_run(tmp_path, capsys, days, prices, rates)
+        assert code == 0, err
+        assert abs(json.loads(out)["equity"]["rho1"]) < 1
+
+    @pytest.mark.parametrize("value", [0.0, -8.0])
+    def test_non_positive_stock_value_exits_2(self, tmp_path, capsys, value):
+        days = business_days(60)
+        prices = 8.0 * np.exp(0.01 * np.sin(np.arange(60)))
+        prices[17] = value
+        code, out, err = self.write_and_run(tmp_path, capsys, days, prices,
+                                            0.05 + 1e-3 * np.cos(np.arange(60)))
+        assert_one_error_line(code, out, err)
+        assert str(days[17]) in json.loads(err)["message"]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_dividend_yield_exit_2(self, tmp_path, capsys, value):
@@ -538,6 +563,15 @@ class TestOracleCommand:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "ValidationError"
+
+    def test_eps_the_time_step_cannot_integrate_exits_2(self, tmp_path, capsys):
+        # At 252 steps a year dt is about 0.004, past 2*eps = 0.002.
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(self.FIT))
+        code, out, err = run(capsys, "oracle", "--fit", str(path), "--instrument", "bond",
+                             "--maturity", "5", "--paths", "10000", "--eps", "0.001")
+        assert_one_error_line(code, out, err)
+        assert "eps = 0.001" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("dlt", ["nan", "0.1", "0"])
     def test_dlt_without_eps_exits_2(self, tmp_path, capsys, dlt):

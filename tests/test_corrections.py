@@ -1,14 +1,17 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credeq.corrections import CorrectionParams, _evaluate, greeks, price_full, price_p0
 from credeq.errors import ConfigurationError
 from credeq.pricing import CreditParams, PricingInputs, call_p0, norm_pdf
 from credeq.rates import EquityParams, VasicekParams, vasicek_factors
 
-from conftest import SURFACE_COEFFS, SURFACE_EQUITY, SURFACE_LAMBDA, SURFACE_VASICEK
+from conftest import SURFACE_COEFFS, SURFACE_EQUITY, SURFACE_LAMBDA, SURFACE_VASICEK, log_uniform
 from reference_oracles import FD_STEP_PARAM, _reprice, _richardson_d1, greeks_fd
 
 
@@ -112,6 +115,64 @@ class TestGreeksAgainstFiniteDifferences:
         assert g[7] == pytest.approx(
             (-da + 0.5 * tau * tau * bond - tau * b * bond) / beta, rel=1e-13
         )
+
+
+def exact_j(beta, tau):
+    """J = tau^2/(2 beta) - (1 - exp(-u)(1 + u))/beta^3, u = beta*tau, in 60-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        beta, tau = Decimal(beta), Decimal(tau)
+        u = beta * tau
+        return tau * tau / (2 * beta) - (1 - (-u).exp() * (1 + u)) / beta**3
+
+
+class TestG8AgainstDecimal:
+    """g8 = J * D, with J against its 60-digit closed form, over beta in [1e-8, 5].
+
+    The bound is fixed from float64: J = int b^2 + beta/2 (int b)^2 adds two
+    non-negative terms, so its error is that of int b^2, within 3.1e-15 (the
+    budget of ``rates._h_g``), plus a few ulps of the products.
+    """
+
+    RTOL = Decimal("5e-15")
+
+    @given(
+        beta=log_uniform(1e-8, 5.0),
+        tau=log_uniform(1e-3, 30.0),
+        alpha=st.floats(-0.03, 0.05),
+        eta=st.floats(0.0, 0.05),
+        r=st.floats(0.0, 0.08),
+        l_lambda=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300)
+    def test_bond(self, beta, tau, alpha, eta, r, l_lambda):
+        va = VasicekParams(alpha=alpha, beta=beta, eta=eta, r=r)
+        pin = PricingInputs(va, SURFACE_EQUITY, CreditParams(1.0, l_lambda), tau)
+        bond, g8 = price_p0(pin, "bond"), greeks(pin, "bond")[7]
+        want = exact_j(beta, tau)
+        assert abs(Decimal(g8) / Decimal(bond) - want) <= self.RTOL * want
+
+    @given(
+        beta=log_uniform(1e-8, 5.0),
+        tau=log_uniform(1e-3, 30.0),
+        alpha=st.floats(-0.03, 0.05),
+        eta=st.floats(0.0, 0.05),
+        r=st.floats(0.0, 0.08),
+        lam=st.floats(0.0, 0.5),
+        moneyness=st.floats(0.75, 1.35),
+        put=st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_option(self, beta, tau, alpha, eta, r, lam, moneyness, put):
+        # D is the kernel's own, read back from g3 = int b * D: the test pins
+        # the identity g8 = J * D, not the rounding of D.
+        va = VasicekParams(alpha=alpha, beta=beta, eta=eta, r=r)
+        eq = SURFACE_EQUITY
+        pin = PricingInputs(va, eq, CreditParams(1.0, lam), tau, moneyness * eq.x)
+        g = greeks(pin, "put" if put else "call")
+        d = Decimal(g[2]) / Decimal(vasicek_factors(beta, tau)[1])
+        want = exact_j(beta, tau) * d
+        assert abs(Decimal(g[7]) - want) <= self.RTOL * abs(want)
 
 
 class TestRemarkStyleIdentity:

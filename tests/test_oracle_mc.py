@@ -383,6 +383,24 @@ class TestValidation:
         with pytest.raises(ValidationError, match="horizons"):
             simulate_terminals(constant_cfg(n_paths=10_000), pin, horizons)
 
+    @pytest.mark.parametrize("steps_per_year", [252, 1000])
+    def test_eps_below_half_the_time_step_rejected(self, monkeypatch, steps_per_year):
+        # The fast factors' Euler step y + (m - y) dt/eps diverges once dt >= 2 eps:
+        # the run stops before any path is drawn, and an eps just above dt/2 runs.
+        chunks = []
+        monkeypatch.setattr(oracle_mc, "_simulate_chunk", lambda *a: chunks.append(a))
+        pin = PricingInputs(VA, EQ, CR, 1.0)
+        dt = 1.0 / steps_per_year
+        for eps, runs in ((dt / 2, False), (0.1 * dt, False), (dt / 2 * (1 + 1e-9), True)):
+            cfg = McConfig(n_paths=10_000, n_steps_per_year=steps_per_year,
+                           factor_spec=FactorSpec.multiscale(lam=0.05, eps=eps, dlt=0.0))
+            if runs:
+                simulate_terminals(cfg, pin, [1.0])
+            else:
+                with pytest.raises(ValidationError, match="eps"):
+                    simulate_terminals(cfg, pin, [1.0])
+            assert bool(chunks) == runs
+
     def test_cds_needs_schedule(self):
         pin = PricingInputs(VA, EQ, CR, 3.0)
         with pytest.raises(ValidationError):

@@ -11,14 +11,13 @@ from credeq.pricing import (
     PricingInputs,
     call_p0,
     defaultable_bond_p0,
-    mean_m,
     put_p0,
     variance_v,
 )
 from credeq.rates import EquityParams, VasicekParams, riskless_bond, vasicek_factors, vasicek_yield
 
 from conftest import SURFACE_EQUITY, SURFACE_LAMBDA, SURFACE_VASICEK
-from reference_oracles import generic_p0
+from reference_oracles import generic_p0, mean_m
 
 
 def random_inputs(rng, with_strike=True, l=None):

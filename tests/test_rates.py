@@ -37,6 +37,7 @@ from conftest import (
     ROUNDTRIP_GRID,
     SURFACE_EQUITY,
     SURFACE_VASICEK,
+    log_uniform,
     make_bond_quotes,
     make_option_quotes,
 )
@@ -87,11 +88,6 @@ class TestFactorB:
         assert (d > 0).all()
         assert (np.diff(d) < 1e-12).all()
         assert all(0 <= b < 1 / beta for b in bs)
-
-
-def log_uniform(lo, hi):
-    """Floats in [lo, hi], log-uniform: small values are drawn as often as large ones."""
-    return st.floats(math.log(lo), math.log(hi)).map(lambda x: min(max(math.exp(x), lo), hi))
 
 
 def exact_factors(beta, s, alpha, eta):
@@ -504,6 +500,27 @@ class TestHistoricalEstimators:
             PriceHistory(points=tuple(zip(days, rates))),
         )
         assert abs(rho) < 0.05
+
+    @pytest.mark.parametrize("value", [0.0, -10.0])
+    def test_non_positive_stock_value_is_named(self, value):
+        days = business_days(40)
+        stock = PriceHistory(points=tuple((d, value if i == 25 else 10.0 + i % 3)
+                                          for i, d in enumerate(days)))
+        rates = PriceHistory(points=tuple((d, 0.05 + 1e-4 * (i % 5)) for i, d in enumerate(days)))
+        for estimate in (lambda: estimate_sigma2(stock), lambda: estimate_rho1(stock, rates)):
+            with pytest.raises(ValidationError, match=f"stock value at {days[25]}"):
+                estimate()
+
+    def test_spot_rates_may_touch_and_cross_zero(self):
+        days = business_days(60)
+        rng = np.random.default_rng(12)
+        rates = 1e-3 * np.cumsum(rng.standard_normal(60))
+        rates[20] = 0.0
+        stock = np.exp(np.cumsum(0.01 * rng.standard_normal(60)))
+        rate_hist = PriceHistory(points=tuple(zip(days, rates)))
+        assert (rates < 0).any() and (rates > 0).any()
+        rho = estimate_rho1(PriceHistory(points=tuple(zip(days, stock))), rate_hist)
+        assert abs(rho) < 1
 
     def test_no_overlap_errors(self):
         a = PriceHistory(points=tuple((d, 10.0) for d in business_days(40)))
