@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -41,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .implied_vol import implied_vol
-from .oracle_mc import FactorSpec, McConfig, grid_steps, mc_price
+from .oracle_mc import CHUNK_BASE_PATHS, FactorSpec, McConfig, grid_steps, mc_price
 from .pricing import PricingInputs
 from .rates import (
     EquityParams,
@@ -264,7 +265,8 @@ def cmd_oracle(args) -> None:
     _emit(args, json.dumps({"instrument": args.instrument, "estimate": est,
                             "std_error": se, "n_paths": args.paths, "n_steps": n_steps,
                             "elapsed_s": elapsed,
-                            "path_steps_per_s": args.paths * n_steps / elapsed}, indent=2))
+                            "path_steps_per_s": args.paths * n_steps / elapsed,
+                            "n_chunks": math.ceil(args.paths / 2 / CHUNK_BASE_PATHS)}, indent=2))
 
 
 class _Parser(argparse.ArgumentParser):

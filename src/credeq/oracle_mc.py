@@ -30,7 +30,13 @@ Cholesky factor, so a fixed seed gives the same estimates bit for bit
 whichever factors a payoff reads. Antithetic pairs share each draw: the
 base path adds an increment and its mirror subtracts it. Fixed-size chunks
 with jumped PCG64 substreams make a fixed seed bit-reproducible regardless
-of how the reduction is batched.
+of how the reduction is batched. One worker thread per run makes each
+chunk's draws one step ahead, in stream order, while the calling thread
+steps the factors (NumPy releases the interpreter lock while it fills).
+It draws on a copy of the chunk's generator, and the calling thread draws
+a step itself when the worker falls behind; either way each step is the
+same call from the same state as in a serial loop, so the floats are the
+same as a serial run's. The worker stops with the run.
 
 ``simulate_terminals`` runs the paths to a set of horizons, and
 ``mc_estimate`` turns the run into any call, put, bond or CDS estimate on
@@ -249,6 +255,8 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
 
     Axis 1 separates the base paths from their antithetic mirrors.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
     spec = cfg.factor_spec
@@ -278,12 +286,16 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
         out["x"] = np.empty(shape)
 
     base_stream = np.random.PCG64(cfg.seed)
-    for chunk_idx, start in enumerate(range(0, n_half, CHUNK_BASE_PATHS)):
-        size = min(CHUNK_BASE_PATHS, n_half - start)
-        rng = np.random.Generator(base_stream.jumped(chunk_idx))
-        sl = slice(start, start + size)
-        _simulate_chunk(rng, size, grid, h_steps, chol, spec, inputs,
-                        {key: val[:, :, sl] for key, val in out.items()})
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # A worker needs a CPU of its own; on one CPU the calling thread draws every step.
+        worker = pool if _cpus() > 1 else None
+        for chunk_idx, start in enumerate(range(0, n_half, CHUNK_BASE_PATHS)):
+            size = min(CHUNK_BASE_PATHS, n_half - start)
+            rng = np.random.Generator(base_stream.jumped(chunk_idx))
+            sl = slice(start, start + size)
+            with _DrawAhead(worker, rng, size, len(grid) - 1) as draws:
+                _simulate_chunk(draws, size, grid, h_steps, chol, spec, inputs,
+                                {key: val[:, :, sl] for key, val in out.items()})
     return {**out, "horizons": horizons, "vasicek": inputs.vasicek, "equity": inputs.equity}
 
 
@@ -301,8 +313,126 @@ def _mirrored(state, vol, d):
     state[1] -= shock[1]
 
 
-def _simulate_chunk(rng, size, grid, h_steps, chol, spec, inputs, out):
-    """Step one chunk's factors over ``grid``; write ``out`` at each horizon step."""
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    import os
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _DrawAhead:
+    """One chunk's per-step (size, 5) standard normals, drawn ahead by a worker thread.
+
+    ``with _DrawAhead(worker, rng, size, n_steps) as steps`` yields each
+    step's block in stream order. The worker draws the steps in order on its
+    own copy of ``rng``, into two buffers that take turns, while the caller
+    uses the step before (NumPy releases the interpreter lock while it
+    fills); it never draws past the last step. The caller waits for a step
+    the worker is drawing, but no longer than twice the worker's fastest
+    fill: past that, and for a step the worker has not started, it draws
+    the step itself from the same state, and the worker goes on from there.
+    So a worker whose core is taken away costs the caller about two fills,
+    not the time it is away. Whoever draws a step makes the same call from
+    the same state, so the floats are a serial loop's. Leaving the ``with``
+    stops the worker, an exception included, and raises the worker's own
+    error, if any (the caller has drawn its steps). With ``worker`` None the
+    caller draws every step.
+    """
+
+    def __init__(self, worker, rng, size, n_steps):
+        import copy
+        import threading
+
+        import numpy as np
+
+        self._worker, self._rng, self._n_steps = worker, rng, n_steps
+        self._ahead = copy.deepcopy(rng)  # the worker's copy, taken before either draws
+        self._buffers = [np.empty((size, 5)) for _ in range(min(2, n_steps))]
+        self._own = np.empty((size, 5))  # the caller's, for a step it draws itself
+        self._changed = threading.Condition()
+        # Shared under ``_changed``: the first step not drawn yet and the stream's state
+        # before it; the step the caller uses (it has finished with those before); the
+        # step the worker is drawing and when it began; the worker's fastest fill.
+        self._next, self._state = 0, rng.bit_generator.state
+        self._using = 0
+        self._drawing = None
+        self._fill_s = math.inf
+        self._stopped = False
+
+    def __enter__(self):
+        self._job = self._worker.submit(self._work) if self._worker else None
+        return self._steps()
+
+    def __exit__(self, *exc_info):
+        with self._changed:
+            self._stopped = True
+            self._changed.notify_all()
+        if self._job:
+            self._job.result()
+
+    def _work(self):
+        """The worker: draw the next step whenever its buffer is free, until stopped."""
+        import time
+
+        changed = self._changed
+        try:
+            while True:
+                with changed:
+                    changed.wait_for(lambda: self._stopped or self._next < min(
+                        self._n_steps, self._using + 2))
+                    if self._stopped:
+                        return
+                    step, state = self._next, self._state
+                    self._drawing = (step, time.perf_counter())
+                self._ahead.bit_generator.state = state
+                start = time.perf_counter()
+                self._ahead.standard_normal(out=self._buffers[step % 2])
+                fill_s = time.perf_counter() - start
+                state = self._ahead.bit_generator.state
+                with changed:
+                    self._drawing, self._fill_s = None, min(self._fill_s, fill_s)
+                    if self._next == step:
+                        self._next, self._state = step + 1, state
+                    changed.notify_all()
+        finally:
+            # A worker that stops, on an error too, leaves the step it was drawing to the caller.
+            with changed:
+                self._drawing = None
+                changed.notify_all()
+
+    def _steps(self):
+        import time
+
+        changed = self._changed
+        for i in range(self._n_steps):
+            with changed:
+                self._using = i
+                changed.notify_all()
+                while self._next == i and self._drawing and self._drawing[0] == i:
+                    left = self._drawing[1] + 2 * self._fill_s - time.perf_counter()
+                    if left <= 0:
+                        break
+                    changed.wait(left if left < math.inf else None)
+                drawn, state = self._next > i, self._state
+            if drawn:
+                yield self._buffers[i % 2]
+                continue
+            self._rng.bit_generator.state = state
+            self._rng.standard_normal(out=self._own)
+            with changed:
+                if self._next == i:
+                    self._next, self._state = i + 1, self._rng.bit_generator.state
+                    changed.notify_all()
+            yield self._own
+
+
+def _simulate_chunk(draws_by_step, size, grid, h_steps, chol, spec, inputs, out):
+    """Step one chunk's factors over ``grid``; write ``out`` at each horizon step.
+
+    ``draws_by_step`` yields each step's (size, 5) standard normals.
+    """
     import numpy as np
 
     va, eq = inputs.vasicek, inputs.equity
@@ -332,12 +462,12 @@ def _simulate_chunk(rng, size, grid, h_steps, chol, spec, inputs, out):
     if live_yt:
         yt = np.full(shape, _YT0)
 
-    draws = np.empty((size, 5))
     dw = np.empty((size, 5))
-    for i, dt in enumerate(np.diff(grid).tolist(), start=1):
+    steps = zip(np.diff(grid).tolist(), draws_by_step)
+    for i, (dt, draws) in enumerate(steps, start=1):
         sq_dt = math.sqrt(dt)
-        # Five correlated columns every step, stepped or not: the stream stays fixed.
-        rng.standard_normal(out=draws)
+        # Five correlated columns every step, stepped or not, drawn one step ahead in
+        # stream order (``_DrawAhead``): the stream stays fixed, the floats a serial run's.
         np.matmul(draws, chol.T, out=dw)
 
         if stock:

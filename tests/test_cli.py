@@ -547,10 +547,20 @@ class TestOracleCommand:
         assert code == 0, err
         payload = json.loads(out)
         assert list(payload) == ["instrument", "estimate", "std_error", "n_paths", "n_steps",
-                                 "elapsed_s", "path_steps_per_s"]
+                                 "elapsed_s", "path_steps_per_s", "n_chunks"]
         assert payload["n_steps"] == n_steps
         assert payload["elapsed_s"] > 0
         assert payload["path_steps_per_s"] == 10_000 * n_steps / payload["elapsed_s"]
+
+    @pytest.mark.parametrize("paths, n_chunks", [("10000", 1), ("40000", 2)])
+    def test_reports_its_chunks(self, tmp_path, capsys, paths, n_chunks):
+        # 16,384 antithetic pairs a chunk: 5,000 pairs take one, 20,000 take two.
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(self.FIT))
+        code, out, err = run(capsys, "oracle", "--fit", str(path), "--instrument", "bond",
+                             "--maturity", "0.1", "--paths", paths)
+        assert code == 0, err
+        assert json.loads(out)["n_chunks"] == n_chunks
 
     @pytest.mark.parametrize("scales", [["--eps", "nan"], ["--eps", "inf"],
                                         ["--eps", "0.1", "--dlt", "nan"],

@@ -4,10 +4,13 @@
 ``ivol-surface``) run on floats and load neither NumPy nor scipy; the
 calibration commands (``fit-rates``, ``calibrate``) and the Monte-Carlo
 ``oracle`` (constant or multiscale factors) load NumPy but no scipy. scipy
-is a test dependency only, and no module of ``credeq`` imports it.
+is a test dependency only, and no module of ``credeq`` imports it. Only
+``oracle`` loads ``concurrent.futures``, for the worker thread that draws
+its normals; after every command, as after the import, one thread is left.
 
 Each command check runs in a fresh interpreter, so modules loaded by other
-tests do not count. Only module presence is asserted, never timings.
+tests do not count. Only module presence and thread counts are asserted,
+never timings.
 """
 
 import ast
@@ -42,20 +45,24 @@ from conftest import (
 )
 
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, threading
 
 def loaded(*roots):
     return sorted(m for m in sys.modules if m.split(".")[0] in roots)
 
 import credeq
 import credeq.cli
-after_import = loaded("numpy", "scipy")
-codes = []
+after_import = loaded("numpy", "scipy", "concurrent")
+threads_after_import = threading.active_count()
+codes, concurrent, threads = [], [], []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         codes.append(credeq.cli.main(argv))
-print(json.dumps({"after_import": after_import, "codes": codes,
-                  "numpy": loaded("numpy"), "scipy": loaded("scipy")}))
+        concurrent.append(loaded("concurrent"))
+        threads.append(threading.active_count())
+print(json.dumps({"after_import": after_import, "threads_after_import": threads_after_import,
+                  "codes": codes, "numpy": loaded("numpy"), "scipy": loaded("scipy"),
+                  "concurrent": concurrent, "threads": threads}))
 """
 
 
@@ -126,14 +133,18 @@ def test_no_library_module_imports_scipy():
 
 
 def test_import_loads_no_scipy_optimize():
-    # Nor any other part of NumPy or scipy.
-    assert run_child([])["after_import"] == []
+    # Nor any other part of NumPy or scipy, nor concurrent.futures, and it starts no thread.
+    result = run_child([])
+    assert result["after_import"] == []
+    assert result["threads_after_import"] == 1
 
 
 def test_pricing_commands_load_no_scipy(fit_json):
     result = run_child(pricing_commands(fit_json))
     assert result["codes"] == [0, 0, 0]
     assert result["scipy"] == [] and result["numpy"] == []
+    assert result["concurrent"] == [[], [], []]
+    assert result["threads"] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("factors", [[], ["--eps", "0.09"]], ids=["constant", "multiscale"])
@@ -142,6 +153,9 @@ def test_oracle_loads_no_scipy(fit_json, factors):
                          "--strike", "8", "--maturity", "0.1", "--paths", "10000"] + factors])
     assert result["codes"] == [0]
     assert result["numpy"] and result["scipy"] == []
+    # Its worker thread is joined before the command returns.
+    assert "concurrent.futures" in result["concurrent"][0]
+    assert result["threads"] == [1]
 
 
 def test_calibration_commands_load_no_scipy(tmp_path):
@@ -173,3 +187,5 @@ def test_calibration_commands_load_no_scipy(tmp_path):
     ])
     assert result["codes"] == [0, 0, 0]
     assert result["numpy"] and result["scipy"] == []
+    assert result["concurrent"] == [[], [], []]
+    assert result["threads"] == [1, 1, 1]

@@ -1,4 +1,9 @@
+import itertools
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -77,11 +82,16 @@ class TestDeterminism:
         b = mc_price(cfg, "call", pin)
         assert a == b
 
+    # (estimate, standard error) of the call below, recorded while each step drew its own
+    # normals, before a worker drew them one step ahead: a step dropped or repeated at a
+    # chunk boundary moves it.
+    MULTI_CHUNK_PINNED = (0.5236320053133109, 0.0017077001127582356)
+
     def test_multi_chunk_runs_are_reproducible(self):
         # 40k base pairs span several fixed-size chunks with jumped substreams
         pin = PricingInputs(VA, EQ, CR, 0.25, 8.0)
         cfg = McConfig(n_paths=80_000, seed=9, factor_spec=FactorSpec.constant(0.25, 0.05))
-        assert mc_price(cfg, "call", pin) == mc_price(cfg, "call", pin)
+        assert mc_price(cfg, "call", pin) == mc_price(cfg, "call", pin) == self.MULTI_CHUNK_PINNED
 
     def test_seed_changes_the_estimate(self):
         pin = PricingInputs(VA, EQ, CR, 0.25, 8.0)
@@ -161,6 +171,16 @@ class TestLiveFactors:
         spec = FactorSpec.multiscale(lam=0.06, eps=0.09, dlt=dlt)
         assert self.price(spec, instrument) == self.MULTISCALE_PINNED[instrument, dlt]
 
+    # A 3-y annual CDS (horizons 1, 2 and 3) at 40,000 paths, two chunks, recorded as
+    # TestDeterminism.MULTI_CHUNK_PINNED was.
+    TWO_CHUNK_CDS_PINNED = (0.02509367251742905, 7.393337187850988e-06)
+
+    def test_multiscale_multi_horizon_two_chunk_run_is_pinned(self):
+        spec = FactorSpec.multiscale(lam=0.06, eps=0.09, dlt=0.09)
+        cfg = McConfig(n_paths=40_000, seed=1, factor_spec=spec)
+        got = mc_price(cfg, "cds", self.PINS["cds"], annual_schedule(3.0))
+        assert got == self.TWO_CHUNK_CDS_PINNED
+
     @pytest.mark.parametrize("eps", [0.25, 0.09, 0.01])
     def test_multiscale_effective_params_are_pinned(self, eps):
         # The criterion-9 specs, recorded as for MULTISCALE_PINNED: the averages do not read eps.
@@ -236,6 +256,133 @@ class TestSharedRun:
                                  [0.5, 1.0])
         with pytest.raises(ValidationError, match=match):
             mc_estimate(instrument, sim, pin, schedule)
+
+
+class TestDrawsAhead:
+    """A worker thread draws each step's normals ahead; it stops with the run."""
+
+    MULTISCALE = FactorSpec.multiscale(lam=0.06, eps=0.09, dlt=0.09)
+
+    @staticmethod
+    def serial(seed, size, n_steps):
+        """A serial loop's blocks, and its generator after them."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        return [rng.standard_normal(out=np.empty((size, 5))) for _ in range(n_steps)], rng
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 7])
+    def test_draws_are_a_serial_loops(self, n_steps):
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            ahead = oracle_mc._DrawAhead(worker, np.random.Generator(np.random.PCG64(5)), 3,
+                                         n_steps)
+            with ahead as steps:
+                blocks = [block.copy() for block in steps]
+        expected, serial = self.serial(5, 3, n_steps)
+        np.testing.assert_array_equal(blocks, expected)
+        # The stream stops at the last step.
+        assert ahead._next == n_steps and ahead._state == serial.bit_generator.state
+
+    def test_caller_draws_the_steps_the_worker_has_not_started(self):
+        # The worker is held up for the first ten steps: the caller draws those, the worker
+        # later ones, from where the caller left the stream.
+        release, from_worker, blocks = threading.Event(), [], []
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            held = worker.submit(release.wait, 10)
+            ahead = oracle_mc._DrawAhead(worker, np.random.Generator(np.random.PCG64(6)), 4, 40)
+            with ahead as steps:
+                for i, block in enumerate(steps):
+                    blocks.append(block.copy())
+                    from_worker.append(any(block is buf for buf in ahead._buffers))
+                    if i == 9:
+                        release.set()
+                    time.sleep(0.002)
+            assert held.result()
+        np.testing.assert_array_equal(blocks, self.serial(6, 4, 40)[0])
+        assert not any(from_worker[:10]) and any(from_worker[10:])
+
+    def test_steps_pass_back_and_forth(self):
+        # With no wait allowed, the caller draws each step the worker has not finished; on
+        # every fifth step it lingers, and the worker draws ahead.
+        from_worker, blocks = [], []
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            ahead = oracle_mc._DrawAhead(worker, np.random.Generator(np.random.PCG64(7)), 500,
+                                         200)
+            ahead._fill_s = 0.0
+            with ahead as steps:
+                for i, block in enumerate(steps):
+                    blocks.append(block.copy())
+                    from_worker.append(any(block is buf for buf in ahead._buffers))
+                    if i % 5 == 0:
+                        time.sleep(0.002)
+        np.testing.assert_array_equal(blocks, self.serial(7, 500, 200)[0])
+        assert 0 < sum(from_worker) < 200
+
+    def test_a_failed_worker_leaves_its_steps_to_the_caller(self):
+        # The worker fails on its first step; the caller draws every step, and the worker's
+        # error comes out when the draws end.
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            ahead = oracle_mc._DrawAhead(worker, np.random.Generator(np.random.PCG64(9)), 3, 20)
+            ahead._ahead = None
+            blocks = []
+            with pytest.raises(AttributeError):
+                with ahead as steps:
+                    blocks.extend(block.copy() for block in steps)
+        np.testing.assert_array_equal(blocks, self.serial(9, 3, 20)[0])
+
+    def test_stream_holds_under_rapid_thread_switches(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as worker:
+                rng = np.random.Generator(np.random.PCG64(8))
+                with oracle_mc._DrawAhead(worker, rng, 2, 2000) as steps:
+                    blocks = [block.copy() for block in steps]
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(blocks, self.serial(8, 2, 2000)[0])
+
+    def counting_intensity(self, monkeypatch, fail_at=None):
+        """Patch ``_intensity`` to record the live thread count at each call."""
+        counts, calls, intensity = [], itertools.count(1), oracle_mc._intensity
+
+        def counting(*args):
+            counts.append(threading.active_count())
+            if next(calls) == fail_at:
+                raise RuntimeError("step loop failed")
+            return intensity(*args)
+
+        monkeypatch.setattr(oracle_mc, "_intensity", counting)
+        return counts
+
+    @pytest.mark.parametrize("tau", [0.5, 0.001], ids=["run", "one-step"])
+    def test_no_thread_outlives_a_run(self, monkeypatch, tau):
+        counts = self.counting_intensity(monkeypatch)
+        monkeypatch.setattr(oracle_mc, "_cpus", lambda: 2)
+        cfg = McConfig(n_paths=40_000, seed=3, factor_spec=self.MULTISCALE)
+        before = threading.enumerate()
+        simulate_terminals(cfg, PricingInputs(VA, EQ, CR, tau, 8.0), [tau])
+        assert threading.enumerate() == before
+        # One worker at most, for both chunks.
+        assert max(counts) == len(before) + 1
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        # The calling thread draws every step itself: the same floats, and no worker.
+        counts = self.counting_intensity(monkeypatch)
+        monkeypatch.setattr(oracle_mc, "_cpus", lambda: 1)
+        before = threading.active_count()
+        cfg = McConfig(n_paths=40_000, seed=1, factor_spec=self.MULTISCALE)
+        got = mc_price(cfg, "cds", PricingInputs(VA, EQ, CR, 3.0), annual_schedule(3.0))
+        assert got == TestLiveFactors.TWO_CHUNK_CDS_PINNED
+        assert max(counts) == before
+
+    def test_no_thread_outlives_a_failed_run(self, monkeypatch):
+        counts = self.counting_intensity(monkeypatch, fail_at=10)
+        monkeypatch.setattr(oracle_mc, "_cpus", lambda: 2)
+        cfg = McConfig(n_paths=10_000, seed=3, factor_spec=self.MULTISCALE)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="step loop failed"):
+            simulate_terminals(cfg, PricingInputs(VA, EQ, CR, 0.5), [0.5])
+        assert threading.enumerate() == before
+        assert len(counts) == 10
 
 
 class TestTimeGrid:
