@@ -7,7 +7,7 @@ Simulates the five-factor system under the pricing measure:
     dZ  = dlt*c(Z) dt + sqrt(dlt)*g(Z) dW3                (slow intensity)
     dYt = [(1/eps)(mt - Yt) - nut*sqrt(2/eps)*L(Yt)] dt
           + nut*sqrt(2/eps) dW4                           (fast volatility)
-    dX  = (r + f(Y, Z) - q) X dt + sigma(Yt) X dW0        (log-Euler)
+    dX  = (r + f(Y, Z) - q) X dt + sigma(Yt) X dW0
 
 Default enters through survival-probability weighting: every payoff is
 discounted by exp(-int (r + l*f(Y,Z)) ds) instead of sampling the default
@@ -16,27 +16,29 @@ time, which is exact for a doubly stochastic default and cuts variance.
 Two models fill in sigma, f, L, c, g and the correlations (``FactorSpec``).
 Constant factors (``FactorSpec.constant``) take sigma and f = lam as
 numbers and correlate only W0 and W1, by rho1; every correction vanishes,
-so the leading-order closed forms are exact, and Y, Z and Yt are never
-stepped: a bond or CDS steps r alone, an option r and X. Multiscale
-factors (``FactorSpec.multiscale``) are one bounded, smooth choice:
-sigma(yt) = 0.2 + 0.1 tanh(yt), f(y, z) = lam exp(min(y + z, 2)) scaled so
-that its fast average at z0 is lam, L(yt) = 0.2 tanh(yt), c(z) = -z,
-g = 0.5 and the fixed ``_MULTISCALE_CORR``; a bond or CDS steps r and Y,
-an option also X and Yt, and Z is stepped only when dlt > 0.
+so the leading-order closed forms are exact. Multiscale factors
+(``FactorSpec.multiscale``) are one bounded, smooth choice: sigma(yt) =
+0.2 + 0.1 tanh(yt), f(y, z) = lam exp(min(y + z, 2)) scaled so that its
+fast average at z0 is lam, L(yt) = 0.2 tanh(yt), c(z) = -z, g = 0.5 and
+the fixed ``_MULTISCALE_CORR``.
 
-The random stream does not depend on what is stepped: every step draws a
-(paths, 5) block of standard normals and correlates it with the full 5x5
-Cholesky factor, so a fixed seed gives the same estimates bit for bit
-whichever factors a payoff reads. Antithetic pairs share each draw: the
-base path adds an increment and its mirror subtracts it. Fixed-size chunks
-with jumped PCG64 substreams make a fixed seed bit-reproducible regardless
-of how the reduction is batched. One worker thread per run makes each
-chunk's draws one step ahead, in stream order, while the calling thread
-steps the factors (NumPy releases the interpreter lock while it fills).
-It draws on a copy of the chunk's generator, and the calling thread draws
-a step itself when the worker falls behind; either way each step is the
-same call from the same state as in a serial loop, so the floats are the
-same as a serial run's. The worker stops with the run.
+A step of length h moves r, int r, Y, Z and the Ornstein-Uhlenbeck part of
+Yt exactly, each by its conditional mean plus a noise column int_0^h a(u)
+dW_j(u) with a kernel a made of e^{-kappa u} terms. The columns come from
+their exact joint Gaussian law (Glasserman, Monte Carlo Methods in
+Financial Engineering, 2003, section 3.3), through the Cholesky factor of
+``_step_cov`` for each distinct h. sigma(Yt) and L(Yt) are frozen over the
+step and int f is the trapezoid; the log-stock moves by int r + int f -
+(q + sigma^2/2) h plus sigma times its W0 column, so the discounted stock
+is a martingale. Under constant factors every step is exact.
+
+A step draws only the columns its payoff reads: r and int r; the stock for
+a call or put; under multiscale factors Y, plus Yt for an option and Z
+when dlt > 0. So a call and a put share one random stream, as do a bond and a
+CDS. Antithetic pairs share each draw, the mirror subtracting what the
+base path adds, and fixed-size chunks with jumped PCG64 substreams make a
+fixed seed bit-reproducible however the reduction is batched. It all runs
+on the calling thread.
 
 ``simulate_terminals`` runs the paths to a set of horizons, and
 ``mc_estimate`` turns the run into any call, put, bond or CDS estimate on
@@ -241,12 +243,80 @@ def grid_steps(horizons, steps_per_year: int) -> int:
     return sum(_segment_steps(sorted(horizons), steps_per_year))
 
 
+def _phi(k: int, z: float) -> float:
+    """phi_k(z) = sum_n z^n / (n + k)!, for k >= 1 and z <= 0.
+
+    The recurrence phi_{j+1}(z) = (phi_j(z) - 1/j!)/z from phi_1(z) = expm1(z)/z
+    cancels as z nears 0, so for |z| < 1 the series, cut below 1e-18, takes over.
+    """
+    if z > -1:
+        return sum(z**n / math.factorial(n + k) for n in range(20))
+    phi = math.expm1(z) / z
+    for j in range(1, k):
+        phi = (phi - 1 / math.factorial(j)) / z
+    return phi
+
+
+def _kernel_overlap(h: float, a, b) -> float:
+    """int_0^h a(u) b(u) du of two kernels (kappa, integrated): e^{-kappa u}, or, integrated,
+    B(u) = (1 - e^{-kappa u})/kappa (int r's, kappa = beta > 0; there is one).
+
+    With y = kappa h of a plain kernel and x = beta h: e^{-kappa u} e^{-mu u} gives
+    h phi_1(-(kappa + mu) h); e^{-kappa u} B(u) gives h^2 (y psi(y) + x e^{-y} phi_2(-x))
+    / (x + y), psi(y) = int_0^1 t e^{-yt} dt = phi_1(-y) - phi_2(-y); B^2 gives h^3 (phi_2
+    - phi_3 - x phi_2^2 / 2) at -x. These lose about max(x, y) ulps; the textbook B^2 form
+    (h - 2 int e^{-beta u} + int e^{-2 beta u}) / beta^2 loses 1/x^2 as x -> 0.
+    """
+    (ka, ia), (kb, ib) = a, b
+    if ia and ib:
+        x = ka * h
+        p2 = _phi(2, -x)
+        return h**3 * (p2 - _phi(3, -x) - 0.5 * x * p2 * p2)
+    if ia or ib:
+        x, y = (ka * h, kb * h) if ia else (kb * h, ka * h)
+        psi = _phi(1, -y) - _phi(2, -y)
+        return h * h * (y * psi + x * math.exp(-y) * _phi(2, -x)) / (x + y)
+    return h * _phi(1, -(ka + kb) * h)
+
+
+def _step_cov(h: float, kernels, corr):
+    """Covariance corr[w_j][w_k] int_0^h a_j a_k du of unit noise columns (w_j, kernel a_j).
+
+    Column j is int_0^h a_j(u) dW_{w_j}(u). No Vasicek factor of ``rates`` enters: the
+    oracle checks those.
+    """
+    import numpy as np
+
+    cov = np.empty((len(kernels), len(kernels)))
+    for j, (wj, aj) in enumerate(kernels):
+        for k, (wk, ak) in enumerate(kernels[: j + 1]):
+            cov[j, k] = cov[k, j] = corr[wj][wk] * _kernel_overlap(h, aj, ak)
+    return cov
+
+
+def _noise_columns(spec: FactorSpec, va, stock: bool):
+    """The live noise columns in stream order, {name: (scale, (w, kernel))}."""
+    columns = {}
+    if stock:
+        columns["x"] = (1.0, (0, (0.0, False)))  # scaled by sigma(Yt) when stepped
+    columns["r"] = (va.eta, (1, (va.beta, False)))
+    columns["ir"] = (va.eta, (1, (va.beta, True)))
+    if spec.multiscale_model:
+        fast = (1 / spec.eps, False)
+        columns["y"] = (_NU * math.sqrt(2 / spec.eps), (2, fast))
+        if spec.dlt > 0:
+            columns["z"] = (math.sqrt(spec.dlt) * _SLOW_G, (3, (spec.dlt, False)))
+        if stock:
+            columns["yt"] = (_NUT * math.sqrt(2 / spec.eps), (4, fast))
+    return columns
+
+
 def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
     """Simulate to each horizon; returns per-horizon integrals and stock.
 
     Returns a dict with
 
-    - ``int_r``:   array (H, 2, n_half), trapezoidal integral of r
+    - ``int_r``:   array (H, 2, n_half), integral of r, exact on each step
     - ``int_lam``: array (H, 2, n_half), trapezoidal integral of f(Y, Z)
     - ``x``:       array (H, 2, n_half), stock at each horizon; present
       only when ``inputs.strike`` is set, as only then is it simulated
@@ -255,29 +325,30 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
 
     Axis 1 separates the base paths from their antithetic mirrors.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     import numpy as np
 
-    spec = cfg.factor_spec
+    spec, va = cfg.factor_spec, inputs.vasicek
     horizons = sorted(horizons)
     if not horizons or not all(0 < h < math.inf for h in horizons):
         raise ValidationError(f"horizons must be finite and positive, got {horizons}")
     if len(set(horizons)) < len(horizons):
         raise ValidationError(f"horizons must be distinct, got {horizons}")
-    if spec.multiscale_model:
-        corr = np.array(_MULTISCALE_CORR)
-    else:
-        corr = np.eye(5)
-        corr[0, 1] = corr[1, 0] = spec.rho1
-    chol = np.linalg.cholesky(corr)
+    # Constant factors have columns on W0 and W1 only.
+    corr = _MULTISCALE_CORR if spec.multiscale_model else ((1.0, spec.rho1), (spec.rho1, 1.0))
 
     steps = _segment_steps(horizons, cfg.n_steps_per_year)
-    grid = _time_grid(horizons, steps)
-    # The fast factors step as y + (m - y) dt/eps, which diverges once dt reaches 2 eps.
-    if spec.multiscale_model and (dt := float(np.max(np.diff(grid)))) >= 2 * spec.eps:
-        raise ValidationError(f"eps = {spec.eps} needs time steps < 2*eps; the largest is {dt:.6g}")
+    dts = np.diff(_time_grid(horizons, steps)).tolist()
     h_steps = {int(i): k for k, i in enumerate(np.cumsum(steps))}
+    columns = _noise_columns(spec, va, inputs.strike is not None)
+    scales, kernels = zip(*columns.values())
+    # Per distinct step length h: the Cholesky factor, scaled after factorising so that eta = 0
+    # leaves it regular; b = B(h) and int_0^h B for the means; the decays of r, Y and Yt, and Z.
+    rates = [va.beta, 1 / spec.eps, spec.dlt] if spec.multiscale_model else [va.beta]
+    laws = {}
+    for h in set(dts):
+        chol = np.array(scales)[:, None] * np.linalg.cholesky(_step_cov(h, kernels, corr))
+        x = va.beta * h
+        laws[h] = (chol, h * _phi(1, -x), h * h * _phi(2, -x), [math.exp(-k * h) for k in rates])
 
     n_half = cfg.n_paths // 2
     shape = (len(horizons), 2, n_half)
@@ -286,172 +357,30 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
         out["x"] = np.empty(shape)
 
     base_stream = np.random.PCG64(cfg.seed)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        # A worker needs a CPU of its own; on one CPU the calling thread draws every step.
-        worker = pool if _cpus() > 1 else None
-        for chunk_idx, start in enumerate(range(0, n_half, CHUNK_BASE_PATHS)):
-            size = min(CHUNK_BASE_PATHS, n_half - start)
-            rng = np.random.Generator(base_stream.jumped(chunk_idx))
-            sl = slice(start, start + size)
-            with _DrawAhead(worker, rng, size, len(grid) - 1) as draws:
-                _simulate_chunk(draws, size, grid, h_steps, chol, spec, inputs,
-                                {key: val[:, :, sl] for key, val in out.items()})
+    for chunk_idx, start in enumerate(range(0, n_half, CHUNK_BASE_PATHS)):
+        size = min(CHUNK_BASE_PATHS, n_half - start)
+        rng = np.random.Generator(base_stream.jumped(chunk_idx))
+        sl = slice(start, start + size)
+        _simulate_chunk(rng, size, dts, laws, list(columns), h_steps, spec, inputs,
+                        {key: val[:, :, sl] for key, val in out.items()})
     return {**out, "horizons": horizons, "vasicek": inputs.vasicek, "equity": inputs.equity}
 
 
-def _mirrored(state, vol, d):
-    """Add vol*d to the base paths (row 0) and subtract it from the mirrors (row 1), in place.
-
-    ``state - vol*d`` is the same float as ``state + vol*(-d)``, so the
-    mirrors need no negated copy of the increments. ``vol`` is a number or
-    a (2, size) array.
-    """
-    import numpy as np
-
-    shock = np.broadcast_to(vol * d, state.shape)
-    state[0] += shock[0]
-    state[1] -= shock[1]
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    import os
-
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _DrawAhead:
-    """One chunk's per-step (size, 5) standard normals, drawn ahead by a worker thread.
-
-    ``with _DrawAhead(worker, rng, size, n_steps) as steps`` yields each
-    step's block in stream order. The worker draws the steps in order on its
-    own copy of ``rng``, into two buffers that take turns, while the caller
-    uses the step before (NumPy releases the interpreter lock while it
-    fills); it never draws past the last step. The caller waits for a step
-    the worker is drawing, but no longer than twice the worker's fastest
-    fill: past that, and for a step the worker has not started, it draws
-    the step itself from the same state, and the worker goes on from there.
-    So a worker whose core is taken away costs the caller about two fills,
-    not the time it is away. Whoever draws a step makes the same call from
-    the same state, so the floats are a serial loop's. Leaving the ``with``
-    stops the worker, an exception included, and raises the worker's own
-    error, if any (the caller has drawn its steps). With ``worker`` None the
-    caller draws every step.
-    """
-
-    def __init__(self, worker, rng, size, n_steps):
-        import copy
-        import threading
-
-        import numpy as np
-
-        self._worker, self._rng, self._n_steps = worker, rng, n_steps
-        self._ahead = copy.deepcopy(rng)  # the worker's copy, taken before either draws
-        self._buffers = [np.empty((size, 5)) for _ in range(min(2, n_steps))]
-        self._own = np.empty((size, 5))  # the caller's, for a step it draws itself
-        self._changed = threading.Condition()
-        # Shared under ``_changed``: the first step not drawn yet and the stream's state
-        # before it; the step the caller uses (it has finished with those before); the
-        # step the worker is drawing and when it began; the worker's fastest fill.
-        self._next, self._state = 0, rng.bit_generator.state
-        self._using = 0
-        self._drawing = None
-        self._fill_s = math.inf
-        self._stopped = False
-
-    def __enter__(self):
-        self._job = self._worker.submit(self._work) if self._worker else None
-        return self._steps()
-
-    def __exit__(self, *exc_info):
-        with self._changed:
-            self._stopped = True
-            self._changed.notify_all()
-        if self._job:
-            self._job.result()
-
-    def _work(self):
-        """The worker: draw the next step whenever its buffer is free, until stopped."""
-        import time
-
-        changed = self._changed
-        try:
-            while True:
-                with changed:
-                    changed.wait_for(lambda: self._stopped or self._next < min(
-                        self._n_steps, self._using + 2))
-                    if self._stopped:
-                        return
-                    step, state = self._next, self._state
-                    self._drawing = (step, time.perf_counter())
-                self._ahead.bit_generator.state = state
-                start = time.perf_counter()
-                self._ahead.standard_normal(out=self._buffers[step % 2])
-                fill_s = time.perf_counter() - start
-                state = self._ahead.bit_generator.state
-                with changed:
-                    self._drawing, self._fill_s = None, min(self._fill_s, fill_s)
-                    if self._next == step:
-                        self._next, self._state = step + 1, state
-                    changed.notify_all()
-        finally:
-            # A worker that stops, on an error too, leaves the step it was drawing to the caller.
-            with changed:
-                self._drawing = None
-                changed.notify_all()
-
-    def _steps(self):
-        import time
-
-        changed = self._changed
-        for i in range(self._n_steps):
-            with changed:
-                self._using = i
-                changed.notify_all()
-                while self._next == i and self._drawing and self._drawing[0] == i:
-                    left = self._drawing[1] + 2 * self._fill_s - time.perf_counter()
-                    if left <= 0:
-                        break
-                    changed.wait(left if left < math.inf else None)
-                drawn, state = self._next > i, self._state
-            if drawn:
-                yield self._buffers[i % 2]
-                continue
-            self._rng.bit_generator.state = state
-            self._rng.standard_normal(out=self._own)
-            with changed:
-                if self._next == i:
-                    self._next, self._state = i + 1, self._rng.bit_generator.state
-                    changed.notify_all()
-            yield self._own
-
-
-def _simulate_chunk(draws_by_step, size, grid, h_steps, chol, spec, inputs, out):
-    """Step one chunk's factors over ``grid``; write ``out`` at each horizon step.
-
-    ``draws_by_step`` yields each step's (size, 5) standard normals.
-    """
+def _simulate_chunk(rng, size, dts, laws, names, h_steps, spec, inputs, out):
+    """Step one chunk over ``dts`` by ``laws`` and the live columns ``names``; fill ``out``."""
     import numpy as np
 
     va, eq = inputs.vasicek, inputs.equity
     stock = "x" in out
     multi = spec.multiscale_model
-    live_z = multi and spec.dlt > 0
-    live_yt = multi and stock
 
     # state arrays: axis 0 = (base, antithetic)
     shape = (2, size)
     r = np.full(shape, va.r)
     ir = np.zeros(shape)
     if multi:
-        sqeps = math.sqrt(spec.eps)
-        fast_vol = _NU * math.sqrt(2.0) / sqeps
-        fast_vol_t = _NUT * math.sqrt(2.0) / sqeps
-        vol_z = math.sqrt(spec.dlt) * _SLOW_G
         y = np.full(shape, _Y0)
-        z = np.full(shape, _Z0) if live_z else np.broadcast_to(_Z0, shape)
+        z = np.full(shape, _Z0) if "z" in names else np.broadcast_to(_Z0, shape)
         lam = _intensity(spec.lam, y, z)
         il = np.zeros(shape)
     else:
@@ -459,43 +388,36 @@ def _simulate_chunk(draws_by_step, size, grid, h_steps, chol, spec, inputs, out)
         il = 0.0
     if stock:
         logx = np.full(shape, math.log(eq.x))
-    if live_yt:
+    if "yt" in names:
         yt = np.full(shape, _YT0)
 
-    dw = np.empty((size, 5))
-    steps = zip(np.diff(grid).tolist(), draws_by_step)
-    for i, (dt, draws) in enumerate(steps, start=1):
-        sq_dt = math.sqrt(dt)
-        # Five correlated columns every step, stepped or not, drawn one step ahead in
-        # stream order (``_DrawAhead``): the stream stays fixed, the floats a serial run's.
-        np.matmul(draws, chol.T, out=dw)
+    draws = np.empty((len(names), size))
+    noise = np.empty((2, len(names), size))
+    for i, dt in enumerate(dts, start=1):
+        chol, b, int_b, decays = laws[dt]
+        rng.standard_normal(out=draws)
+        # Each column's increment for the base paths (row 0) and the mirrors (row 1).
+        np.negative(np.matmul(chol, draws, out=noise[0]), out=noise[1])
+        dw = dict(zip(names, noise.transpose(1, 0, 2)))
 
+        d_ir = r * b + va.alpha * int_b + dw["ir"]  # the mean is E[int r over the step | r]
+        ir += d_ir
+        r = r * decays[0] + va.alpha * b + dw["r"]  # the mean is r e^{-beta h} + alpha b
+        if multi:
+            y = _M + (y - _M) * decays[1] + dw["y"]
+            if "z" in names:
+                z = z * decays[2] + dw["z"]
+        lam_new = _intensity(spec.lam, y, z) if multi else lam
+        d_il = 0.5 * (lam + lam_new) * dt
+        il += d_il
+        lam = lam_new
         if stock:
-            sig = _sigma(yt) if live_yt else spec.sigma
-            drift_x = (r + lam - eq.q - 0.5 * sig * sig) * dt
-            _mirrored(drift_x, sig, dw[:, 0] * sq_dt)
-            logx += drift_x
-        r_new = r + (va.alpha - va.beta * r) * dt
-        _mirrored(r_new, va.eta, dw[:, 1] * sq_dt)
-        if multi:
-            y = y + (_M - y) / spec.eps * dt
-            _mirrored(y, fast_vol, dw[:, 2] * sq_dt)
-            if live_z:
-                z = z + spec.dlt * -z * dt
-                _mirrored(z, vol_z, dw[:, 3] * sq_dt)
-        if live_yt:
-            drift_yt = (_MT - yt) / spec.eps - fast_vol_t * _vol_risk_price(yt)
-            yt = yt + drift_yt * dt
-            _mirrored(yt, fast_vol_t, dw[:, 4] * sq_dt)
-
-        ir += 0.5 * (r + r_new) * dt
-        r = r_new
-        if multi:
-            lam_new = _intensity(spec.lam, y, z)
-            il += 0.5 * (lam + lam_new) * dt
-            lam = lam_new
-        else:
-            il += 0.5 * (lam + lam) * dt
+            sig = _sigma(yt) if "yt" in names else spec.sigma
+            logx += d_ir + d_il - (eq.q + 0.5 * sig * sig) * dt + sig * dw["x"]
+        if "yt" in names:
+            # L(Yt), frozen over the step, moves Yt's OU target by -nut sqrt(2 eps) L(Yt).
+            target = _MT - _NUT * math.sqrt(2.0 * spec.eps) * _vol_risk_price(yt)
+            yt = target + (yt - target) * decays[1] + dw["yt"]
 
         k = h_steps.get(i)
         if k is not None:

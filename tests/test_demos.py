@@ -2,7 +2,7 @@
 
 Each demo runs in a fresh interpreter, as ``python demos/<name>.py`` would.
 ``mc_validation.py`` is left out: it runs two 400,000-path simulations and
-takes about 12 seconds on a 2-core machine.
+takes about 5 seconds on a 2-core machine.
 """
 
 import os

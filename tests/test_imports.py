@@ -4,9 +4,9 @@
 ``ivol-surface``) run on floats and load neither NumPy nor scipy; the
 calibration commands (``fit-rates``, ``calibrate``) and the Monte-Carlo
 ``oracle`` (constant or multiscale factors) load NumPy but no scipy. scipy
-is a test dependency only, and no module of ``credeq`` imports it. Only
-``oracle`` loads ``concurrent.futures``, for the worker thread that draws
-its normals; after every command, as after the import, one thread is left.
+is a test dependency only, and no module of ``credeq`` imports it. No
+command loads a ``concurrent`` module, and after every command, as after
+the import, one thread is left: the oracle runs on the calling thread.
 
 Each command check runs in a fresh interpreter, so modules loaded by other
 tests do not count. Only module presence and thread counts are asserted,
@@ -153,8 +153,8 @@ def test_oracle_loads_no_scipy(fit_json, factors):
                          "--strike", "8", "--maturity", "0.1", "--paths", "10000"] + factors])
     assert result["codes"] == [0]
     assert result["numpy"] and result["scipy"] == []
-    # Its worker thread is joined before the command returns.
-    assert "concurrent.futures" in result["concurrent"][0]
+    # It steps its paths on the calling thread.
+    assert result["concurrent"] == [[]]
     assert result["threads"] == [1]
 
 

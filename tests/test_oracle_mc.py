@@ -1,9 +1,5 @@
-import itertools
 import math
-import sys
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -82,10 +78,9 @@ class TestDeterminism:
         b = mc_price(cfg, "call", pin)
         assert a == b
 
-    # (estimate, standard error) of the call below, recorded while each step drew its own
-    # normals, before a worker drew them one step ahead: a step dropped or repeated at a
-    # chunk boundary moves it.
-    MULTI_CHUNK_PINNED = (0.5236320053133109, 0.0017077001127582356)
+    # (estimate, standard error) of the call below, recorded with the exact step on live
+    # columns: a step dropped or repeated at a chunk boundary moves it.
+    MULTI_CHUNK_PINNED = (0.5225357284764602, 0.0017026967726072935)
 
     def test_multi_chunk_runs_are_reproducible(self):
         # 40k base pairs span several fixed-size chunks with jumped substreams
@@ -108,7 +103,7 @@ class TestDeterminism:
 
 
 class TestLiveFactors:
-    """Skipping the factors no payoff reads leaves every float of the oracle as it was."""
+    """A run steps, and draws noise for, only the factors its payoffs read."""
 
     PINS = {
         "call": PricingInputs(VA, EQ, CR, 0.5, 8.04),
@@ -122,13 +117,13 @@ class TestLiveFactors:
         schedule = annual_schedule(3.0) if instrument == "cds" else None
         return mc_price(cfg, instrument, self.PINS[instrument], schedule)
 
-    # (estimate, standard error) at seed 1 and 20,000 paths, recorded before the step loop
-    # skipped dead factors. A different stream moves each estimate by about one SE.
+    # (estimate, standard error) at seed 1 and 20,000 paths, recorded with the exact step on
+    # live columns. A different stream moves each estimate by about one SE.
     PINNED = {
-        "call": (0.8464442975632581, 0.005141419833369644),
-        "put": (0.6563506735325279, 0.003363420381574694),
-        "bond": (0.8507701675595208, 1.9317917744211332e-06),
-        "cds": (0.03387013181012283, 1.4788633894647728e-07),
+        "call": (0.8394668000538371, 0.005118440281509278),
+        "put": (0.6515751337066589, 0.0033376339412838503),
+        "bond": (0.8507721454440316, 2.007415971149071e-06),
+        "cds": (0.03387026187136064, 1.5321560482735384e-07),
     }
 
     @pytest.mark.parametrize("instrument", sorted(PINNED))
@@ -156,14 +151,13 @@ class TestLiveFactors:
         for key in ("int_r", "int_lam", "x"):
             np.testing.assert_array_equal(both[key][0], alone[key][0])
 
-    # (estimate, standard error) at seed 1 and 20,000 paths, recorded while the multiscale
-    # model's functions were fields of FactorSpec: an option steps X, r, Y and Yt, and Z
-    # when dlt > 0; a bond or CDS steps r, Y and Z.
+    # (estimate, standard error) at seed 1 and 20,000 paths, recorded as PINNED was: an
+    # option steps X, r, Y and Yt, and Z when dlt > 0; a bond or CDS steps r, Y and Z.
     MULTISCALE_PINNED = {
-        ("call", 0.09): (0.6877998785574673, 0.003571569583325978),
-        ("bond", 0.09): (0.8641394835958752, 1.77914720569523e-05),
-        ("cds", 0.09): (0.025080063892048286, 1.0182647770646681e-05),
-        ("call", 0.0): (0.6878606737824413, 0.0035757315819580932),
+        ("call", 0.09): (0.6811608484483131, 0.0035288323099840245),
+        ("bond", 0.09): (0.8642662688510704, 1.7733510810681766e-05),
+        ("cds", 0.09): (0.024996342743366196, 1.021006447730406e-05),
+        ("call", 0.0): (0.6863439045811159, 0.0035166462958560133),
     }
 
     @pytest.mark.parametrize("instrument, dlt", sorted(MULTISCALE_PINNED))
@@ -173,7 +167,7 @@ class TestLiveFactors:
 
     # A 3-y annual CDS (horizons 1, 2 and 3) at 40,000 paths, two chunks, recorded as
     # TestDeterminism.MULTI_CHUNK_PINNED was.
-    TWO_CHUNK_CDS_PINNED = (0.02509367251742905, 7.393337187850988e-06)
+    TWO_CHUNK_CDS_PINNED = (0.025019241575527228, 7.2813568635517846e-06)
 
     def test_multiscale_multi_horizon_two_chunk_run_is_pinned(self):
         spec = FactorSpec.multiscale(lam=0.06, eps=0.09, dlt=0.09)
@@ -258,131 +252,69 @@ class TestSharedRun:
             mc_estimate(instrument, sim, pin, schedule)
 
 
-class TestDrawsAhead:
-    """A worker thread draws each step's normals ahead; it stops with the run."""
+class TestExactStep:
+    """Each step draws r, int r, Y, Z and the OU part of Yt from their exact joint law."""
 
-    MULTISCALE = FactorSpec.multiscale(lam=0.06, eps=0.09, dlt=0.09)
+    def test_one_step_a_year_is_exact(self):
+        # Under constant factors the step is exact at any length: one step a year leaves
+        # only the sampling error. A 2-y bond takes two steps and a 1-y call one.
+        cfg = McConfig(n_paths=200_000, n_steps_per_year=1, seed=11,
+                       factor_spec=FactorSpec.constant(sigma=EQ.sigma2, lam=CR.lam, rho1=EQ.rho1))
+        bond, call = PricingInputs(VA, EQ, CR, 2.0), PricingInputs(VA, EQ, CR, 1.0, 8.04)
+        for instrument, pin, closed in (("bond", bond, defaultable_bond_p0(bond)),
+                                        ("call", call, call_p0(call))):
+            est, se = mc_price(cfg, instrument, pin)
+            assert abs(est - closed) < 3 * se, (instrument, est, closed, se)
+
+    # Fixed before the first run: the helper loses about max(beta h, h / eps) ulps (at most
+    # 1e3 here, 2.2e-13) in psi and in the B^2 term, its phi series are cut below 1e-18,
+    # and quad is asked for 1e-13; 1e-12 is three times their sum.
+    COV_RTOL = 1e-12
 
     @staticmethod
-    def serial(seed, size, n_steps):
-        """A serial loop's blocks, and its generator after them."""
-        rng = np.random.Generator(np.random.PCG64(seed))
-        return [rng.standard_normal(out=np.empty((size, 5))) for _ in range(n_steps)], rng
+    def kernel(kappa, integrated):
+        if integrated:
+            return lambda u: -math.expm1(-kappa * u) / kappa
+        return lambda u: math.exp(-kappa * u)
 
-    @pytest.mark.parametrize("n_steps", [1, 2, 3, 7])
-    def test_draws_are_a_serial_loops(self, n_steps):
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            ahead = oracle_mc._DrawAhead(worker, np.random.Generator(np.random.PCG64(5)), 3,
-                                         n_steps)
-            with ahead as steps:
-                blocks = [block.copy() for block in steps]
-        expected, serial = self.serial(5, 3, n_steps)
-        np.testing.assert_array_equal(blocks, expected)
-        # The stream stops at the last step.
-        assert ahead._next == n_steps and ahead._state == serial.bit_generator.state
+    def test_step_covariance_matches_quadrature(self):
+        # The multiscale columns of an option hold every pair of kernels: 1 (stock),
+        # e^{-beta u} (r), B(u) (int r), e^{-u/eps} (Y, Yt) and e^{-dlt u} (Z).
+        from scipy.integrate import quad
 
-    def test_caller_draws_the_steps_the_worker_has_not_started(self):
-        # The worker is held up for the first ten steps: the caller draws those, the worker
-        # later ones, from where the caller left the stream.
-        release, from_worker, blocks = threading.Event(), [], []
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            held = worker.submit(release.wait, 10)
-            ahead = oracle_mc._DrawAhead(worker, np.random.Generator(np.random.PCG64(6)), 4, 40)
-            with ahead as steps:
-                for i, block in enumerate(steps):
-                    blocks.append(block.copy())
-                    from_worker.append(any(block is buf for buf in ahead._buffers))
-                    if i == 9:
-                        release.set()
-                    time.sleep(0.002)
-            assert held.result()
-        np.testing.assert_array_equal(blocks, self.serial(6, 4, 40)[0])
-        assert not any(from_worker[:10]) and any(from_worker[10:])
+        rng = np.random.default_rng(16)
+        corr = oracle_mc._MULTISCALE_CORR
+        for _ in range(60):
+            beta, eps = np.exp(rng.uniform(np.log([1e-8, 1e-3]), np.log([5.0, 1.0])))
+            h, dlt = rng.uniform(1e-4, 1.0), rng.uniform(0.0, 1.0)
+            va = VasicekParams(alpha=0.01, beta=beta, eta=0.02, r=0.04)
+            spec = FactorSpec.multiscale(lam=0.05, eps=eps, dlt=dlt)
+            kernels = [kernel for _, kernel in oracle_mc._noise_columns(spec, va, True).values()]
+            cov = oracle_mc._step_cov(h, kernels, corr)
+            ref = np.empty_like(cov)
+            for j, (wj, kj) in enumerate(kernels):
+                for k, (wk, kk) in enumerate(kernels):
+                    aj, ak = self.kernel(*kj), self.kernel(*kk)
+                    overlap = quad(lambda u: aj(u) * ak(u), 0.0, h, epsabs=0.0, epsrel=1e-13,
+                                   limit=200)[0]
+                    ref[j, k] = corr[wj][wk] * overlap
+            # Each entry against the size a correlation of one would give it.
+            scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+            assert np.all(np.abs(cov - ref) <= self.COV_RTOL * scale), (beta, h, eps, dlt)
 
-    def test_steps_pass_back_and_forth(self):
-        # With no wait allowed, the caller draws each step the worker has not finished; on
-        # every fifth step it lingers, and the worker draws ahead.
-        from_worker, blocks = [], []
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            ahead = oracle_mc._DrawAhead(worker, np.random.Generator(np.random.PCG64(7)), 500,
-                                         200)
-            ahead._fill_s = 0.0
-            with ahead as steps:
-                for i, block in enumerate(steps):
-                    blocks.append(block.copy())
-                    from_worker.append(any(block is buf for buf in ahead._buffers))
-                    if i % 5 == 0:
-                        time.sleep(0.002)
-        np.testing.assert_array_equal(blocks, self.serial(7, 500, 200)[0])
-        assert 0 < sum(from_worker) < 200
-
-    def test_a_failed_worker_leaves_its_steps_to_the_caller(self):
-        # The worker fails on its first step; the caller draws every step, and the worker's
-        # error comes out when the draws end.
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            ahead = oracle_mc._DrawAhead(worker, np.random.Generator(np.random.PCG64(9)), 3, 20)
-            ahead._ahead = None
-            blocks = []
-            with pytest.raises(AttributeError):
-                with ahead as steps:
-                    blocks.extend(block.copy() for block in steps)
-        np.testing.assert_array_equal(blocks, self.serial(9, 3, 20)[0])
-
-    def test_stream_holds_under_rapid_thread_switches(self):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=1) as worker:
-                rng = np.random.Generator(np.random.PCG64(8))
-                with oracle_mc._DrawAhead(worker, rng, 2, 2000) as steps:
-                    blocks = [block.copy() for block in steps]
-        finally:
-            sys.setswitchinterval(interval)
-        np.testing.assert_array_equal(blocks, self.serial(8, 2, 2000)[0])
-
-    def counting_intensity(self, monkeypatch, fail_at=None):
-        """Patch ``_intensity`` to record the live thread count at each call."""
-        counts, calls, intensity = [], itertools.count(1), oracle_mc._intensity
+    def test_a_run_starts_no_thread(self, monkeypatch):
+        counts, intensity = [], oracle_mc._intensity
 
         def counting(*args):
             counts.append(threading.active_count())
-            if next(calls) == fail_at:
-                raise RuntimeError("step loop failed")
             return intensity(*args)
 
         monkeypatch.setattr(oracle_mc, "_intensity", counting)
-        return counts
-
-    @pytest.mark.parametrize("tau", [0.5, 0.001], ids=["run", "one-step"])
-    def test_no_thread_outlives_a_run(self, monkeypatch, tau):
-        counts = self.counting_intensity(monkeypatch)
-        monkeypatch.setattr(oracle_mc, "_cpus", lambda: 2)
-        cfg = McConfig(n_paths=40_000, seed=3, factor_spec=self.MULTISCALE)
         before = threading.enumerate()
-        simulate_terminals(cfg, PricingInputs(VA, EQ, CR, tau, 8.0), [tau])
+        cfg = McConfig(n_paths=40_000, seed=3, factor_spec=FactorSpec.multiscale(0.06, 0.09, 0.09))
+        simulate_terminals(cfg, PricingInputs(VA, EQ, CR, 0.5, 8.0), [0.5])
         assert threading.enumerate() == before
-        # One worker at most, for both chunks.
-        assert max(counts) == len(before) + 1
-
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        # The calling thread draws every step itself: the same floats, and no worker.
-        counts = self.counting_intensity(monkeypatch)
-        monkeypatch.setattr(oracle_mc, "_cpus", lambda: 1)
-        before = threading.active_count()
-        cfg = McConfig(n_paths=40_000, seed=1, factor_spec=self.MULTISCALE)
-        got = mc_price(cfg, "cds", PricingInputs(VA, EQ, CR, 3.0), annual_schedule(3.0))
-        assert got == TestLiveFactors.TWO_CHUNK_CDS_PINNED
-        assert max(counts) == before
-
-    def test_no_thread_outlives_a_failed_run(self, monkeypatch):
-        counts = self.counting_intensity(monkeypatch, fail_at=10)
-        monkeypatch.setattr(oracle_mc, "_cpus", lambda: 2)
-        cfg = McConfig(n_paths=10_000, seed=3, factor_spec=self.MULTISCALE)
-        before = threading.enumerate()
-        with pytest.raises(RuntimeError, match="step loop failed"):
-            simulate_terminals(cfg, PricingInputs(VA, EQ, CR, 0.5), [0.5])
-        assert threading.enumerate() == before
-        assert len(counts) == 10
+        assert counts and set(counts) == {len(before)}
 
 
 class TestTimeGrid:
@@ -530,23 +462,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match="horizons"):
             simulate_terminals(constant_cfg(n_paths=10_000), pin, horizons)
 
-    @pytest.mark.parametrize("steps_per_year", [252, 1000])
-    def test_eps_below_half_the_time_step_rejected(self, monkeypatch, steps_per_year):
-        # The fast factors' Euler step y + (m - y) dt/eps diverges once dt >= 2 eps:
-        # the run stops before any path is drawn, and an eps just above dt/2 runs.
-        chunks = []
-        monkeypatch.setattr(oracle_mc, "_simulate_chunk", lambda *a: chunks.append(a))
-        pin = PricingInputs(VA, EQ, CR, 1.0)
-        dt = 1.0 / steps_per_year
-        for eps, runs in ((dt / 2, False), (0.1 * dt, False), (dt / 2 * (1 + 1e-9), True)):
-            cfg = McConfig(n_paths=10_000, n_steps_per_year=steps_per_year,
-                           factor_spec=FactorSpec.multiscale(lam=0.05, eps=eps, dlt=0.0))
-            if runs:
-                simulate_terminals(cfg, pin, [1.0])
-            else:
-                with pytest.raises(ValidationError, match="eps"):
-                    simulate_terminals(cfg, pin, [1.0])
-            assert bool(chunks) == runs
+    def test_eps_far_below_the_time_step_runs(self):
+        # Y and Yt step exactly, so eps = 0.001 at 252 steps a year (dt / eps about 4) is
+        # a finite estimate; their Euler step diverged there.
+        spec = FactorSpec.multiscale(lam=0.05, eps=0.001, dlt=0.0)
+        cfg = McConfig(n_paths=10_000, seed=3, factor_spec=spec)
+        for instrument, pin in (("bond", PricingInputs(VA, EQ, CR, 1.0)),
+                                ("call", PricingInputs(VA, EQ, CR, 1.0, 8.0))):
+            est, se = mc_price(cfg, instrument, pin)
+            assert math.isfinite(est) and se > 0, instrument
 
     def test_cds_needs_schedule(self):
         pin = PricingInputs(VA, EQ, CR, 3.0)
