@@ -462,11 +462,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match="horizons"):
             simulate_terminals(constant_cfg(n_paths=10_000), pin, horizons)
 
-    def test_eps_far_below_the_time_step_runs(self):
-        # Y and Yt step exactly, so eps = 0.001 at 252 steps a year (dt / eps about 4) is
-        # a finite estimate; their Euler step diverged there.
-        spec = FactorSpec.multiscale(lam=0.05, eps=0.001, dlt=0.0)
-        cfg = McConfig(n_paths=10_000, seed=3, factor_spec=spec)
+    @pytest.mark.parametrize("steps_per_year", [252, 1000])
+    def test_eps_far_below_the_time_step_runs(self, steps_per_year):
+        # Y and Yt step exactly, so eps = dt / 4 is a finite estimate; their Euler step
+        # y + (m - y) dt/eps diverged once dt >= 2 eps.
+        spec = FactorSpec.multiscale(lam=0.05, eps=0.25 / steps_per_year, dlt=0.0)
+        cfg = McConfig(n_paths=10_000, n_steps_per_year=steps_per_year, seed=3,
+                       factor_spec=spec)
         for instrument, pin in (("bond", PricingInputs(VA, EQ, CR, 1.0)),
                                 ("call", PricingInputs(VA, EQ, CR, 1.0, 8.0))):
             est, se = mc_price(cfg, instrument, pin)
