@@ -12,7 +12,6 @@ from .calibration import (
     BondFit,
     ModelFit,
     OptionFit,
-    calibrate_index,
     fit_bonds,
     fit_options,
 )

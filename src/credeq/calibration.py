@@ -13,28 +13,29 @@ Step 2 (options): for each candidate loss rate l on a uniform grid over
 coefficients solve a vega-weighted linear least squares against option
 price residuals. The grid-l minimizing the weighted objective wins.
 lambda enters only through log Bc(1), so the whole grid is one
-(grid x quotes x 8) tensor.
+(grid x quotes x 8) tensor. One function, :func:`fit_options`, runs this
+step for every row of ``VARIANTS``. The ``index`` variant has no bond step:
+it takes ``ZERO_BOND_FIT`` and its grid is the single point l = 1.
 
-Each step is one batched pass: the Vasicek factors are computed once per
-distinct maturity, and the linear systems of every grid point are solved
-together by batched SVD (never normal equations; the Greek columns are
-highly collinear), with the rank rule of ``np.linalg.lstsq``. Each fit
-reports the design-matrix condition number at its argmin. Ties on a grid
-break toward the smaller grid value, and a non-finite P0 or Greek raises
-NumericalError. The l grid starts at l_min > 0 because lambda =
-(l*lambda)/l blows up as l -> 0.
+Both steps pick their grid point with one helper, :func:`_best_on_grid`.
+The Vasicek factors are computed once per distinct maturity, and the
+linear systems of every grid point are solved together by batched SVD
+(never normal equations; the Greek columns are highly collinear), with
+the rank rule of ``np.linalg.lstsq``. Each fit reports the design-matrix
+condition number at its argmin. Ties on a grid break toward the smaller
+grid value, and a non-finite P0 or Greek raises NumericalError. The l grid
+starts at l_min > 0 because lambda = (l*lambda)/l blows up as l -> 0.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass
 
 # NumPy is imported inside the functions that use arrays, so that the float
 # path (one price, one CDS curve) never loads it.
-from .corrections import VARIANTS, CorrectionParams, evaluate_bonds, evaluate_options, get_variant
+from .corrections import CorrectionParams, evaluate_bonds, evaluate_options, get_variant
 from .errors import (CalibrationError, ConfigurationError, DomainError, NumericalError,
                      ValidationError)
 from .implied_vol import VEGA_FLOOR_FACTOR, bs_vega, implied_vol
@@ -49,7 +50,6 @@ __all__ = [
     "read_block",
     "fit_bonds",
     "fit_options",
-    "calibrate_index",
     "quotes_digest",
     "build_report",
 ]
@@ -142,14 +142,16 @@ def read_block(params, name: str, cls):
         raise ValidationError(f"malformed '{name}' block: {exc}") from None
 
 
-def _least_squares(design, rhs, rank_message: str):
-    """Least squares for each leading index of a (G x M x N) design, by batched SVD.
+def _best_on_grid(design, rhs, rank_message: str):
+    """The grid point whose least squares leaves the least residual.
 
-    Never forms normal equations. Keeps the rank rule of ``np.linalg.lstsq``
-    (singular values at or below eps*max(M, N) times the largest count as
-    zero) and raises :class:`CalibrationError` when any system has rank
-    below N. Returns the solutions (G x N), the residual sums of squares
-    (G,) and the singular values (G x N).
+    Row g of the (G x M x N) ``design`` and the (G x M) ``rhs`` is grid
+    point g's system. All are solved together by batched SVD, never by
+    normal equations, with the rank rule of ``np.linalg.lstsq``: singular
+    values at or below eps*max(M, N) times the largest count as zero, and
+    :class:`CalibrationError` is raised when any system has rank below N.
+    Returns the winner's index, solution (N,), residual sum of squares and
+    condition number. Ties go to the first, that is the smaller, grid value.
     """
     import numpy as np
 
@@ -158,12 +160,10 @@ def _least_squares(design, rhs, rank_message: str):
     if not keep.all():
         raise CalibrationError(rank_message, best=None)
     theta = np.einsum("gji,gj->gi", vt, np.einsum("gmj,gm->gj", u, rhs) / sing)
-    resid = rhs - np.einsum("gmn,gn->gm", design, theta)
-    return theta, np.sum(resid**2, axis=-1), sing
-
-
-def _condition_number(sing) -> float:
-    return float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
+    resid = np.sum((rhs - np.einsum("gmn,gn->gm", design, theta)) ** 2, axis=-1)
+    i = int(np.argmin(resid))
+    # The rank rule above leaves every smallest singular value > 0.
+    return i, theta[i], float(resid[i]), float(sing[i, 0] / sing[i, -1])
 
 
 def _check_finite(p0, cols, quotes, what: str) -> None:
@@ -193,16 +193,15 @@ def fit_bonds(bonds, vasicek: VasicekParams) -> BondFit:
     grid = np.linspace(0.0, DEFAULT_M1, DEFAULT_BOND_GRID)
     p0, cols = evaluate_bonds(vasicek, grid, [q.maturity for q in bonds])
     _check_finite(p0, cols, bonds, "bond")
-    theta, resid, sing = _least_squares(
+    i, theta, resid, cond = _best_on_grid(
         cols, prices - p0, "bond design matrix is rank deficient (distinct maturities required)"
     )
-    i = int(np.argmin(resid))  # first minimum: ties go to the smaller l*lambda
     return BondFit(
         l_lambda=float(grid[i]),
-        l_v3=float(theta[i, 0]),
-        l_w2=float(theta[i, 1]),
-        residual=float(resid[i]),
-        condition_number=_condition_number(sing[i]),
+        l_v3=float(theta[0]),
+        l_w2=float(theta[1]),
+        residual=resid,
+        condition_number=cond,
     )
 
 
@@ -230,14 +229,30 @@ def _quote_weights(options, vasicek: VasicekParams, equity: EquityParams):
     return weights
 
 
-def _option_step(options, bond_fit: BondFit, vasicek, equity, grid, row) -> OptionFit:
-    """The option step of variant ``row`` at every loss rate l in ``grid``.
+def fit_options(
+    options,
+    bond_fit: BondFit,
+    vasicek: VasicekParams,
+    equity: EquityParams,
+    variant: str = "seven_param",
+) -> OptionFit:
+    """Fit the loss rate and the option-side coefficients of ``variant`` to option quotes.
 
-    Needs one quote per unknown; the l grid of a variant with a bond step
-    counts as one.
+    Per loss rate l the bond products fix {lambda, V3, W2} and the variant's
+    linear coefficients solve a vega-weighted least squares on price
+    residuals; :func:`_best_on_grid` picks l. A variant with a bond step
+    searches l over [DEFAULT_L_MIN, 1] and needs one quote more than it has
+    coefficients. ``index`` has no bond step: it is fitted at the one point
+    l = 1 with lambda = 0, so its ``bond_fit`` must be ``ZERO_BOND_FIT``.
+    An unknown variant, or a nonzero bond fit for ``index``, raises
+    ConfigurationError.
     """
     import numpy as np
 
+    row = get_variant(variant)
+    if not row.bond_step and bond_fit != ZERO_BOND_FIT:
+        raise ConfigurationError(
+            f"{variant} variant has no bond step; its bond fit must be ZERO_BOND_FIT")
     n_unknowns = len(row.fitted) + (1 if row.bond_step else 0)
     if len(options) < n_unknowns:
         raise ValidationError(
@@ -246,7 +261,7 @@ def _option_step(options, bond_fit: BondFit, vasicek, equity, grid, row) -> Opti
     prices = np.asarray([q.price for q in options])
     weights = _quote_weights(options, vasicek, equity)
 
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(DEFAULT_L_MIN, 1.0, DEFAULT_L_GRID) if row.bond_step else np.ones(1)
     lam = bond_fit.l_lambda / grid
     v3 = bond_fit.l_v3 / grid
     w2 = bond_fit.l_w2 / grid
@@ -260,53 +275,18 @@ def _option_step(options, bond_fit: BondFit, vasicek, equity, grid, row) -> Opti
     )
     _check_finite(p0, g, options, "option")
     rhs = prices - p0 - v3[:, None] * g[..., 2] - w2[:, None] * g[..., 7]
-    theta, resid, sing = _least_squares(
+    i, theta, resid, cond = _best_on_grid(
         g[..., list(row.columns)] * weights[:, None], rhs * weights,
         f"{row.name} design matrix is rank deficient; spread strikes/maturities",
     )
-    i = int(np.argmin(resid))  # first minimum: ties go to the smaller l
-    fitted = dict(zip(row.fitted, theta[i].tolist()))
+    fitted = dict(zip(row.fitted, theta.tolist()))
     return OptionFit(
         l=float(grid[i]),
         lam=float(lam[i]),
         coeffs=CorrectionParams(v3=float(v3[i]), w2=float(w2[i]), **fitted),
-        weighted_residual=float(resid[i]),
-        condition_number=_condition_number(sing[i]),
+        weighted_residual=resid,
+        condition_number=cond,
     )
-
-
-def fit_options(
-    options,
-    bond_fit: BondFit,
-    vasicek: VasicekParams,
-    equity: EquityParams,
-    variant: str = "seven_param",
-) -> OptionFit:
-    """Fit the loss rate and the option-side coefficients to option quotes.
-
-    Grid over l; per l the bond products fix {lambda, V3, W2} and the
-    variant's linear coefficients solve a vega-weighted least squares on
-    price residuals. Requires one more quote than there are unknowns. An
-    unknown variant, or one without a bond step (fit ``index`` with
-    :func:`calibrate_index`), raises ConfigurationError.
-    """
-    import numpy as np
-
-    row = get_variant(variant)
-    if not row.bond_step:
-        raise ConfigurationError(f"{variant} variant has no bond step; use calibrate_index")
-    grid = np.linspace(DEFAULT_L_MIN, 1.0, DEFAULT_L_GRID)
-    return _option_step(options, bond_fit, vasicek, equity, grid, row)
-
-
-def calibrate_index(options, vasicek: VasicekParams, equity: EquityParams) -> OptionFit:
-    """Single weighted least squares for index options (no default risk).
-
-    The option step at the one point l = 1 with no bond products: lambda is
-    zero and only the five fast-scale coefficients {v1, v2, v4, v5, v6} are
-    fitted.
-    """
-    return _option_step(options, ZERO_BOND_FIT, vasicek, equity, (1.0,), VARIANTS["index"])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .calibration import (
     ZERO_BOND_FIT,
     ModelFit,
     build_report,
-    calibrate_index,
     fit_bonds,
     fit_options,
     quotes_digest,
@@ -115,18 +114,16 @@ def cmd_calibrate(args) -> None:
     config = {"variant": row.name, "min_maturity": md.DEFAULT_MIN_MATURITY,
               "min_volume": md.DEFAULT_MIN_VOLUME}
 
+    bond_fit = ZERO_BOND_FIT
     if row.bond_step:
         if not args.bonds:
             raise ValidationError(f"--bonds is required with --variant {args.variant}")
         bonds = md.load_bonds_csv(args.bonds)
         digests["bonds"] = quotes_digest(bonds)
         bond_fit = fit_bonds(bonds, vasicek)
-        option_fit = fit_options(options, bond_fit, vasicek, equity, variant=row.name)
         config.update({"m1": cal.DEFAULT_M1, "bond_grid": cal.DEFAULT_BOND_GRID,
                        "l_min": cal.DEFAULT_L_MIN, "l_grid": cal.DEFAULT_L_GRID})
-    else:
-        bond_fit = ZERO_BOND_FIT
-        option_fit = calibrate_index(options, vasicek, equity)
+    option_fit = fit_options(options, bond_fit, vasicek, equity, variant=row.name)
     report = build_report(bond_fit, option_fit, vasicek, equity, row.name, digests, config)
     _emit(args, report_json(report))
 

@@ -91,13 +91,6 @@ class OptionQuote:
         if self.volume < 0:
             raise ValidationError(f"volume must be >= 0, got {self.volume}")
 
-    def check_against_spot(self, spot: float) -> None:
-        """A call is never worth more than the underlying."""
-        if self.kind == "call" and self.price > spot:
-            raise ValidationError(
-                f"call price {self.price} exceeds spot {spot} (arbitrage bound)"
-            )
-
 
 @dataclass(frozen=True)
 class PriceHistory:

@@ -5,9 +5,11 @@ import pytest
 
 from credeq import calibration
 from credeq.calibration import (
+    ZERO_BOND_FIT,
+    BondFit,
     ModelFit,
+    OptionFit,
     build_report,
-    calibrate_index,
     fit_bonds,
     fit_options,
     quotes_digest,
@@ -204,7 +206,7 @@ class TestCalibrateIndex:
 
     def test_round_trip(self):
         quotes = self.synth(self.TRUTH)
-        fit = calibrate_index(quotes, INDEX_VASICEK, INDEX_EQUITY)
+        fit = fit_options(quotes, ZERO_BOND_FIT, INDEX_VASICEK, INDEX_EQUITY, variant="index")
         assert fit.lam == 0.0
         for name in ("v1", "v2", "v4", "v5", "v6"):
             assert getattr(fit.coeffs, name) == pytest.approx(
@@ -214,19 +216,72 @@ class TestCalibrateIndex:
 
     def test_zero_vector(self):
         quotes = self.synth(CorrectionParams())
-        fit = calibrate_index(quotes, INDEX_VASICEK, INDEX_EQUITY)
+        fit = fit_options(quotes, ZERO_BOND_FIT, INDEX_VASICEK, INDEX_EQUITY, variant="index")
         for name in ("v1", "v2", "v4", "v5", "v6"):
             assert abs(getattr(fit.coeffs, name)) < 1e-8
 
     def test_reports_residual(self):
         quotes = self.synth(self.TRUTH)
-        fit = calibrate_index(quotes, INDEX_VASICEK, INDEX_EQUITY)
+        fit = fit_options(quotes, ZERO_BOND_FIT, INDEX_VASICEK, INDEX_EQUITY, variant="index")
         assert np.isfinite(fit.weighted_residual)
         assert np.isfinite(fit.condition_number)
 
     def test_needs_five_quotes(self):
         with pytest.raises(ValidationError):
-            calibrate_index(self.synth(self.TRUTH)[:4], INDEX_VASICEK, INDEX_EQUITY)
+            fit_options(self.synth(self.TRUTH)[:4], ZERO_BOND_FIT, INDEX_VASICEK, INDEX_EQUITY,
+                        variant="index")
+
+
+class TestPinnedFits:
+    """Every field of the fits, pinned with ``==``: a change to the solver's
+    floating-point order shows here, not only a change beyond the round-trip
+    tolerances above."""
+
+    BOND = BondFit(l_lambda=0.015, l_v3=0.0002700000000000018, l_w2=-3.0000000000000214e-05,
+                   residual=3.204499666311986e-32, condition_number=13.045282597946768)
+    OPTIONS = {
+        "seven_param": OptionFit(
+            l=0.3, lam=0.05,
+            coeffs=CorrectionParams(
+                v1=0.9960000000000065, v2=-0.0014000000000006676, v3=0.000900000000000006,
+                v4=0.010400000000018353, v5=-0.6513999999963921, v6=0.33400000000422203,
+                w1=-0.18370000000411463, w2=-0.00010000000000000072),
+            weighted_residual=1.9390412621237926e-23, condition_number=911878.5416001045),
+        "three_param": OptionFit(
+            l=0.38, lam=0.039473684210526314,
+            coeffs=CorrectionParams(v1=0.9658054412306679, v3=0.0007105263157894784,
+                                    w1=0.018588030334167463, w2=-7.894736842105319e-05),
+            weighted_residual=88.87391568671198, condition_number=26.389280194295644),
+        "index": OptionFit(
+            l=1.0, lam=0.0,
+            coeffs=CorrectionParams(v1=0.9031385376931271, v2=0.0004120894949664654,
+                                    v4=-0.009314079015336138, v5=12.81279403948366,
+                                    v6=-0.1753891682175106),
+            weighted_residual=851.9258769980916, condition_number=64913.79026388401),
+    }
+    INDEX_TRUTH = OptionFit(
+        l=1.0, lam=0.0,
+        coeffs=CorrectionParams(v1=0.00039999999999995676, v2=-6.000000000001164e-05,
+                                v4=1.9999999999960157e-05, v5=-0.0007999999999991634,
+                                v6=0.0002999999999999084),
+        weighted_residual=1.9750715979744888e-24, condition_number=955.6366387029077)
+
+    def test_bond_fit(self, roundtrip_fixture):
+        bonds, _ = roundtrip_fixture
+        assert fit_bonds(bonds, SURFACE_VASICEK) == self.BOND
+
+    @pytest.mark.parametrize("variant", ["seven_param", "three_param", "index"])
+    def test_option_fit(self, variant, roundtrip_fixture):
+        bonds, options = roundtrip_fixture
+        bond_fit = ZERO_BOND_FIT if variant == "index" else fit_bonds(bonds, SURFACE_VASICEK)
+        fit = fit_options(options, bond_fit, SURFACE_VASICEK, SURFACE_EQUITY, variant=variant)
+        assert fit == self.OPTIONS[variant]
+
+    def test_index_fit_on_the_index_truth_surface(self):
+        quotes = make_option_quotes(INDEX_VASICEK, INDEX_EQUITY, 0.0, TestCalibrateIndex.TRUTH,
+                                    TestCalibrateIndex.GRID)
+        fit = fit_options(quotes, ZERO_BOND_FIT, INDEX_VASICEK, INDEX_EQUITY, variant="index")
+        assert fit == self.INDEX_TRUTH
 
 
 class TestReport:

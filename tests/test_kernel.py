@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credeq.calibration import _quote_weights, calibrate_index, fit_bonds, fit_options
+from credeq.calibration import ZERO_BOND_FIT, _quote_weights, fit_bonds, fit_options
 from credeq.corrections import (
     CorrectionParams,
     _ndtr,
@@ -248,7 +248,7 @@ class TestNonFiniteGreeks:
 
     def test_calibrate_index_raises(self):
         with pytest.raises(NumericalError, match="non-finite"):
-            calibrate_index(self.QUOTES, self.VASICEK, self.EQUITY)
+            fit_options(self.QUOTES, ZERO_BOND_FIT, self.VASICEK, self.EQUITY, variant="index")
 
 
 def test_price_full_is_p0_plus_both_corrections():
@@ -334,4 +334,4 @@ class TestArrayNormalCdf:
         assert np.isnan(p0).all()
         quotes = [OptionQuote(t, k, "call", 1.0, 10) for t in (2.0, 3.0) for k in (7.0, 8.0, 9.0)]
         with pytest.raises(NumericalError, match="non-finite"):
-            calibrate_index(quotes, SURFACE_VASICEK, equity)
+            fit_options(quotes, ZERO_BOND_FIT, SURFACE_VASICEK, equity, variant="index")

@@ -184,11 +184,6 @@ class TestQuoteValidation:
         with pytest.raises(ValidationError):
             OptionQuote(1.0, 8.0, "straddle", 1.0, 1)
 
-    def test_call_above_spot_flagged(self):
-        q = OptionQuote(1.0, 8.0, "call", 9.5, 1)
-        with pytest.raises(ValidationError, match="spot"):
-            q.check_against_spot(9.0)
-
     @pytest.mark.parametrize(
         "make",
         [

@@ -6,11 +6,11 @@ is covered without a new test.
 
 import argparse
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from credeq.calibration import ZERO_BOND_FIT, calibrate_index, fit_bonds, fit_options
+from credeq.calibration import ZERO_BOND_FIT, fit_bonds, fit_options
 from credeq.cli import build_parser
 from credeq.corrections import VARIANTS, CorrectionParams, get_variant, price_full
 from credeq.errors import ConfigurationError
@@ -87,20 +87,21 @@ def test_unknown_variant_raises_configuration_error():
 
 @pytest.mark.parametrize("row", [r for r in ROWS if not r.bond_step],
                          ids=[r.name for r in ROWS if not r.bond_step])
-def test_fit_options_refuses_a_variant_without_bond_step(row):
+def test_fit_options_refuses_a_bond_fit_without_bond_step(row):
+    # Its lambda must be 0, as price_full requires of such a variant.
+    bond_fit = replace(ZERO_BOND_FIT, l_lambda=0.015)
     with pytest.raises(ConfigurationError, match="bond step"):
-        fit_options([], ZERO_BOND_FIT, SURFACE_VASICEK, SURFACE_EQUITY, variant=row.name)
+        fit_options([], bond_fit, SURFACE_VASICEK, SURFACE_EQUITY, variant=row.name)
 
 
 @pytest.mark.parametrize("row", ROWS, ids=ROW_IDS)
 def test_calibrated_fit_prices_under_its_own_variant(row, roundtrip_fixture):
     bonds, options = roundtrip_fixture
+    bond_fit = fit_bonds(bonds, SURFACE_VASICEK) if row.bond_step else ZERO_BOND_FIT
+    fit = fit_options(options, bond_fit, SURFACE_VASICEK, SURFACE_EQUITY, variant=row.name)
     if row.bond_step:
-        bond_fit = fit_bonds(bonds, SURFACE_VASICEK)
-        fit = fit_options(options, bond_fit, SURFACE_VASICEK, SURFACE_EQUITY, variant=row.name)
         assert (fit.coeffs.v3, fit.coeffs.w2) == (bond_fit.l_v3 / fit.l, bond_fit.l_w2 / fit.l)
     else:
-        fit = calibrate_index(options, SURFACE_VASICEK, SURFACE_EQUITY)
         assert (fit.l, fit.lam) == (1.0, 0.0)
     assert all(getattr(fit.coeffs, n) == 0.0 for n in row.ignored)
     assert all(getattr(fit.coeffs, n) != 0.0 for n in row.fitted)
