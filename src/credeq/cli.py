@@ -257,8 +257,7 @@ def cmd_oracle(args) -> None:
     start = time.perf_counter()
     est, se = mc_price(cfg, args.instrument, pin, schedule)
     elapsed = time.perf_counter() - start
-    n_steps = grid_steps(schedule.payment_times if schedule else [args.maturity],
-                         args.steps_per_year)
+    n_steps = grid_steps(cfg, schedule.payment_times if schedule else [args.maturity])
     _emit(args, json.dumps({"instrument": args.instrument, "estimate": est,
                             "std_error": se, "n_paths": args.paths, "n_steps": n_steps,
                             "elapsed_s": elapsed,
@@ -340,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maturity", type=float, required=True)
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps-per-year", type=int, default=252)
+    p.add_argument("--steps-per-year", type=int, default=252,
+                   help="multiscale time steps a year; constant factors step once per horizon")
     p.add_argument("--eps", type=float, default=None,
                    help="activate multiscale factors with this eps")
     p.add_argument("--dlt", type=float, help="multiscale slow-factor scale (needs --eps; default 0)")

@@ -30,7 +30,11 @@ Financial Engineering, 2003, section 3.3), through the Cholesky factor of
 ``_step_cov`` for each distinct h. sigma(Yt) and L(Yt) are frozen over the
 step and int f is the trapezoid; the log-stock moves by int r + int f -
 (q + sigma^2/2) h plus sigma times its W0 column, so the discounted stock
-is a martingale. Under constant factors every step is exact.
+is a martingale. Under constant factors every step is exact, so a run
+takes one step from each horizon to the next (Glasserman, section 3.3:
+simulate a Gaussian process only at the dates the payoff reads).
+``McConfig.n_steps_per_year`` sets only the multiscale time grid, where
+the frozen sigma(Yt) and L(Yt) and the trapezoid int f need fine steps.
 
 A step draws only the columns its payoff reads: r and int r; the stock for
 a call or put; under multiscale factors Y, plus Yt for an option and Z
@@ -44,7 +48,10 @@ on the calling thread.
 ``mc_estimate`` turns the run into any call, put, bond or CDS estimate on
 them, with the only copy of each payoff; ``mc_price`` does both for one
 payoff. A payoff at the run's first horizon equals its own run bit for
-bit; a later horizon's time grid differs from its own run's.
+bit; a later horizon does not. Under multiscale factors its time grid
+differs from its own run's in the last bits; under constant factors other
+exact steps reach it (0.5 and 1.5 y against one of 2 y), another draw of
+the same law.
 
 This is a validation oracle, not a production pricer: only its averaged
 quantities are ever compared against the closed forms.
@@ -197,6 +204,12 @@ def effective_params(spec: FactorSpec):
 
 @dataclass(frozen=True)
 class McConfig:
+    """A run's size and seed, and its factor model.
+
+    ``n_steps_per_year`` sets the multiscale time grid. Constant factors step
+    exactly from horizon to horizon and do not read it.
+    """
+
     n_paths: int
     n_steps_per_year: int = 252
     seed: int = 0
@@ -217,11 +230,17 @@ class McConfig:
             raise ValidationError("n_steps_per_year must be >= 1")
 
 
-def _segment_steps(horizons, steps_per_year: int):
-    """Steps from each sorted horizon's predecessor (0 for the first) to it."""
+def _segment_steps(cfg: McConfig, horizons):
+    """Steps from each sorted horizon's predecessor (0 for the first) to it.
+
+    Constant factors step exactly at any length, so they take one step per
+    segment; multiscale factors take ``cfg.n_steps_per_year`` a year (at least one).
+    """
+    if not cfg.factor_spec.multiscale_model:
+        return [1] * len(horizons)
     steps, prev = [], 0.0
     for h in horizons:
-        steps.append(max(1, round((h - prev) * steps_per_year)))
+        steps.append(max(1, round((h - prev) * cfg.n_steps_per_year)))
         prev = h
     return steps
 
@@ -238,9 +257,9 @@ def _time_grid(horizons, steps):
     return np.asarray(pts)
 
 
-def grid_steps(horizons, steps_per_year: int) -> int:
+def grid_steps(cfg: McConfig, horizons) -> int:
     """Time steps of a simulation to ``horizons``: each path takes this many."""
-    return sum(_segment_steps(sorted(horizons), steps_per_year))
+    return sum(_segment_steps(cfg, sorted(horizons)))
 
 
 def _phi(k: int, z: float) -> float:
@@ -336,7 +355,7 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
     # Constant factors have columns on W0 and W1 only.
     corr = _MULTISCALE_CORR if spec.multiscale_model else ((1.0, spec.rho1), (spec.rho1, 1.0))
 
-    steps = _segment_steps(horizons, cfg.n_steps_per_year)
+    steps = _segment_steps(cfg, horizons)
     dts = np.diff(_time_grid(horizons, steps)).tolist()
     h_steps = {int(i): k for k, i in enumerate(np.cumsum(steps))}
     columns = _noise_columns(spec, va, inputs.strike is not None)

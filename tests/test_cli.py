@@ -540,16 +540,33 @@ class TestOracleCommand:
     @pytest.mark.parametrize("instrument, maturity, freq, n_steps", [
         ("bond", "0.5", "annual", 126), ("cds", "2", "quarterly", 504)])
     def test_reports_its_cost(self, tmp_path, capsys, instrument, maturity, freq, n_steps):
+        # Multiscale factors (--eps) step on the 252-a-year grid.
         path = tmp_path / "fit.json"
         path.write_text(json.dumps(self.FIT))
         code, out, err = run(capsys, "oracle", "--fit", str(path), "--instrument", instrument,
-                             "--maturity", maturity, "--freq", freq, "--paths", "10000")
+                             "--maturity", maturity, "--freq", freq, "--paths", "10000",
+                             "--eps", "0.09")
         assert code == 0, err
         payload = json.loads(out)
         assert list(payload) == ["instrument", "estimate", "std_error", "n_paths", "n_steps",
                                  "elapsed_s", "path_steps_per_s", "n_chunks"]
         assert payload["n_steps"] == n_steps
         assert payload["elapsed_s"] > 0
+        assert payload["path_steps_per_s"] == 10_000 * n_steps / payload["elapsed_s"]
+
+    @pytest.mark.parametrize("instrument, maturity, freq, n_steps", [
+        ("call", "0.5", "annual", 1), ("bond", "0.5", "annual", 1),
+        ("cds", "2", "quarterly", 8), ("cds", "5", "annual", 5)])
+    def test_constant_factors_report_one_step_per_segment(self, tmp_path, capsys, instrument,
+                                                          maturity, freq, n_steps):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(self.FIT))
+        code, out, err = run(capsys, "oracle", "--fit", str(path), "--instrument", instrument,
+                             "--strike", "8.04", "--maturity", maturity, "--freq", freq,
+                             "--paths", "10000", "--steps-per-year", "1000")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["n_steps"] == n_steps
         assert payload["path_steps_per_s"] == 10_000 * n_steps / payload["elapsed_s"]
 
     @pytest.mark.parametrize("paths, n_chunks", [("10000", 1), ("40000", 2)])

@@ -1,8 +1,8 @@
 """The demo scripts run to completion.
 
 Each demo runs in a fresh interpreter, as ``python demos/<name>.py`` would.
-``mc_validation.py`` is left out: it runs two 400,000-path simulations and
-takes about 5 seconds on a 2-core machine.
+``mc_validation.py`` runs two 400,000-path simulations of one exact step
+each, in about 0.4 seconds on a 2-core machine.
 """
 
 import os
@@ -17,7 +17,8 @@ import credeq
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("name", ["pricing_and_smile.py", "joint_calibration.py", "cds_curves.py"])
+@pytest.mark.parametrize("name", ["pricing_and_smile.py", "joint_calibration.py", "cds_curves.py",
+                                  "mc_validation.py"])
 def test_demo_exits_0(name):
     src = str(Path(credeq.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

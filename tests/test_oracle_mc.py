@@ -78,9 +78,9 @@ class TestDeterminism:
         b = mc_price(cfg, "call", pin)
         assert a == b
 
-    # (estimate, standard error) of the call below, recorded with the exact step on live
-    # columns: a step dropped or repeated at a chunk boundary moves it.
-    MULTI_CHUNK_PINNED = (0.5225357284764602, 0.0017026967726072935)
+    # (estimate, standard error) of the call below, recorded with one exact step per horizon
+    # segment: a step dropped or repeated at a chunk boundary moves it.
+    MULTI_CHUNK_PINNED = (0.5220603541095186, 0.0016909256083481186)
 
     def test_multi_chunk_runs_are_reproducible(self):
         # 40k base pairs span several fixed-size chunks with jumped substreams
@@ -118,18 +118,29 @@ class TestLiveFactors:
         return mc_price(cfg, instrument, self.PINS[instrument], schedule)
 
     # (estimate, standard error) at seed 1 and 20,000 paths, recorded with the exact step on
-    # live columns. A different stream moves each estimate by about one SE.
+    # live columns, one step per horizon segment. A different stream moves each estimate by
+    # about one SE.
     PINNED = {
-        "call": (0.8394668000538371, 0.005118440281509278),
-        "put": (0.6515751337066589, 0.0033376339412838503),
-        "bond": (0.8507721454440316, 2.007415971149071e-06),
-        "cds": (0.03387026187136064, 1.5321560482735384e-07),
+        "call": (0.8468432565571551, 0.005155961809824414),
+        "put": (0.6568054017251909, 0.003343135142291384),
+        "bond": (0.8507752356928359, 2.038969414966149e-06),
+        "cds": (0.033870189137170804, 1.532071874615883e-07),
     }
 
     @pytest.mark.parametrize("instrument", sorted(PINNED))
     def test_stream_is_pinned(self, instrument):
         spec = FactorSpec.constant(sigma=EQ.sigma2, lam=CR.lam, rho1=EQ.rho1)
         assert self.price(spec, instrument) == pytest.approx(self.PINNED[instrument], rel=1e-12)
+
+    @pytest.mark.parametrize("instrument", sorted(PINNED))
+    def test_constant_factors_ignore_the_steps_per_year(self, instrument):
+        # One exact step per horizon segment, whatever n_steps_per_year says.
+        spec = FactorSpec.constant(sigma=EQ.sigma2, lam=CR.lam, rho1=EQ.rho1)
+        schedule = annual_schedule(3.0) if instrument == "cds" else None
+        got = {mc_price(McConfig(n_paths=20_000, n_steps_per_year=n, seed=1, factor_spec=spec),
+                        instrument, self.PINS[instrument], schedule)
+               for n in (1, 252, 1000)}
+        assert got == {self.price(spec, instrument)}
 
     def test_effective_params_of_constants_are_exact(self):
         spec = FactorSpec.constant(sigma=0.2576, lam=0.08, rho1=-0.25)
@@ -200,8 +211,9 @@ class TestSharedRun:
             assert mc_estimate(instrument, sim, pin) == mc_price(cfg, instrument, pin)
 
     # Relative gap of the 2-y bond's (estimate, standard error) between the (0.5, 2) run
-    # and its own run, measured at seeds 4-143 under both models (280 pairs): at most
-    # 3.9e-16 and 1.4e-14; the estimate was bit-identical in 262 of them.
+    # and its own run, measured at seeds 4-143 under both models (280 pairs) when constant
+    # factors still took 252 steps a year: at most 3.9e-16 and 1.4e-14; the estimate was
+    # bit-identical in 262 of them.
     LATER_HORIZON_REL = 1e-13
 
     @pytest.mark.parametrize("model", sorted(SPECS))
@@ -212,13 +224,19 @@ class TestSharedRun:
         both = simulate_terminals(cfg, long_, [0.5, 2.0])
         # The (0.5, 2) grid starts with the 0.5-y grid, so that bond is its own run bit for bit.
         assert mc_estimate("bond", both, short) == mc_price(cfg, "bond", short)
-        # After 0.5 y the grid steps to 0.5 + 1.5 k / 378, not 2 k / 504: the same times up
-        # to rounding, so the paths differ in their last bits and the estimates barely.
         alone = simulate_terminals(cfg, long_, [2.0])
         assert not np.array_equal(both["int_r"][1], alone["int_r"][0])
         got, own = mc_estimate("bond", both, long_), mc_estimate("bond", alone, long_)
         assert own == mc_price(cfg, "bond", long_)
-        assert got == pytest.approx(own, rel=self.LATER_HORIZON_REL, abs=0)
+        if model == "multiscale":
+            # After 0.5 y the grid steps to 0.5 + 1.5 k / 378, not 2 k / 504: the same times
+            # up to rounding, so the paths differ in their last bits and the estimates barely.
+            assert got == pytest.approx(own, rel=self.LATER_HORIZON_REL, abs=0)
+        else:
+            # Steps of 0.5 and 1.5 y against one of 2 y: two exact draws of the same law.
+            closed = defaultable_bond_p0(long_)
+            for est, se in (got, own):
+                assert abs(est - closed) < 3 * se, (est, closed, se)
 
     @pytest.mark.parametrize("instrument", ["bond", "cds"])
     def test_strike_on_a_bond_or_cds_simulates_no_stock(self, monkeypatch, instrument):
@@ -256,8 +274,8 @@ class TestExactStep:
     """Each step draws r, int r, Y, Z and the OU part of Yt from their exact joint law."""
 
     def test_one_step_a_year_is_exact(self):
-        # Under constant factors the step is exact at any length: one step a year leaves
-        # only the sampling error. A 2-y bond takes two steps and a 1-y call one.
+        # Under constant factors the step is exact at any length, so a 2-y bond and a 1-y
+        # call each take one step, at any n_steps_per_year, and leave only the sampling error.
         cfg = McConfig(n_paths=200_000, n_steps_per_year=1, seed=11,
                        factor_spec=FactorSpec.constant(sigma=EQ.sigma2, lam=CR.lam, rho1=EQ.rho1))
         bond, call = PricingInputs(VA, EQ, CR, 2.0), PricingInputs(VA, EQ, CR, 1.0, 8.04)
@@ -277,30 +295,44 @@ class TestExactStep:
             return lambda u: -math.expm1(-kappa * u) / kappa
         return lambda u: math.exp(-kappa * u)
 
+    def assert_cov_matches_quad(self, h, spec, va, corr):
+        """Every entry of an option's step covariance against ``scipy.integrate.quad``."""
+        from scipy.integrate import quad
+
+        kernels = [kernel for _, kernel in oracle_mc._noise_columns(spec, va, True).values()]
+        cov = oracle_mc._step_cov(h, kernels, corr)
+        ref = np.empty_like(cov)
+        for j, (wj, kj) in enumerate(kernels):
+            for k, (wk, kk) in enumerate(kernels):
+                aj, ak = self.kernel(*kj), self.kernel(*kk)
+                overlap = quad(lambda u: aj(u) * ak(u), 0.0, h, epsabs=0.0, epsrel=1e-13,
+                               limit=200)[0]
+                ref[j, k] = corr[wj][wk] * overlap
+        # Each entry against the size a correlation of one would give it.
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.all(np.abs(cov - ref) <= self.COV_RTOL * scale), (va.beta, h, spec)
+
     def test_step_covariance_matches_quadrature(self):
         # The multiscale columns of an option hold every pair of kernels: 1 (stock),
         # e^{-beta u} (r), B(u) (int r), e^{-u/eps} (Y, Yt) and e^{-dlt u} (Z).
-        from scipy.integrate import quad
-
         rng = np.random.default_rng(16)
-        corr = oracle_mc._MULTISCALE_CORR
         for _ in range(60):
             beta, eps = np.exp(rng.uniform(np.log([1e-8, 1e-3]), np.log([5.0, 1.0])))
             h, dlt = rng.uniform(1e-4, 1.0), rng.uniform(0.0, 1.0)
             va = VasicekParams(alpha=0.01, beta=beta, eta=0.02, r=0.04)
             spec = FactorSpec.multiscale(lam=0.05, eps=eps, dlt=dlt)
-            kernels = [kernel for _, kernel in oracle_mc._noise_columns(spec, va, True).values()]
-            cov = oracle_mc._step_cov(h, kernels, corr)
-            ref = np.empty_like(cov)
-            for j, (wj, kj) in enumerate(kernels):
-                for k, (wk, kk) in enumerate(kernels):
-                    aj, ak = self.kernel(*kj), self.kernel(*kk)
-                    overlap = quad(lambda u: aj(u) * ak(u), 0.0, h, epsabs=0.0, epsrel=1e-13,
-                                   limit=200)[0]
-                    ref[j, k] = corr[wj][wk] * overlap
-            # Each entry against the size a correlation of one would give it.
-            scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
-            assert np.all(np.abs(cov - ref) <= self.COV_RTOL * scale), (beta, h, eps, dlt)
+            self.assert_cov_matches_quad(h, spec, va, oracle_mc._MULTISCALE_CORR)
+
+    def test_long_step_covariance_matches_quadrature(self):
+        # The single steps of constant factors: the (x, r, int r) columns of an option over
+        # one horizon segment of up to 30 y.
+        rng = np.random.default_rng(18)
+        for _ in range(60):
+            beta, h = np.exp(rng.uniform(np.log([1e-8, 1e-2]), np.log([5.0, 30.0])))
+            rho1 = rng.uniform(-0.95, 0.95)
+            va = VasicekParams(alpha=0.01, beta=beta, eta=0.02, r=0.04)
+            spec = FactorSpec.constant(sigma=0.2, lam=0.05, rho1=rho1)
+            self.assert_cov_matches_quad(h, spec, va, ((1.0, rho1), (rho1, 1.0)))
 
     def test_a_run_starts_no_thread(self, monkeypatch):
         counts, intensity = [], oracle_mc._intensity
@@ -318,20 +350,31 @@ class TestExactStep:
 
 
 class TestTimeGrid:
+    MULTISCALE = McConfig(n_paths=10_000, seed=0, factor_spec=FactorSpec.multiscale(0.06, 0.09, 0))
+
     def test_single_horizon_takes_rounded_steps(self):
         # Exactly round(h * 252) steps: no extra step about 1e-16 long, which a
         # grid point rounding away from h would add (at 3.91 y, for one).
         for i in range(1, 500):
             h = i / 100
-            assert oracle_mc.grid_steps([h], 252) == round(h * 252), h
+            assert oracle_mc.grid_steps(self.MULTISCALE, [h]) == round(h * 252), h
 
     def test_grid_ends_each_segment_on_its_horizon(self):
         horizons = [0.25 * m for m in range(1, 9)]
-        steps = oracle_mc._segment_steps(horizons, 252)
+        steps = oracle_mc._segment_steps(self.MULTISCALE, horizons)
         grid = oracle_mc._time_grid(horizons, steps)
-        assert len(grid) == 1 + sum(steps) == 1 + oracle_mc.grid_steps(horizons, 252)
+        assert len(grid) == 1 + sum(steps) == 1 + oracle_mc.grid_steps(self.MULTISCALE, horizons)
         assert list(grid[np.cumsum(steps)]) == horizons
         assert np.all(np.diff(grid) > 0)
+
+    @pytest.mark.parametrize("steps_per_year", [1, 252, 1000])
+    def test_constant_factors_step_once_per_segment(self, steps_per_year):
+        cfg = McConfig(n_paths=10_000, n_steps_per_year=steps_per_year,
+                       factor_spec=FactorSpec.constant(0.2, 0.05))
+        horizons = [0.1, 0.25, 1.0, 30.0]
+        assert oracle_mc._segment_steps(cfg, horizons) == [1, 1, 1, 1]
+        assert list(oracle_mc._time_grid(horizons, [1, 1, 1, 1])) == [0.0] + horizons
+        assert oracle_mc.grid_steps(cfg, horizons[::-1]) == 4
 
 
 class TestMultiscale:
