@@ -397,10 +397,7 @@ def greeks(inputs: PricingInputs, kind: str) -> tuple:
 
 
 def _check_variant(inputs: PricingInputs, coeffs: CorrectionParams, variant: str) -> None:
-    try:
-        row = VARIANTS[variant]
-    except KeyError:
-        row = get_variant(variant)  # raises ConfigurationError
+    row = get_variant(variant)
     if not row.bond_step and inputs.credit.lam != 0.0:
         raise ConfigurationError(f"{variant} variant requires zero default intensity")
     if row.ignored:  # skips building a list on every seven_param price

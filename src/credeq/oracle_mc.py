@@ -30,11 +30,12 @@ Financial Engineering, 2003, section 3.3), through the Cholesky factor of
 ``_step_cov`` for each distinct h. sigma(Yt) and L(Yt) are frozen over the
 step and int f is the trapezoid; the log-stock moves by int r + int f -
 (q + sigma^2/2) h plus sigma times its W0 column, so the discounted stock
-is a martingale. Under constant factors every step is exact, so a run
-takes one step from each horizon to the next (Glasserman, section 3.3:
-simulate a Gaussian process only at the dates the payoff reads).
-``McConfig.n_steps_per_year`` sets only the multiscale time grid, where
-the frozen sigma(Yt) and L(Yt) and the trapezoid int f need fine steps.
+is a martingale. A run steps from each horizon to the next in equal steps
+(``_segments``). Under constant factors every step is exact, so it takes
+one (Glasserman, section 3.3: simulate a Gaussian process only at the
+dates the payoff reads). ``McConfig.n_steps_per_year`` sets only the
+multiscale step count, where the frozen sigma(Yt) and L(Yt) and the
+trapezoid int f need fine steps.
 
 A step draws only the columns its payoff reads: r and int r; the stock for
 a call or put; under multiscale factors Y, plus Yt for an option and Z
@@ -48,10 +49,13 @@ on the calling thread.
 ``mc_estimate`` turns the run into any call, put, bond or CDS estimate on
 them, with the only copy of each payoff; ``mc_price`` does both for one
 payoff. A payoff at the run's first horizon equals its own run bit for
-bit; a later horizon does not. Under multiscale factors its time grid
-differs from its own run's in the last bits; under constant factors other
-exact steps reach it (0.5 and 1.5 y against one of 2 y), another draw of
-the same law.
+bit. Under multiscale factors so does a later horizon when every segment
+up to it is a whole number of 1/``n_steps_per_year`` (0.5 and 2 y, or the
+annual 1..5 y, at 252 a year): each of its steps then has the same
+rounded length as its own run's, on the same draws. Off that lattice (0.3
+and 1 y) the lengths differ in their last bits. Under constant factors
+other exact steps reach a later horizon (0.5 and 1.5 y against one of
+2 y), another draw of the same law.
 
 This is a validation oracle, not a production pricer: only its averaged
 quantities are ever compared against the closed forms.
@@ -206,7 +210,7 @@ def effective_params(spec: FactorSpec):
 class McConfig:
     """A run's size and seed, and its factor model.
 
-    ``n_steps_per_year`` sets the multiscale time grid. Constant factors step
+    ``n_steps_per_year`` sets the multiscale step count. Constant factors step
     exactly from horizon to horizon and do not read it.
     """
 
@@ -230,36 +234,26 @@ class McConfig:
             raise ValidationError("n_steps_per_year must be >= 1")
 
 
-def _segment_steps(cfg: McConfig, horizons):
-    """Steps from each sorted horizon's predecessor (0 for the first) to it.
+def _segments(cfg: McConfig, horizons):
+    """(steps, step length) from each sorted horizon's predecessor (0 for the first) to it.
 
-    Constant factors step exactly at any length, so they take one step per
-    segment; multiscale factors take ``cfg.n_steps_per_year`` a year (at least one).
+    Constant factors step exactly at any length, so a segment is one step of
+    ``h - prev``. Multiscale factors take n = round((h - prev) *
+    ``cfg.n_steps_per_year``) steps (at least one) of ``(h - prev) / n``: a
+    segment on the 1/``n_steps_per_year`` lattice steps by the same rounded
+    length as any other, so a later lattice horizon meets its own run bit for bit.
     """
-    if not cfg.factor_spec.multiscale_model:
-        return [1] * len(horizons)
-    steps, prev = [], 0.0
+    multi, segments, prev = cfg.factor_spec.multiscale_model, [], 0.0
     for h in horizons:
-        steps.append(max(1, round((h - prev) * cfg.n_steps_per_year)))
+        n = max(1, round((h - prev) * cfg.n_steps_per_year)) if multi else 1
+        segments.append((n, (h - prev) / n))
         prev = h
-    return steps
-
-
-def _time_grid(horizons, steps):
-    """Time points: ``steps[i]`` equal steps up to ``horizons[i]``, the last exactly on it."""
-    import numpy as np
-
-    pts, prev = [0.0], 0.0
-    for h, n in zip(horizons, steps):
-        pts.extend(prev + (h - prev) * k / n for k in range(1, n))
-        pts.append(h)
-        prev = h
-    return np.asarray(pts)
+    return segments
 
 
 def grid_steps(cfg: McConfig, horizons) -> int:
     """Time steps of a simulation to ``horizons``: each path takes this many."""
-    return sum(_segment_steps(cfg, sorted(horizons)))
+    return sum(n for n, _ in _segments(cfg, sorted(horizons)))
 
 
 def _phi(k: int, z: float) -> float:
@@ -355,16 +349,14 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
     # Constant factors have columns on W0 and W1 only.
     corr = _MULTISCALE_CORR if spec.multiscale_model else ((1.0, spec.rho1), (spec.rho1, 1.0))
 
-    steps = _segment_steps(cfg, horizons)
-    dts = np.diff(_time_grid(horizons, steps)).tolist()
-    h_steps = {int(i): k for k, i in enumerate(np.cumsum(steps))}
+    segments = _segments(cfg, horizons)
     columns = _noise_columns(spec, va, inputs.strike is not None)
     scales, kernels = zip(*columns.values())
     # Per distinct step length h: the Cholesky factor, scaled after factorising so that eta = 0
     # leaves it regular; b = B(h) and int_0^h B for the means; the decays of r, Y and Yt, and Z.
     rates = [va.beta, 1 / spec.eps, spec.dlt] if spec.multiscale_model else [va.beta]
     laws = {}
-    for h in set(dts):
+    for h in {dt for _, dt in segments}:
         chol = np.array(scales)[:, None] * np.linalg.cholesky(_step_cov(h, kernels, corr))
         x = va.beta * h
         laws[h] = (chol, h * _phi(1, -x), h * h * _phi(2, -x), [math.exp(-k * h) for k in rates])
@@ -380,13 +372,13 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
         size = min(CHUNK_BASE_PATHS, n_half - start)
         rng = np.random.Generator(base_stream.jumped(chunk_idx))
         sl = slice(start, start + size)
-        _simulate_chunk(rng, size, dts, laws, list(columns), h_steps, spec, inputs,
+        _simulate_chunk(rng, size, segments, laws, list(columns), spec, inputs,
                         {key: val[:, :, sl] for key, val in out.items()})
     return {**out, "horizons": horizons, "vasicek": inputs.vasicek, "equity": inputs.equity}
 
 
-def _simulate_chunk(rng, size, dts, laws, names, h_steps, spec, inputs, out):
-    """Step one chunk over ``dts`` by ``laws`` and the live columns ``names``; fill ``out``."""
+def _simulate_chunk(rng, size, segments, laws, names, spec, inputs, out):
+    """Step one chunk over ``segments`` by ``laws`` and the live columns ``names``; fill ``out``."""
     import numpy as np
 
     va, eq = inputs.vasicek, inputs.equity
@@ -412,38 +404,37 @@ def _simulate_chunk(rng, size, dts, laws, names, h_steps, spec, inputs, out):
 
     draws = np.empty((len(names), size))
     noise = np.empty((2, len(names), size))
-    for i, dt in enumerate(dts, start=1):
+    for k, (n, dt) in enumerate(segments):
         chol, b, int_b, decays = laws[dt]
-        rng.standard_normal(out=draws)
-        # Each column's increment for the base paths (row 0) and the mirrors (row 1).
-        np.negative(np.matmul(chol, draws, out=noise[0]), out=noise[1])
-        dw = dict(zip(names, noise.transpose(1, 0, 2)))
+        for _ in range(n):
+            rng.standard_normal(out=draws)
+            # Each column's increment for the base paths (row 0) and the mirrors (row 1).
+            np.negative(np.matmul(chol, draws, out=noise[0]), out=noise[1])
+            dw = dict(zip(names, noise.transpose(1, 0, 2)))
 
-        d_ir = r * b + va.alpha * int_b + dw["ir"]  # the mean is E[int r over the step | r]
-        ir += d_ir
-        r = r * decays[0] + va.alpha * b + dw["r"]  # the mean is r e^{-beta h} + alpha b
-        if multi:
-            y = _M + (y - _M) * decays[1] + dw["y"]
-            if "z" in names:
-                z = z * decays[2] + dw["z"]
-        lam_new = _intensity(spec.lam, y, z) if multi else lam
-        d_il = 0.5 * (lam + lam_new) * dt
-        il += d_il
-        lam = lam_new
-        if stock:
-            sig = _sigma(yt) if "yt" in names else spec.sigma
-            logx += d_ir + d_il - (eq.q + 0.5 * sig * sig) * dt + sig * dw["x"]
-        if "yt" in names:
-            # L(Yt), frozen over the step, moves Yt's OU target by -nut sqrt(2 eps) L(Yt).
-            target = _MT - _NUT * math.sqrt(2.0 * spec.eps) * _vol_risk_price(yt)
-            yt = target + (yt - target) * decays[1] + dw["yt"]
-
-        k = h_steps.get(i)
-        if k is not None:
-            out["int_r"][k] = ir
-            out["int_lam"][k] = il
+            d_ir = r * b + va.alpha * int_b + dw["ir"]  # the mean is E[int r over the step | r]
+            ir += d_ir
+            r = r * decays[0] + va.alpha * b + dw["r"]  # the mean is r e^{-beta h} + alpha b
+            if multi:
+                y = _M + (y - _M) * decays[1] + dw["y"]
+                if "z" in names:
+                    z = z * decays[2] + dw["z"]
+            lam_new = _intensity(spec.lam, y, z) if multi else lam
+            d_il = 0.5 * (lam + lam_new) * dt
+            il += d_il
+            lam = lam_new
             if stock:
-                out["x"][k] = np.exp(logx)
+                sig = _sigma(yt) if "yt" in names else spec.sigma
+                logx += d_ir + d_il - (eq.q + 0.5 * sig * sig) * dt + sig * dw["x"]
+            if "yt" in names:
+                # L(Yt), frozen over the step, moves Yt's OU target by -nut sqrt(2 eps) L(Yt).
+                target = _MT - _NUT * math.sqrt(2.0 * spec.eps) * _vol_risk_price(yt)
+                yt = target + (yt - target) * decays[1] + dw["yt"]
+
+        out["int_r"][k] = ir
+        out["int_lam"][k] = il
+        if stock:
+            out["x"][k] = np.exp(logx)
 
 
 def _pair_stats(values):
@@ -498,7 +489,7 @@ def mc_estimate(instrument: str, sim, inputs: PricingInputs, schedule=None):
         cov = np.cov(n_pair, d_pair, ddof=1)
         var = (cov[0, 0] / dbar**2 + nbar**2 * cov[1, 1] / dbar**4
                - 2 * nbar * cov[0, 1] / dbar**3) / n_pair.size
-        return spread, math.sqrt(max(var, 0.0)) / schedule.delta
+        return float(spread), math.sqrt(max(var, 0.0)) / schedule.delta
     if "x" not in sim:
         raise ValidationError("a call or put needs a simulation of the stock")
     df_full = np.exp(-int_r[k] - int_lam[k])

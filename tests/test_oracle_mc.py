@@ -153,7 +153,7 @@ class TestLiveFactors:
         assert sim["x"].shape == sim["int_r"].shape == (2, 2, 5_000)
 
     def test_earlier_horizon_equals_its_own_run(self):
-        # The [0.5, 1] grid starts with the 0.5 grid, so its first horizon is that run bit for bit.
+        # The [0.5, 1] run starts with the 0.5 run, so its first horizon is that run bit for bit.
         spec = FactorSpec.multiscale(lam=0.06, eps=0.09, dlt=0.09)
         cfg = McConfig(n_paths=10_000, n_steps_per_year=504, seed=42, factor_spec=spec)
         pin = PricingInputs(VA, EQ, CR, 1.0, 8.0)
@@ -162,12 +162,13 @@ class TestLiveFactors:
         for key in ("int_r", "int_lam", "x"):
             np.testing.assert_array_equal(both[key][0], alone[key][0])
 
-    # (estimate, standard error) at seed 1 and 20,000 paths, recorded as PINNED was: an
-    # option steps X, r, Y and Yt, and Z when dlt > 0; a bond or CDS steps r, Y and Z.
+    # (estimate, standard error) at seed 1 and 20,000 paths, recorded as PINNED was, with one
+    # step length per horizon segment: an option steps X, r, Y and Yt, and Z when dlt > 0; a
+    # bond or CDS steps r, Y and Z.
     MULTISCALE_PINNED = {
         ("call", 0.09): (0.6811608484483131, 0.0035288323099840245),
-        ("bond", 0.09): (0.8642662688510704, 1.7733510810681766e-05),
-        ("cds", 0.09): (0.024996342743366196, 1.021006447730406e-05),
+        ("bond", 0.09): (0.8642662688510704, 1.7733510810681725e-05),
+        ("cds", 0.09): (0.02499634274336619, 1.0210064477304039e-05),
         ("call", 0.0): (0.6863439045811159, 0.0035166462958560133),
     }
 
@@ -178,7 +179,7 @@ class TestLiveFactors:
 
     # A 3-y annual CDS (horizons 1, 2 and 3) at 40,000 paths, two chunks, recorded as
     # TestDeterminism.MULTI_CHUNK_PINNED was.
-    TWO_CHUNK_CDS_PINNED = (0.025019241575527228, 7.2813568635517846e-06)
+    TWO_CHUNK_CDS_PINNED = (0.02501924157552722, 7.281356863551771e-06)
 
     def test_multiscale_multi_horizon_two_chunk_run_is_pinned(self):
         spec = FactorSpec.multiscale(lam=0.06, eps=0.09, dlt=0.09)
@@ -210,33 +211,45 @@ class TestSharedRun:
         for instrument in ("call", "put"):
             assert mc_estimate(instrument, sim, pin) == mc_price(cfg, instrument, pin)
 
-    # Relative gap of the 2-y bond's (estimate, standard error) between the (0.5, 2) run
-    # and its own run, measured at seeds 4-143 under both models (280 pairs) when constant
-    # factors still took 252 steps a year: at most 3.9e-16 and 1.4e-14; the estimate was
-    # bit-identical in 262 of them.
-    LATER_HORIZON_REL = 1e-13
-
     @pytest.mark.parametrize("model", sorted(SPECS))
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bonds_at_two_horizons_from_one_run(self, model, seed):
         cfg = McConfig(n_paths=10_000, seed=seed, factor_spec=self.SPECS[model])
         short, long_ = PricingInputs(VA, EQ, CR, 0.5), PricingInputs(VA, EQ, CR, 2.0)
         both = simulate_terminals(cfg, long_, [0.5, 2.0])
-        # The (0.5, 2) grid starts with the 0.5-y grid, so that bond is its own run bit for bit.
+        # The (0.5, 2) run starts with the 0.5-y run, so that bond is its own run bit for bit.
         assert mc_estimate("bond", both, short) == mc_price(cfg, "bond", short)
         alone = simulate_terminals(cfg, long_, [2.0])
-        assert not np.array_equal(both["int_r"][1], alone["int_r"][0])
         got, own = mc_estimate("bond", both, long_), mc_estimate("bond", alone, long_)
         assert own == mc_price(cfg, "bond", long_)
         if model == "multiscale":
-            # After 0.5 y the grid steps to 0.5 + 1.5 k / 378, not 2 k / 504: the same times
-            # up to rounding, so the paths differ in their last bits and the estimates barely.
-            assert got == pytest.approx(own, rel=self.LATER_HORIZON_REL, abs=0)
+            # 0.5/126, 1.5/378 and the 2-y run's 2/504 all round to the one 1/252: the same
+            # steps on the same draws.
+            for key in ("int_r", "int_lam"):
+                assert np.array_equal(both[key][1], alone[key][0])
+            assert got == own
         else:
             # Steps of 0.5 and 1.5 y against one of 2 y: two exact draws of the same law.
+            assert not np.array_equal(both["int_r"][1], alone["int_r"][0])
             closed = defaultable_bond_p0(long_)
             for est, se in (got, own):
                 assert abs(est - closed) < 3 * se, (est, closed, se)
+
+    def test_annual_schedule_run_prices_3y_payoffs_of_their_own_runs(self):
+        # Each annual segment is 252 steps of 1/252 y, as are the 3-y run's 756 steps, so the
+        # 3-y bond and the 1..3-y CDS of one run to 1..5 y are their own runs bit for bit.
+        cfg = McConfig(n_paths=10_000, seed=1, factor_spec=self.SPECS["multiscale"])
+        pin, schedule = PricingInputs(VA, EQ, CR, 3.0), annual_schedule(3.0)
+        sim = simulate_terminals(cfg, pin, [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert mc_estimate("bond", sim, pin) == mc_price(cfg, "bond", pin)
+        assert mc_estimate("cds", sim, pin, schedule) == mc_price(cfg, "cds", pin, schedule)
+
+    @pytest.mark.parametrize("instrument", ["call", "put", "bond", "cds"])
+    def test_estimates_are_python_floats(self, instrument):
+        schedule = annual_schedule(3.0) if instrument == "cds" else None
+        pin = PricingInputs(VA, EQ, CR, 3.0, 8.0 if instrument in ("call", "put") else None)
+        est, se = mc_price(constant_cfg(n_paths=10_000), instrument, pin, schedule)
+        assert type(est) is float and type(se) is float
 
     @pytest.mark.parametrize("instrument", ["bond", "cds"])
     def test_strike_on_a_bond_or_cds_simulates_no_stock(self, monkeypatch, instrument):
@@ -353,27 +366,33 @@ class TestTimeGrid:
     MULTISCALE = McConfig(n_paths=10_000, seed=0, factor_spec=FactorSpec.multiscale(0.06, 0.09, 0))
 
     def test_single_horizon_takes_rounded_steps(self):
-        # Exactly round(h * 252) steps: no extra step about 1e-16 long, which a
-        # grid point rounding away from h would add (at 3.91 y, for one).
+        # Exactly round(h * 252) steps, with no extra step for a remainder of rounding.
         for i in range(1, 500):
             h = i / 100
             assert oracle_mc.grid_steps(self.MULTISCALE, [h]) == round(h * 252), h
 
     def test_grid_ends_each_segment_on_its_horizon(self):
-        horizons = [0.25 * m for m in range(1, 9)]
-        steps = oracle_mc._segment_steps(self.MULTISCALE, horizons)
-        grid = oracle_mc._time_grid(horizons, steps)
-        assert len(grid) == 1 + sum(steps) == 1 + oracle_mc.grid_steps(self.MULTISCALE, horizons)
-        assert list(grid[np.cumsum(steps)]) == horizons
-        assert np.all(np.diff(grid) > 0)
+        # n steps of (h - prev) / n cover each segment to rounding: two roundings of half an ulp.
+        horizons = [0.25 * m for m in range(1, 9)] + [3.91, 5.0]
+        segments = oracle_mc._segments(self.MULTISCALE, horizons)
+        assert sum(n for n, _ in segments) == oracle_mc.grid_steps(self.MULTISCALE, horizons)
+        for prev, h, (n, dt) in zip([0.0] + horizons, horizons, segments):
+            assert n == max(1, round((h - prev) * 252)), h
+            assert n * dt == pytest.approx(h - prev, rel=2 * np.finfo(float).eps, abs=0), h
+
+    def test_lattice_segments_share_one_step_length(self):
+        # Segments that are whole numbers of 1/252 y step by the one rounded 1/252, whatever
+        # horizon they end on.
+        segments = oracle_mc._segments(self.MULTISCALE, [0.5, 2.0, 3.0, 5.0])
+        assert segments == [(126, 1 / 252), (378, 1 / 252), (252, 1 / 252), (504, 1 / 252)]
 
     @pytest.mark.parametrize("steps_per_year", [1, 252, 1000])
     def test_constant_factors_step_once_per_segment(self, steps_per_year):
         cfg = McConfig(n_paths=10_000, n_steps_per_year=steps_per_year,
                        factor_spec=FactorSpec.constant(0.2, 0.05))
         horizons = [0.1, 0.25, 1.0, 30.0]
-        assert oracle_mc._segment_steps(cfg, horizons) == [1, 1, 1, 1]
-        assert list(oracle_mc._time_grid(horizons, [1, 1, 1, 1])) == [0.0] + horizons
+        assert oracle_mc._segments(cfg, horizons) == [
+            (1, 0.1), (1, 0.25 - 0.1), (1, 1.0 - 0.25), (1, 30.0 - 1.0)]
         assert oracle_mc.grid_steps(cfg, horizons[::-1]) == 4
 
 
