@@ -47,7 +47,6 @@ from .pricing import (
     call_p0,
     defaultable_bond_p0,
     put_p0,
-    variance_v,
 )
 from .rates import (
     EquityParams,

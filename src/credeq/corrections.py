@@ -41,10 +41,11 @@ flag (put = call - x + K*B), not a branch. The same body runs on Python
 floats, for single prices, and on NumPy arrays, for whole calibration
 grids (``evaluate_options``, ``evaluate_bonds``). The Vasicek factors it
 needs (b, int b, int b^2, J, a, da/deta, B) come from one call of
-:func:`credeq.rates.vasicek_factors` per distinct maturity. The tests check
-them against an independent finite-difference engine with Richardson
-extrapolation over the closed forms of :mod:`credeq.pricing`
-(``tests/reference_oracles.py``).
+:func:`credeq.rates.vasicek_factors` per distinct maturity. The kernel is
+the library's only derivation of P0: :mod:`credeq.pricing`'s ``call_p0``,
+``put_p0`` and ``defaultable_bond_p0`` call it. The tests check it against
+an independent finite-difference engine with Richardson extrapolation over
+a separate derivation of the closed forms (``tests/reference_oracles.py``).
 
 NumPy is imported only inside the array path, so a single price loads
 ``math`` alone. The array path's normal CDF, ``_ndtr``, is a NumPy port of
@@ -70,8 +71,8 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .errors import ConfigurationError, DomainError, NumericalError, ValidationError
-from .pricing import INV_SQRT_2PI, PricingInputs, _variance, norm_cdf, norm_pdf
-from .rates import VasicekParams, _riskless, vasicek_factors
+from .pricing import INV_SQRT_2PI, PricingInputs, norm_cdf, norm_pdf
+from .rates import EquityParams, VasicekParams, _riskless, vasicek_factors
 
 __all__ = [
     "CorrectionParams",
@@ -263,11 +264,26 @@ def _rate_factors(va: VasicekParams, tau: float):
     return b, big_a, a, g3, j, _riskless(va, b, a)
 
 
-def _option_factors(va: VasicekParams, eq, tau: float):
-    """(b, int b, a, B, da/deta, v, dv/deta, J) at one maturity.
+def _variance(va: VasicekParams, eq: EquityParams, tau: float, big_a: float, g3: float):
+    """(v, dv/deta) from the factors int b = ``big_a`` and G/beta^3 = ``g3``.
 
-    v and dv/deta are those of :func:`credeq.pricing.variance_v`.
+    v is the integrated log-price variance of the forward, the integral of
+    sigma2^2 + (eta*b(s))^2 + 2*rho1*sigma2*eta*b(s) over [0, tau];
+    int b^2 = 2*g3; dv/deta is taken at fixed rho1*sigma2 coupling. A square
+    out of float range raises NumericalError naming its parameter.
     """
+    try:
+        sigma2_sq, eta_sq = eq.sigma2**2, va.eta**2
+    except OverflowError:  # the larger of the two (both >= 0) overflows
+        name, value = ("sigma2", eq.sigma2) if eq.sigma2 > va.eta else ("eta", va.eta)
+        raise NumericalError(f"{name} = {value} puts the variance out of float range") from None
+    ibb = 2 * g3
+    v = sigma2_sq * tau + eta_sq * ibb + 2 * va.eta * eq.rho1 * eq.sigma2 * big_a
+    return v, 2 * va.eta * ibb + 2 * eq.rho1 * eq.sigma2 * big_a
+
+
+def _option_factors(va: VasicekParams, eq, tau: float):
+    """(b, int b, a, B, da/deta, v, dv/deta, J) at one maturity."""
     b, big_a, a, g3, j, riskless = _rate_factors(va, tau)
     v, v_eta = _variance(va, eq, tau, big_a, g3)
     if v <= 0:

@@ -1,8 +1,14 @@
-"""Independent oracles the closed forms and their Greeks are tested against.
+"""Independent oracles the pricing kernel and its Greeks are tested against.
 
+* The leading-order closed forms ``call_p0``, ``put_p0`` and
+  ``defaultable_bond_p0``, with their own integrated variance
+  (``variance_v``), survival bond and d1/d2. They share no algebra with the
+  kernel in :mod:`credeq.corrections`, whose P0 the library's
+  ``credeq.pricing`` wrappers return; only the Vasicek factors come from
+  :mod:`credeq.rates`.
 * ``generic_p0``: adaptive quadrature (scipy ``quad``) of the pricing
   integral for any payoff, sharing only the log-price mean (``mean_m``)
-  and variance with the closed-form calls and puts of :mod:`credeq.pricing`.
+  and variance with the closed-form calls and puts here.
 * ``greeks_fd``: the eight Greeks from Richardson-extrapolated central
   differences of those closed forms, independent of the analytic
   derivative algebra in :mod:`credeq.corrections`.
@@ -13,16 +19,95 @@ from dataclasses import replace
 
 from scipy.integrate import quad
 
-from credeq.errors import NumericalError, ValidationError
-from credeq.pricing import (
-    PricingInputs,
-    call_p0,
-    defaultable_bond_p0,
-    norm_pdf,
-    put_p0,
-    variance_v,
-)
-from credeq.rates import VasicekParams, vasicek_factors
+from credeq.errors import DomainError, NumericalError, ValidationError
+from credeq.pricing import PricingInputs, norm_cdf, norm_pdf
+from credeq.rates import VasicekParams, riskless_bond, vasicek_factors
+
+
+def variance_v(inputs: PricingInputs) -> float:
+    """Integrated log-price variance of the forward under the forward measure.
+
+    Equals the quadrature of sigma2^2 + (eta*b(s))^2 + 2*rho1*sigma2*eta*b(s)
+    over [0, tau]; zero at tau=0. Only the product eta*rho1*sigma2 enters.
+    int b^2 = 2 G/beta^3. A square out of float range raises NumericalError
+    naming its parameter.
+    """
+    va, eq, tau = inputs.vasicek, inputs.equity, inputs.tau
+    _, big_a, _, g3 = vasicek_factors(va.beta, tau)
+    try:
+        sigma2_sq, eta_sq = eq.sigma2**2, va.eta**2
+    except OverflowError:  # the larger of the two (both >= 0) overflows
+        name, value = ("sigma2", eq.sigma2) if eq.sigma2 > va.eta else ("eta", va.eta)
+        raise NumericalError(f"{name} = {value} puts the variance out of float range") from None
+    v = sigma2_sq * tau + eta_sq * (2 * g3) + 2 * va.eta * eq.rho1 * eq.sigma2 * big_a
+    if v < 0:
+        raise DomainError(
+            f"negative integrated variance {v}; rho1/eta combination inadmissible"
+        )
+    return v
+
+
+def defaultable_bond_p0(inputs: PricingInputs) -> float:
+    """exp(-l*lambda*tau) times the riskless bond; recovers it when l*lambda=0."""
+    c = inputs.credit
+    return math.exp(-c.l * c.lam * inputs.tau) * riskless_bond(inputs.vasicek, inputs.tau)
+
+
+def _log_survival_bond(inputs: PricingInputs) -> float:
+    """log Bc(l=1): stays representable when the discount itself underflows."""
+    va, tau = inputs.vasicek, inputs.tau
+    b, _, a, _ = vasicek_factors(va.beta, tau, va.alpha, va.eta)
+    return -inputs.credit.lam * tau + a - b * va.r
+
+
+def _survival_bond(inputs: PricingInputs) -> float:
+    """Bc(l=1): the defaultable discount with full intensity; NumericalError out of float range."""
+    log_bond = _log_survival_bond(inputs)
+    try:
+        return math.exp(log_bond)
+    except OverflowError:
+        va = inputs.vasicek
+        raise NumericalError(f"the survival bond exp({log_bond:.6g}) is out of float range at "
+                             f"lam = {inputs.credit.lam}, alpha = {va.alpha}, eta = {va.eta}, "
+                             f"r = {va.r}") from None
+
+
+def _d12(inputs: PricingInputs):
+    v = variance_v(inputs)
+    if v <= 0:
+        raise DomainError(f"variance must be positive for option pricing, got {v}")
+    sv = math.sqrt(v)
+    eq = inputs.equity
+    log_ratio = math.log(eq.x / inputs.strike) - eq.q * inputs.tau - _log_survival_bond(inputs)
+    return (log_ratio + 0.5 * v) / sv, (log_ratio - 0.5 * v) / sv
+
+
+def call_p0(inputs: PricingInputs) -> float:
+    """Call on the defaultable stock: x N(d1) - K Bc(1) N(d2)."""
+    if inputs.strike is None:
+        raise ValidationError("call_p0 requires a strike")
+    if inputs.tau <= 0:
+        raise ValidationError("call_p0 requires tau > 0")
+    d1, d2 = _d12(inputs)
+    return inputs.x_eff * norm_cdf(d1) - inputs.strike * _survival_bond(inputs) * norm_cdf(d2)
+
+
+def put_p0(inputs: PricingInputs) -> float:
+    """Put on the defaultable stock, including the pay-K-on-default claim."""
+    if inputs.strike is None:
+        raise ValidationError("put_p0 requires a strike")
+    if inputs.tau <= 0:
+        raise ValidationError("put_p0 requires tau > 0")
+    x_eff, strike = inputs.x_eff, inputs.strike
+    d1, d2 = _d12(inputs)
+    riskless = riskless_bond(inputs.vasicek, inputs.tau)
+    return (
+        -x_eff
+        + x_eff * norm_cdf(d1)
+        - strike * _survival_bond(inputs) * norm_cdf(d2)
+        + strike * riskless
+    )
+
 
 # Integration half-width in standard deviations.
 QUAD_Z_RANGE = 12.0
@@ -107,7 +192,7 @@ def _reprice(inputs: PricingInputs, kind: str, *, x=None, alpha=None, eta=None, 
     )
     eq2 = eq if x is None else replace(eq, x=x)
     pin = PricingInputs(va2, eq2, inputs.credit, inputs.tau, inputs.strike)
-    # P0 from credeq.pricing, so the oracle shares no algebra with the kernel.
+    # The closed forms above, so the oracle shares no algebra with the kernel.
     forms = {"call": call_p0, "put": put_p0, "bond": defaultable_bond_p0}
     if kind not in forms:
         raise ValidationError(f"unknown instrument kind {kind!r}")

@@ -18,14 +18,7 @@ from credeq.cds import annual_schedule, cds_spread, cds_term_structure
 from credeq.corrections import CorrectionParams, _evaluate, greeks, price_full
 from credeq.implied_vol import bs_price, implied_vol
 from credeq.oracle_mc import FactorSpec, McConfig, effective_params, mc_estimate, simulate_terminals
-from credeq.pricing import (
-    CreditParams,
-    PricingInputs,
-    call_p0,
-    defaultable_bond_p0,
-    put_p0,
-    variance_v,
-)
+from credeq.pricing import CreditParams, PricingInputs
 from credeq.rates import EquityParams, VasicekParams, riskless_bond, vasicek_factors, vasicek_yield
 
 from conftest import (
@@ -42,7 +35,7 @@ from conftest import (
     make_bond_quotes,
     make_option_quotes,
 )
-from reference_oracles import greeks_fd
+from reference_oracles import call_p0, defaultable_bond_p0, greeks_fd, put_p0, variance_v
 
 
 @contextmanager

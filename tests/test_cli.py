@@ -14,7 +14,7 @@ from credeq.market_data import (
     PriceHistory,
     TreasuryCurve,
 )
-from credeq.pricing import CreditParams, PricingInputs, call_p0
+from credeq.pricing import CreditParams, PricingInputs
 from credeq.rates import vasicek_yield
 
 from conftest import (
@@ -27,6 +27,7 @@ from conftest import (
     ROUNDTRIP_GRID,
     SURFACE_COEFFS,
 )
+from reference_oracles import call_p0
 from test_rates import business_days
 
 
@@ -664,6 +665,18 @@ class TestArgumentErrors:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("argv", [
+        ["price", "--kind", "call", "--strike", "inf", "--maturity", "0.5"],
+        ["ivol-surface", "--kind", "call", "--grid", "1xinf"],
+        ["oracle", "--instrument", "call", "--strike", "inf", "--maturity", "0.5"],
+    ], ids=["price", "ivol-surface", "oracle"])
+    def test_infinite_strike_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit_dict()))
+        code, out, err = run(capsys, argv[0], "--fit", str(path), *argv[1:])
+        assert_one_error_line(code, out, err)
+        assert "strike must be finite" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("argv", [
         [],

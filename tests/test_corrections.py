@@ -8,11 +8,21 @@ from hypothesis import strategies as st
 
 from credeq.corrections import CorrectionParams, _evaluate, greeks, price_full, price_p0
 from credeq.errors import ConfigurationError
-from credeq.pricing import CreditParams, PricingInputs, call_p0, norm_pdf
+from credeq.pricing import CreditParams, PricingInputs, norm_cdf, norm_pdf
 from credeq.rates import EquityParams, VasicekParams, vasicek_factors
 
 from conftest import SURFACE_COEFFS, SURFACE_EQUITY, SURFACE_LAMBDA, SURFACE_VASICEK, log_uniform
-from reference_oracles import FD_STEP_PARAM, _reprice, _richardson_d1, greeks_fd
+from reference_oracles import (
+    FD_STEP_PARAM,
+    _log_survival_bond,
+    _reprice,
+    _richardson_d1,
+    _survival_bond,
+    call_p0,
+    defaultable_bond_p0,
+    greeks_fd,
+    variance_v,
+)
 
 
 def random_point(rng):
@@ -64,8 +74,6 @@ class TestGreeksAgainstFiniteDifferences:
         fd = greeks_fd(pin, "call")
         assert g[0] == pytest.approx(fd[0], rel=1e-7)
         gamma2 = -g[0] / 0.75
-        from credeq.pricing import variance_v, _log_survival_bond
-
         v = variance_v(pin)
         d1 = (math.log(8.04 / 8.5) - _log_survival_bond(pin) + 0.5 * v) / math.sqrt(v)
         assert gamma2 == pytest.approx(8.04 * norm_pdf(d1) / math.sqrt(v), rel=1e-13)
@@ -75,8 +83,6 @@ class TestGreeksAgainstFiniteDifferences:
         pin = PricingInputs(
             SURFACE_VASICEK, SURFACE_EQUITY, CreditParams(1, SURFACE_LAMBDA), 1.25, 7.6
         )
-        from credeq.pricing import variance_v, _log_survival_bond, _survival_bond, norm_cdf
-
         va, tau, strike = SURFACE_VASICEK, 1.25, 7.6
         v = variance_v(pin)
         sv = math.sqrt(v)
@@ -105,8 +111,6 @@ class TestGreeksAgainstFiniteDifferences:
         pin = PricingInputs(SURFACE_VASICEK, SURFACE_EQUITY, cr, 3.0)
         g = greeks(pin, "bond")
         assert (g[0], g[1], g[3], g[4], g[5], g[6]) == (0, 0, 0, 0, 0, 0)
-        from credeq.pricing import defaultable_bond_p0
-
         bond = defaultable_bond_p0(pin)
         beta, tau = SURFACE_VASICEK.beta, 3.0
         da = -bond * (tau / beta + (math.exp(-beta * tau) - 1) / beta**2)
@@ -237,8 +241,6 @@ class TestCorrectionAssembly:
     def test_bond_slow_correction_bracket(self):
         only_w2 = CorrectionParams(w2=0.0036)
         pin = self.pin(kind_l=0.283, tau=5.0)
-        from credeq.pricing import defaultable_bond_p0
-
         bond = defaultable_bond_p0(pin)
         beta, tau = pin.vasicek.beta, pin.tau
         da = -vasicek_factors(beta, tau)[1] * bond

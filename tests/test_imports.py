@@ -20,6 +20,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -66,11 +67,22 @@ print(json.dumps({"after_import": after_import, "threads_after_import": threads_
 """
 
 
-def run_child(commands):
+WRAPPERS_CHILD = """
+import json, sys
+import credeq.pricing as pr
+va = pr.VasicekParams(alpha=0.0063, beta=0.1034, eta=0.012, r=0.0476)
+eq = pr.EquityParams(x=8.04, sigma2=0.2576, rho1=-0.0327, q=0.01)
+pin = pr.PricingInputs(va, eq, pr.CreditParams(l=0.4, lam=0.03), 0.5, 8.0)
+prices = [pr.call_p0(pin), pr.put_p0(pin), pr.defaultable_bond_p0(pin)]
+print(json.dumps({"prices": prices, "numpy": sorted(m for m in sys.modules if m.startswith("numpy"))}))
+"""
+
+
+def run_child(commands, code=CHILD):
     src = str(Path(credeq.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -137,6 +149,78 @@ def test_import_loads_no_scipy_optimize():
     result = run_child([])
     assert result["after_import"] == []
     assert result["threads_after_import"] == 1
+
+
+def test_pricing_wrappers_run_on_floats():
+    # A fresh interpreter imports credeq.pricing first: its wrappers import the
+    # kernel only when called, so there is no import cycle, and a price loads no NumPy.
+    result = run_child([], WRAPPERS_CHILD)
+    assert all(type(p) is float and p > 0 for p in result["prices"])
+    assert result["numpy"] == []
+
+
+def _credeq_names(path):
+    """Every ``credeq`` module attribute a script names, as dotted paths, found with ast.
+
+    Covers ``import credeq.X``, ``from credeq.X import Y`` (with or without
+    ``as``), ``importlib.import_module("credeq.X")`` bound to a name, and
+    attribute chains off any of those names.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "credeq":
+                    names.add(alias.name)
+                    bound[alias.asname or "credeq"] = alias.name if alias.asname else "credeq"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "credeq":
+            for alias in node.names:
+                names.add(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and getattr(node.value.func, "attr", None) == "import_module"
+              and isinstance(node.value.args[0], ast.Constant)
+              and node.value.args[0].value.startswith("credeq")):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bound[target.id] = node.value.args[0].value
+            names.add(node.value.args[0].value)
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            names.add(".".join([bound[node.id]] + chain))
+    return names
+
+
+def _resolves(dotted):
+    """Whether each step of ``dotted`` exists, up to the first object that is not a module."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if not isinstance(obj, types.ModuleType):
+            break
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[:i]))
+            except ModuleNotFoundError:
+                return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_names_the_bench_and_demos_use_resolve():
+    repo = Path(__file__).resolve().parent.parent
+    scripts = sorted((repo / "bench").glob("*.py")) + sorted((repo / "demos").glob("*.py"))
+    used = {(path.relative_to(repo).as_posix(), name)
+            for path in scripts for name in _credeq_names(path)}
+    # The scan reaches the calls the bench makes through module aliases.
+    assert ("bench/mc_oracle.py", "credeq.pricing.call_p0") in used
+    missing = sorted((script, name) for script, name in used if not _resolves(name))
+    assert missing == []
 
 
 def test_pricing_commands_load_no_scipy(fit_json):

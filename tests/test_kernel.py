@@ -35,15 +35,7 @@ from credeq.corrections import (
 )
 from credeq.errors import NumericalError
 from credeq.market_data import OptionQuote
-from credeq.pricing import (
-    CreditParams,
-    PricingInputs,
-    _d12,
-    _log_survival_bond,
-    call_p0,
-    put_p0,
-    variance_v,
-)
+from credeq.pricing import CreditParams, PricingInputs
 from credeq.rates import SERIES_CUTOFF, EquityParams, VasicekParams
 
 from conftest import (
@@ -55,6 +47,7 @@ from conftest import (
     make_bond_quotes,
     make_option_quotes,
 )
+from reference_oracles import _d12, _log_survival_bond, call_p0, put_p0, variance_v
 from scalar_reference import fit_bonds_loop, fit_options_loop
 
 KERNEL_RTOL = 1e-13

@@ -18,14 +18,10 @@ from credeq.oracle_mc import (
     mc_price,
     simulate_terminals,
 )
-from credeq.pricing import (
-    CreditParams,
-    PricingInputs,
-    call_p0,
-    defaultable_bond_p0,
-    put_p0,
-)
+from credeq.pricing import CreditParams, PricingInputs
 from credeq.rates import EquityParams, VasicekParams
+
+from reference_oracles import call_p0, defaultable_bond_p0, put_p0
 
 VA = VasicekParams(alpha=0.0063, beta=0.1034, eta=0.012, r=0.0476)
 EQ = EquityParams(x=8.04, sigma2=0.2576, rho1=-0.25)

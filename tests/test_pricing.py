@@ -6,18 +6,12 @@ from scipy.integrate import quad
 
 from credeq.errors import ValidationError
 from credeq.implied_vol import bs_price
-from credeq.pricing import (
-    CreditParams,
-    PricingInputs,
-    call_p0,
-    defaultable_bond_p0,
-    put_p0,
-    variance_v,
-)
+from credeq.pricing import CreditParams, PricingInputs, call_p0, defaultable_bond_p0, put_p0
 from credeq.rates import EquityParams, VasicekParams, riskless_bond, vasicek_factors, vasicek_yield
 
 from conftest import SURFACE_EQUITY, SURFACE_LAMBDA, SURFACE_VASICEK
-from reference_oracles import generic_p0, mean_m
+import reference_oracles as ref
+from reference_oracles import _survival_bond, generic_p0, mean_m, variance_v
 
 
 def random_inputs(rng, with_strike=True, l=None):
@@ -36,6 +30,32 @@ def random_inputs(rng, with_strike=True, l=None):
     tau = rng.uniform(0.02, 10)
     strike = eq.x * rng.uniform(0.3, 2.5) if with_strike else None
     return PricingInputs(va, eq, cr, tau, strike)
+
+
+class TestInputs:
+    @pytest.mark.parametrize("strike", [0.0, -1.0, math.inf, math.nan])
+    def test_strike_must_be_finite_and_positive(self, strike):
+        with pytest.raises(ValidationError, match="strike must be finite and > 0"):
+            PricingInputs(SURFACE_VASICEK, SURFACE_EQUITY, CreditParams(1, 0.1), 1.0, strike)
+
+
+class TestWrappersEqualReference:
+    def test_bit_for_bit(self):
+        # An explicit seeded list rather than hypothesis, whose draws mix in
+        # literals from the library source and so move when it is edited.
+        rng = np.random.default_rng(21)
+        for _ in range(3000):
+            va = VasicekParams(alpha=rng.uniform(-0.05, 0.05), beta=rng.uniform(0.02, 1.5),
+                               eta=rng.uniform(0.0, 0.08), r=rng.uniform(0.0, 0.10))
+            x = rng.uniform(1, 200)
+            eq = EquityParams(x=x, sigma2=rng.uniform(0.08, 0.9), rho1=rng.uniform(-0.9, 0.9),
+                              q=rng.uniform(0.0, 0.06))
+            cr = CreditParams(l=rng.uniform(0, 1), lam=rng.uniform(0, 1.0))
+            tau = math.exp(rng.uniform(math.log(1e-3), math.log(30.0)))
+            pin = PricingInputs(va, eq, cr, tau, x * rng.uniform(0.3, 3.0))
+            assert call_p0(pin) == ref.call_p0(pin), pin
+            assert put_p0(pin) == ref.put_p0(pin), pin
+            assert defaultable_bond_p0(pin) == ref.defaultable_bond_p0(pin), pin
 
 
 class TestVarianceV:
@@ -119,7 +139,7 @@ class TestCallPut:
         rng = np.random.default_rng(0)
         for _ in range(300):
             pin = random_inputs(rng, l=1.0)
-            lhs = call_p0(pin) - put_p0(pin)
+            lhs = ref.call_p0(pin) - ref.put_p0(pin)
             rhs = pin.equity.x - pin.strike * riskless_bond(pin.vasicek, pin.tau)
             assert abs(lhs - rhs) <= 1e-12 * pin.equity.x
 
@@ -134,8 +154,6 @@ class TestCallPut:
         price = call_p0(pin)
         # the residual K * Bc(1) leg bounds the gap to the stock itself
         assert abs(price - SURFACE_EQUITY.x) < 2e-10 * SURFACE_EQUITY.x
-        from credeq.pricing import _survival_bond
-
         assert price == pytest.approx(
             SURFACE_EQUITY.x - pin.strike * _survival_bond(pin), abs=1e-12 * SURFACE_EQUITY.x
         )
@@ -199,23 +217,21 @@ class TestGenericQuadrature:
     def test_unit_payoff_is_bond(self):
         pin = self.pin(l=0.4)
         assert generic_p0(pin, lambda s: np.ones_like(s)) == pytest.approx(
-            defaultable_bond_p0(pin), abs=1e-12
+            ref.defaultable_bond_p0(pin), abs=1e-12
         )
 
     def test_call_payoff_matches_closed_form(self):
         pin = self.pin()
         val = generic_p0(pin, lambda s: np.maximum(s - 8.04, 0.0))
-        assert val == pytest.approx(call_p0(pin), abs=1e-8 * 8.04)
+        assert val == pytest.approx(ref.call_p0(pin), abs=1e-8 * 8.04)
 
     def test_put_payoff_matches_pure_option_leg(self):
         # the quadrature prices only the survival-contingent leg; the closed
         # form adds the pay-strike-on-default claim on top
         pin = self.pin()
-        from credeq.pricing import _survival_bond
-
         leg = generic_p0(pin, lambda s: np.maximum(8.04 - s, 0.0))
         default_claim = 8.04 * (riskless_bond(SURFACE_VASICEK, 0.5) - _survival_bond(pin))
-        assert leg + default_claim == pytest.approx(put_p0(pin), abs=1e-8 * 8.04)
+        assert leg + default_claim == pytest.approx(ref.put_p0(pin), abs=1e-8 * 8.04)
 
     def test_identity_payoff_martingale_drift(self):
         for l in (1.0, 0.3):
@@ -230,7 +246,7 @@ class TestGenericQuadrature:
             generic_p0(pin, lambda s, a=a, b=b: np.where((s >= a) & (s < b), 1.0, 0.0))
             for a, b in zip(cuts[:-1], cuts[1:])
         )
-        assert total == pytest.approx(defaultable_bond_p0(pin), abs=1e-8)
+        assert total == pytest.approx(ref.defaultable_bond_p0(pin), abs=1e-8)
 
     def test_zero_horizon_degenerates_to_payoff(self):
         pin = PricingInputs(

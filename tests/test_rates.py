@@ -14,7 +14,7 @@ from credeq.cds import annual_schedule, cds_spread
 from credeq.corrections import CorrectionParams, price_full
 from credeq.errors import CalibrationError, NumericalError, ValidationError
 from credeq.market_data import PriceHistory, TreasuryCurve
-from credeq.pricing import CreditParams, PricingInputs, call_p0, variance_v
+from credeq.pricing import CreditParams, PricingInputs, call_p0
 from credeq.rates import (
     FIT_BOUNDS,
     SERIES_CUTOFF,
@@ -41,6 +41,7 @@ from conftest import (
     make_bond_quotes,
     make_option_quotes,
 )
+from reference_oracles import variance_v
 from scalar_reference import curve_sse, fit_vasicek_nelder_mead
 
 # The treasury maturities (years) of the benchmark's CLI day.
@@ -388,7 +389,7 @@ class TestOverflowNamesTheParameter:
         with pytest.raises(NumericalError, match=re.escape(f"{name} = {value:g}")):
             price_full(pin, CorrectionParams(), kind)
 
-    # The survival bond exp(-lam*tau + a - b*r) overflows here; put_p0 stops at the riskless bond.
+    # The kernel's riskless bond exp(a - b*r) overflows here, and its error names the parameter.
     @pytest.mark.parametrize("name, value", [("eta", 1e153), ("alpha", -1e200), ("r", -1e200)])
     def test_call_p0(self, name, value):
         pin = PricingInputs(*self.huge(name, value), CreditParams(0.4, 0.03), 0.5, 8.0)
