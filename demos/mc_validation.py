@@ -12,17 +12,13 @@ Run: python demos/mc_validation.py (about 0.4 seconds on a 2-core machine).
 from credeq import (
     CreditParams,
     EquityParams,
-    FactorSpec,
-    McConfig,
     PricingInputs,
     VasicekParams,
     call_p0,
     defaultable_bond_p0,
-    mc_estimate,
-    mc_price,
     put_p0,
-    simulate_terminals,
 )
+from credeq.oracle_mc import FactorSpec, McConfig, mc_estimate, mc_price, simulate_terminals
 
 va = VasicekParams(alpha=0.0063, beta=0.1034, eta=0.012, r=0.0476)
 eq = EquityParams(x=8.04, sigma2=0.2576, rho1=-0.25)

@@ -33,14 +33,6 @@ from .market_data import (
     TreasuryCurve,
     filter_options,
 )
-from .oracle_mc import (
-    FactorSpec,
-    McConfig,
-    effective_params,
-    mc_estimate,
-    mc_price,
-    simulate_terminals,
-)
 from .pricing import (
     CreditParams,
     PricingInputs,

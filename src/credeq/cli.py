@@ -41,7 +41,6 @@ from .errors import (
     ValidationError,
 )
 from .implied_vol import implied_vol
-from .oracle_mc import CHUNK_BASE_PATHS, FactorSpec, McConfig, grid_steps, mc_price
 from .pricing import PricingInputs
 from .rates import (
     EquityParams,
@@ -67,7 +66,7 @@ def _emit(args, payload: str) -> None:
 
 def _load_json(path: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
@@ -197,7 +196,7 @@ def cmd_cds_series(args) -> None:
             fit = _load_fit(str(path))
             spread = cds_spread(fit, schedule)
             rows.append(f"{date},{args.maturity},{spread * 1e4}")
-        except (CredeqError, OverflowError):
+        except (CredeqError, OverflowError, OSError, UnicodeDecodeError):
             rows.append(f"{date},{args.maturity},NA")  # explicit gap, never interpolated
     _emit(args, "\n".join(rows))
 
@@ -234,6 +233,9 @@ def cmd_ivol_surface(args) -> None:
 
 
 def cmd_oracle(args) -> None:
+    # Imported here: no other command runs the oracle, and it loads NumPy.
+    from .oracle_mc import CHUNK_BASE_PATHS, FactorSpec, McConfig, grid_steps, mc_price
+
     if args.dlt is not None and args.eps is None:
         raise ValidationError("--dlt scales the multiscale slow factor; it needs --eps")
     fit = _load_fit(args.fit)

@@ -147,7 +147,7 @@ def _read(path, columns, record=None) -> list:
     """
     header = [c.header for c in columns]
     out = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             got = next(reader)

@@ -58,7 +58,9 @@ other exact steps reach a later horizon (0.5 and 1.5 y against one of
 2 y), another draw of the same law.
 
 This is a validation oracle, not a production pricer: only its averaged
-quantities are ever compared against the closed forms.
+quantities are ever compared against the closed forms. So the package does
+not re-export it, and of the commands only ``oracle`` imports it; it loads
+NumPy at its top.
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-# NumPy is imported inside each function, so that importing the package,
-# which re-exports this module, does not load it.
+import numpy as np
+from numpy.polynomial.hermite import hermgauss
+
 from .errors import NumericalError, ValidationError
 from .pricing import PricingInputs
 
@@ -146,45 +149,33 @@ class FactorSpec:
 
 def _sigma(yt):
     """Multiscale volatility sigma(yt)."""
-    import numpy as np
-
     return 0.2 + 0.1 * np.tanh(yt)
 
 
 def _vol_risk_price(yt):
     """Multiscale market price of volatility risk L(yt)."""
-    import numpy as np
-
     return 0.2 * np.tanh(yt)
 
 
 def _intensity(lam, y, z):
     """Multiscale intensity f(y, z), whose fast average at z0 is ``lam``."""
-    import numpy as np
-
     return lam * np.exp(np.minimum(y + z, 2.0)) / _intensity_norm()
 
 
 @lru_cache(maxsize=None)
 def _intensity_norm() -> float:
     """<exp(min(y, 2))> over the fast law N(m, nu^2): f's normaliser."""
-    import numpy as np
-
     return _gauss_mean(lambda y: np.exp(np.minimum(y, 2.0)), _M, _NU)
 
 
 @lru_cache(maxsize=None)
 def _hermite_nodes(n_nodes: int):
     """Gauss-Hermite nodes and weights, cached: they cost more than the means that use them."""
-    from numpy.polynomial.hermite import hermgauss
-
     return hermgauss(n_nodes)
 
 
 def _gauss_mean(fn, mean: float, std: float, n_nodes: int = 201) -> float:
     """E[fn(N(mean, std^2))] by Gauss-Hermite quadrature."""
-    import numpy as np
-
     t, w = _hermite_nodes(n_nodes)
     vals = np.asarray(fn(mean + math.sqrt(2.0) * std * t), dtype=float)
     return float(np.dot(w, vals)) / math.sqrt(math.pi)
@@ -298,8 +289,6 @@ def _step_cov(h: float, kernels, corr):
     Column j is int_0^h a_j(u) dW_{w_j}(u). No Vasicek factor of ``rates`` enters: the
     oracle checks those.
     """
-    import numpy as np
-
     cov = np.empty((len(kernels), len(kernels)))
     for j, (wj, aj) in enumerate(kernels):
         for k, (wk, ak) in enumerate(kernels[: j + 1]):
@@ -338,8 +327,6 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
 
     Axis 1 separates the base paths from their antithetic mirrors.
     """
-    import numpy as np
-
     spec, va = cfg.factor_spec, inputs.vasicek
     horizons = sorted(horizons)
     if not horizons or not all(0 < h < math.inf for h in horizons):
@@ -379,8 +366,6 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
 
 def _simulate_chunk(rng, size, segments, laws, names, spec, inputs, out):
     """Step one chunk over ``segments`` by ``laws`` and the live columns ``names``; fill ``out``."""
-    import numpy as np
-
     va, eq = inputs.vasicek, inputs.equity
     stock = "x" in out
     multi = spec.multiscale_model
@@ -464,8 +449,6 @@ def mc_estimate(instrument: str, sim, inputs: PricingInputs, schedule=None):
     ``schedule`` and returns the annualized spread with a delta-method
     standard error. ``inputs`` must hold the run's vasicek and equity blocks.
     """
-    import numpy as np
-
     if (inputs.vasicek, inputs.equity) != (sim["vasicek"], sim["equity"]):
         raise ValidationError("inputs' vasicek and equity blocks are not the simulation's")
     times = _payoff_horizons(instrument, inputs, schedule)

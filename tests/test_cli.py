@@ -414,7 +414,16 @@ class TestOverflow:
 
 
 class TestCdsSeries:
-    def test_series_with_gap(self, tmp_path, capsys):
+    # A day whose fit cannot be read or priced: an incomplete fit, bytes that are not
+    # UTF-8, or a directory in the fit file's place.
+    BAD_DAYS = {
+        "malformed": lambda path: path.write_text("{\"broken\": true}"),
+        "not-utf8": lambda path: path.write_bytes(json.dumps(fit_dict()).encode("utf-16")),
+        "directory": lambda path: path.mkdir(),
+    }
+
+    @pytest.mark.parametrize("bad_day", sorted(BAD_DAYS))
+    def test_series_with_gap(self, tmp_path, capsys, bad_day):
         fits_dir = tmp_path / "fits"
         fits_dir.mkdir()
         good = {
@@ -424,7 +433,7 @@ class TestCdsSeries:
             "corrections": {"v3": 0.02, "w2": 0.003},
         }
         (fits_dir / "2006-09-18.json").write_text(json.dumps(good))
-        (fits_dir / "2006-09-19.json").write_text("{\"broken\": true}")
+        self.BAD_DAYS[bad_day](fits_dir / "2006-09-19.json")
         (fits_dir / "2006-09-20.json").write_text(json.dumps(good))
         code, out, err = run(
             capsys, "cds-series", "--fits-dir", str(fits_dir), "--maturity", "5",
@@ -494,7 +503,10 @@ class TestMalformedJson:
 
 
 class TestUnreadableInput:
-    """A path that is a directory, or a file that is not UTF-8, exits 2 with one JSON line."""
+    """A path that is a directory, or a file that is not UTF-8, exits 2 with one JSON line.
+
+    A UTF-8 byte-order mark is not an error: it is skipped.
+    """
 
     def test_directory_path(self, tmp_path, capsys):
         code, out, err = run(capsys, "fit-rates", "--treasury", str(tmp_path))
@@ -514,6 +526,16 @@ class TestUnreadableInput:
         code, out, err = run(capsys, "price", "--fit", str(path), "--kind", "bond",
                              "--maturity", "2")
         assert_one_error_line(code, out, err, "UnicodeDecodeError")
+
+    def test_byte_order_mark_fit_json(self, tmp_path, capsys):
+        path = tmp_path / "fit.json"
+        argv = ["price", "--fit", str(path), "--kind", "bond", "--maturity", "2"]
+        path.write_text(json.dumps(fit_dict()), encoding="utf-8")
+        plain = run(capsys, *argv)
+        path.write_text(json.dumps(fit_dict()), encoding="utf-8-sig")
+        assert path.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0
 
 
 class TestOracleCommand:

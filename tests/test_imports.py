@@ -4,9 +4,10 @@
 ``ivol-surface``) run on floats and load neither NumPy nor scipy; the
 calibration commands (``fit-rates``, ``calibrate``) and the Monte-Carlo
 ``oracle`` (constant or multiscale factors) load NumPy but no scipy. scipy
-is a test dependency only, and no module of ``credeq`` imports it. No
-command loads a ``concurrent`` module, and after every command, as after
-the import, one thread is left: the oracle runs on the calling thread.
+is a test dependency only, and no module of ``credeq`` imports it. Only
+``oracle`` loads ``credeq.oracle_mc``. No command loads a ``concurrent``
+module, and after every command, as after the import, one thread is left:
+the oracle runs on the calling thread.
 
 Each command check runs in a fresh interpreter, so modules loaded by other
 tests do not count. Only module presence and thread counts are asserted,
@@ -54,16 +55,19 @@ def loaded(*roots):
 import credeq
 import credeq.cli
 after_import = loaded("numpy", "scipy", "concurrent")
+oracle_after_import = "credeq.oracle_mc" in sys.modules
 threads_after_import = threading.active_count()
-codes, concurrent, threads = [], [], []
+codes, concurrent, oracle, threads = [], [], [], []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         codes.append(credeq.cli.main(argv))
         concurrent.append(loaded("concurrent"))
+        oracle.append("credeq.oracle_mc" in sys.modules)
         threads.append(threading.active_count())
-print(json.dumps({"after_import": after_import, "threads_after_import": threads_after_import,
+print(json.dumps({"after_import": after_import, "oracle_after_import": oracle_after_import,
+                  "threads_after_import": threads_after_import,
                   "codes": codes, "numpy": loaded("numpy"), "scipy": loaded("scipy"),
-                  "concurrent": concurrent, "threads": threads}))
+                  "concurrent": concurrent, "oracle": oracle, "threads": threads}))
 """
 
 
@@ -148,6 +152,7 @@ def test_import_loads_no_scipy_optimize():
     # Nor any other part of NumPy or scipy, nor concurrent.futures, and it starts no thread.
     result = run_child([])
     assert result["after_import"] == []
+    assert result["oracle_after_import"] is False
     assert result["threads_after_import"] == 1
 
 
@@ -228,6 +233,7 @@ def test_pricing_commands_load_no_scipy(fit_json):
     assert result["codes"] == [0, 0, 0]
     assert result["scipy"] == [] and result["numpy"] == []
     assert result["concurrent"] == [[], [], []]
+    assert result["oracle"] == [False, False, False]
     assert result["threads"] == [1, 1, 1]
 
 
@@ -237,6 +243,7 @@ def test_oracle_loads_no_scipy(fit_json, factors):
                          "--strike", "8", "--maturity", "0.1", "--paths", "10000"] + factors])
     assert result["codes"] == [0]
     assert result["numpy"] and result["scipy"] == []
+    assert result["oracle"] == [True]
     # It steps its paths on the calling thread.
     assert result["concurrent"] == [[]]
     assert result["threads"] == [1]
@@ -271,5 +278,7 @@ def test_calibration_commands_load_no_scipy(tmp_path):
     ])
     assert result["codes"] == [0, 0, 0]
     assert result["numpy"] and result["scipy"] == []
+    # They load NumPy anyway, so only this shows that they leave the oracle out.
+    assert result["oracle"] == [False, False, False]
     assert result["concurrent"] == [[], [], []]
     assert result["threads"] == [1, 1, 1]

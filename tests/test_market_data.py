@@ -161,6 +161,15 @@ class TestEveryFormat:
         save(second, loaded)
         assert second.read_bytes() == first.read_bytes()
 
+    @pytest.mark.parametrize("fmt", sorted(RECORDS))
+    def test_byte_order_mark_is_skipped(self, tmp_path, fmt):
+        """A file that starts with a UTF-8 byte-order mark, as Excel writes, loads the same records."""
+        save, load, records = self.RECORDS[fmt]
+        path = tmp_path / "f.csv"
+        save(path, records)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load(path) == records
+
     def test_readme_headers_are_the_column_tables(self):
         """The README's format table states the headers that the column tables define."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
