@@ -15,12 +15,11 @@ from credeq import (
     VasicekParams,
     call_p0,
     defaultable_bond_p0,
-    implied_vol,
     price_full,
     put_p0,
     riskless_bond,
-    vasicek_yield,
 )
+from credeq.implied_vol import model_quote
 
 va = VasicekParams(alpha=0.0063, beta=0.1034, eta=0.012, r=0.0476)
 eq = EquityParams(x=8.04, sigma2=0.2576, rho1=-0.0327)
@@ -57,12 +56,11 @@ zero = CorrectionParams()
 moneyness = (0.7, 0.85, 1.0, 1.15)
 print(f"{'tau':>5} " + " ".join(f"{m:>8.2f}" for m in moneyness))
 for tau in (0.25, 0.5, 1.0, 2.0):
-    rate = vasicek_yield(va, tau)
     row = []
     for m in moneyness:
         strike = m * eq.x
         pin = PricingInputs(va, eq, opt_credit, tau, strike)
-        iv = implied_vol(price_full(pin, zero, "call"), eq.x, strike, tau, rate, "call")
+        _, iv, _ = model_quote(price_full(pin, zero, "call"), strike, tau, "call", va, eq)
         row.append(f"{iv:>8.4f}")
     print(f"{tau:>5} " + " ".join(row))
 print("\nLow strikes quote well above the 0.2576 historical vol: the")

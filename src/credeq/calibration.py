@@ -36,11 +36,10 @@ from dataclasses import asdict, dataclass
 # NumPy is imported inside the functions that use arrays, so that the float
 # path (one price, one CDS curve) never loads it.
 from .corrections import CorrectionParams, evaluate_bonds, evaluate_options, get_variant
-from .errors import (CalibrationError, ConfigurationError, DomainError, NumericalError,
-                     ValidationError)
-from .implied_vol import VEGA_FLOOR_FACTOR, bs_vega, implied_vol
+from .errors import CalibrationError, ConfigurationError, NumericalError, ValidationError
+from .implied_vol import VEGA_FLOOR_FACTOR, model_quote
 from .pricing import CreditParams
-from .rates import EquityParams, VasicekParams, vasicek_yield
+from .rates import EquityParams, VasicekParams
 
 __all__ = [
     "BondFit",
@@ -208,25 +207,15 @@ def fit_bonds(bonds, vasicek: VasicekParams) -> BondFit:
 def _quote_weights(options, vasicek: VasicekParams, equity: EquityParams):
     """1 / max(market BS vega, floor) per quote.
 
-    The market vega is evaluated at the quote's own implied volatility,
-    quoted against the model zero yield at its maturity. Quotes whose
-    price cannot be inverted (outside BS bounds) fall back to the floor.
+    The market vega is the vega of the quote's own implied volatility, as
+    :func:`credeq.implied_vol.model_quote` quotes it. Quotes whose price
+    cannot be inverted (outside BS bounds) fall back to the floor.
     """
     import numpy as np
 
-    x = equity.x
-    floor = VEGA_FLOOR_FACTOR * x
-    rates = {s: vasicek_yield(vasicek, s) for s in {q.maturity for q in options}}
-    weights = np.empty(len(options))
-    for i, q in enumerate(options):
-        rate = rates[q.maturity]
-        try:
-            iv = implied_vol(q.price, x, q.strike, q.maturity, rate, q.kind)
-            vega = bs_vega(x, q.strike, q.maturity, rate, iv)
-        except DomainError:
-            vega = 0.0
-        weights[i] = 1.0 / max(vega, floor)
-    return weights
+    vegas = [model_quote(q.price, q.strike, q.maturity, q.kind, vasicek, equity)[2]
+             for q in options]
+    return 1.0 / np.maximum(vegas, VEGA_FLOOR_FACTOR * equity.x)
 
 
 def fit_options(

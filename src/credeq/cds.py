@@ -24,7 +24,7 @@ from functools import cache
 
 from .calibration import ModelFit
 from .corrections import price_full
-from .errors import NumericalError, ValidationError
+from .errors import CredeqError, NumericalError, ValidationError
 from .pricing import CreditParams, PricingInputs
 from .rates import riskless_bond
 
@@ -122,7 +122,8 @@ def cds_term_structure(fit: ModelFit, maturities, delta: float = 1.0):
 
 
 def cds_series(daily_fits, maturity: float, delta: float = 1.0):
-    """One spread per dated fit; days with no fit keep an explicit None gap.
+    """One spread per dated fit; a day with no fit, or with a fit that cannot
+    be priced (a CredeqError or a float overflow), keeps an explicit None gap.
 
     ``daily_fits`` is an iterable of (date, ModelFit or None). Gaps are
     never interpolated.
@@ -133,5 +134,8 @@ def cds_series(daily_fits, maturity: float, delta: float = 1.0):
     schedule = annual_schedule(maturity, delta)
     out = []
     for date, fit in items:
-        out.append((date, None if fit is None else cds_spread(fit, schedule)))
+        try:
+            out.append((date, None if fit is None else cds_spread(fit, schedule)))
+        except (CredeqError, OverflowError):
+            out.append((date, None))
     return out

@@ -30,7 +30,7 @@ from .calibration import (
     read_block,
     report_json,
 )
-from .cds import annual_schedule, cds_spread, cds_term_structure
+from .cds import annual_schedule, cds_series, cds_term_structure
 from .corrections import VARIANTS, price_full, price_p0
 from .errors import (
     CalibrationError,
@@ -40,7 +40,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .implied_vol import implied_vol
+from .implied_vol import model_quote
 from .pricing import PricingInputs
 from .rates import (
     EquityParams,
@@ -50,7 +50,6 @@ from .rates import (
     estimate_rho1,
     estimate_sigma2,
     fit_vasicek,
-    vasicek_yield,
 )
 
 VALIDATION_EXIT = 2
@@ -140,14 +139,8 @@ def cmd_price(args) -> None:
            "p0": price_p0(pin, args.kind)}
     if args.kind != "bond":
         out["strike"] = args.strike
-        rate = vasicek_yield(fit.vasicek, args.maturity)
-        out["quote_rate"] = rate
-        try:
-            out["implied_vol"] = implied_vol(
-                price, fit.equity.x, args.strike, args.maturity, rate, args.kind
-            )
-        except DomainError:
-            out["implied_vol"] = None  # corrected price left the BS bounds
+        out["quote_rate"], out["implied_vol"], _ = model_quote(
+            price, args.strike, args.maturity, args.kind, fit.vasicek, fit.equity)
     _emit(args, json.dumps(out, indent=2))
 
 
@@ -184,20 +177,18 @@ def cmd_cds_series(args) -> None:
     fits_dir = Path(args.fits_dir)
     if not fits_dir.is_dir():
         raise ValidationError(f"{fits_dir} is not a directory")
-    delta = _FREQ[args.freq]
-    schedule = annual_schedule(args.maturity, delta)
-    rows = ["date,maturity_years,spread_bps"]
     files = sorted(fits_dir.glob("*.json"))
     if not files:
         raise ValidationError(f"no fit files in {fits_dir}")
+    dated = []
     for path in files:
-        date = path.stem
         try:
-            fit = _load_fit(str(path))
-            spread = cds_spread(fit, schedule)
-            rows.append(f"{date},{args.maturity},{spread * 1e4}")
+            dated.append((path.stem, _load_fit(str(path))))
         except (CredeqError, OverflowError, OSError, UnicodeDecodeError):
-            rows.append(f"{date},{args.maturity},NA")  # explicit gap, never interpolated
+            dated.append((path.stem, None))  # an unreadable file is a gap too
+    rows = ["date,maturity_years,spread_bps"]
+    for date, spread in cds_series(dated, args.maturity, _FREQ[args.freq]):
+        rows.append(f"{date},{args.maturity},{'NA' if spread is None else spread * 1e4}")
     _emit(args, "\n".join(rows))
 
 
@@ -220,15 +211,11 @@ def cmd_ivol_surface(args) -> None:
     maturities, strikes = _parse_grid(args.grid)
     rows = ["maturity_years,strike,implied_vol"]
     for tau in maturities:
-        rate = vasicek_yield(fit.vasicek, tau)
         for strike in strikes:
             pin = PricingInputs(fit.vasicek, fit.equity, fit.credit, tau, strike)
             price = price_full(pin, fit.coeffs, args.kind, fit.variant)
-            try:
-                iv = implied_vol(price, fit.equity.x, strike, tau, rate, args.kind)
-                rows.append(f"{tau},{strike},{iv}")
-            except DomainError:
-                rows.append(f"{tau},{strike},NA")
+            _, iv, _ = model_quote(price, strike, tau, args.kind, fit.vasicek, fit.equity)
+            rows.append(f"{tau},{strike},{'NA' if iv is None else iv}")
     _emit(args, "\n".join(rows))
 
 

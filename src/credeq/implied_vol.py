@@ -1,9 +1,9 @@
-"""Black-Scholes pricing, vega, and implied-volatility inversion.
+"""Black-Scholes pricing, vega, implied-volatility inversion, and the quoting rule.
 
-Used for the vega weights of the calibration objective and for quoting
-model/market implied-volatility surfaces. The flat quoting rate for a
-maturity is the fitted Vasicek model's zero yield at that maturity
-(:func:`credeq.rates.vasicek_yield`).
+:func:`model_quote` is the one quoting rule: the vega weights of the
+calibration objective, ``price`` and ``ivol-surface`` all call it. It quotes
+at the fitted Vasicek model's zero yield for the maturity
+(:func:`credeq.rates.vasicek_yield`) on the dividend-adjusted spot x*exp(-q*tau).
 """
 
 from __future__ import annotations
@@ -12,11 +12,13 @@ import math
 
 from .errors import DomainError, ValidationError
 from .pricing import norm_cdf, norm_pdf
+from .rates import EquityParams, VasicekParams, vasicek_yield
 
 __all__ = [
     "bs_price",
     "bs_vega",
     "implied_vol",
+    "model_quote",
     "VEGA_FLOOR_FACTOR",
 ]
 
@@ -120,3 +122,19 @@ def implied_vol(price: float, x: float, strike: float, tau: float, rate: float, 
     # for the flat-vega regime; return the bracket midpoint.
     return 0.5 * (lo + hi)
 
+
+def model_quote(price: float, strike: float, tau: float, kind: str,
+                vasicek: VasicekParams, equity: EquityParams):
+    """The quote of an option price: (rate, implied vol, vega).
+
+    The rate is the model zero yield at ``tau`` and the spot is
+    x*exp(-q*tau), Black-Scholes with a dividend yield. A price outside the
+    Black-Scholes bounds has no vol: it quotes as None with vega 0.0.
+    """
+    rate = vasicek_yield(vasicek, tau)
+    x = equity.x * math.exp(-equity.q * tau)
+    try:
+        vol = implied_vol(price, x, strike, tau, rate, kind)
+    except DomainError:
+        return rate, None, 0.0
+    return rate, vol, bs_vega(x, strike, tau, rate, vol)

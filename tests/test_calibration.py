@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from credeq.calibration import (
 )
 from credeq.corrections import CorrectionParams
 from credeq.errors import CalibrationError, ValidationError
+from credeq.implied_vol import VEGA_FLOOR_FACTOR, bs_vega
 from credeq.market_data import BondQuote, OptionQuote
 from credeq.pricing import CreditParams
-from credeq.rates import EquityParams, VasicekParams, riskless_bond
+from credeq.rates import EquityParams, VasicekParams, riskless_bond, vasicek_yield
 
 from scalar_reference import option_residuals
 from conftest import (
@@ -232,6 +235,24 @@ class TestCalibrateIndex:
                         variant="index")
 
 
+class TestQuoteWeights:
+    def test_vega_on_the_dividend_adjusted_spot(self):
+        """A flat 20% model with a dividend yield: each weight is 1 / max(vega, floor),
+        with the Black-Scholes vega of 20% on the spot x*exp(-q*tau)."""
+        vasicek = replace(INDEX_VASICEK, eta=0.0)
+        equity = replace(INDEX_EQUITY, sigma2=0.2)
+        grid = [(t, m, kind) for t in (0.25, 1.0, 2.0) for m in (0.9, 1.0, 1.1)
+                for kind in ("call", "put")]
+        options = make_option_quotes(vasicek, equity, 0.0, CorrectionParams(), grid)
+        floor = VEGA_FLOOR_FACTOR * equity.x
+        want = [
+            1.0 / max(bs_vega(equity.x * math.exp(-equity.q * q.maturity), q.strike, q.maturity,
+                              vasicek_yield(vasicek, q.maturity), 0.2), floor)
+            for q in options
+        ]
+        assert _quote_weights(options, vasicek, equity).tolist() == pytest.approx(want, rel=1e-9)
+
+
 class TestPinnedFits:
     """Every field of the fits, pinned with ``==``: a change to the solver's
     floating-point order shows here, not only a change beyond the round-trip
@@ -259,12 +280,14 @@ class TestPinnedFits:
                                     v6=-0.1753891682175106),
             weighted_residual=851.9258769980916, condition_number=64913.79026388401),
     }
+    # The index quotes carry a dividend yield, so their vega weights are taken
+    # on the dividend-adjusted spot.
     INDEX_TRUTH = OptionFit(
         l=1.0, lam=0.0,
-        coeffs=CorrectionParams(v1=0.00039999999999995676, v2=-6.000000000001164e-05,
-                                v4=1.9999999999960157e-05, v5=-0.0007999999999991634,
-                                v6=0.0002999999999999084),
-        weighted_residual=1.9750715979744888e-24, condition_number=955.6366387029077)
+        coeffs=CorrectionParams(v1=0.0004000000000000097, v2=-5.999999999999916e-05,
+                                v4=1.9999999999998938e-05, v5=-0.0007999999999998362,
+                                v6=0.00030000000000001575),
+        weighted_residual=2.299919294104461e-29, condition_number=115573.58045688459)
 
     def test_bond_fit(self, roundtrip_fixture):
         bonds, _ = roundtrip_fixture

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,6 +178,17 @@ class TestSeries:
         series = cds_series(items, 3.0)
         assert series[2][1] is None
         assert all(v is not None for i, (_, v) in enumerate(series) if i != 2)
+
+    def test_unpriceable_fit_is_a_gap(self):
+        unpriceable = model(replace(PLAIN_VASICEK, eta=1e200), CreditParams(l=0.4, lam=0.05),
+                            CorrectionParams())
+        with pytest.raises(NumericalError):
+            cds_spread(unpriceable, annual_schedule(5.0))
+        items = self.fits()
+        items.insert(2, (dt.date(2006, 9, 25), unpriceable))
+        series = cds_series(items, 5.0)
+        assert series[2] == (dt.date(2006, 9, 25), None)
+        assert series[:2] + series[3:] == cds_series(self.fits(), 5.0)
 
     def test_multiple_tenors_finite(self):
         fit = model(PLAIN_VASICEK, CreditParams(l=0.4, lam=0.05), CorrectionParams())

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from credeq.market_data import (
     TreasuryCurve,
 )
 from credeq.pricing import CreditParams, PricingInputs
-from credeq.rates import vasicek_yield
+from credeq.rates import VasicekParams, vasicek_yield
 
 from conftest import (
+    INDEX_EQUITY,
+    INDEX_VASICEK,
     SURFACE_EQUITY,
     SURFACE_VASICEK,
     TRUE_LAMBDA,
@@ -415,11 +418,12 @@ class TestOverflow:
 
 class TestCdsSeries:
     # A day whose fit cannot be read or priced: an incomplete fit, bytes that are not
-    # UTF-8, or a directory in the fit file's place.
+    # UTF-8, a directory in the fit file's place, or a fit that overflows when priced.
     BAD_DAYS = {
         "malformed": lambda path: path.write_text("{\"broken\": true}"),
         "not-utf8": lambda path: path.write_bytes(json.dumps(fit_dict()).encode("utf-16")),
         "directory": lambda path: path.mkdir(),
+        "unpriceable": lambda path: path.write_text(json.dumps(huge_fit("vasicek", "eta"))),
     }
 
     @pytest.mark.parametrize("bad_day", sorted(BAD_DAYS))
@@ -445,6 +449,66 @@ class TestCdsSeries:
         assert lines[2] == "2006-09-19,5.0,NA"
         assert lines[3].startswith("2006-09-20,5.0,")
         assert float(lines[1].rsplit(",", 1)[1]) == float(lines[3].rsplit(",", 1)[1])
+
+    def test_fits_dir_must_be_a_directory(self, tmp_path, capsys):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit_dict()))
+        for fits_dir in (path, tmp_path / "missing"):
+            code, out, err = run(capsys, "cds-series", "--fits-dir", str(fits_dir),
+                                 "--maturity", "5")
+            assert_one_error_line(code, out, err)
+            assert "is not a directory" in json.loads(err)["message"]
+
+    def test_fits_dir_without_fit_files(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("no fits here")
+        code, out, err = run(capsys, "cds-series", "--fits-dir", str(tmp_path), "--maturity", "5")
+        assert_one_error_line(code, out, err)
+        assert "no fit files" in json.loads(err)["message"]
+
+
+class TestDividendQuote:
+    """A flat 20% model with the index's dividend yield quotes 20% at every maturity.
+
+    The rate is deterministic (eta = 0), nothing defaults (lam = 0) and there are no
+    corrections, so the model price is Black-Scholes on the spot x*exp(-q*tau).
+    """
+
+    SIGMA = 0.2
+    MATURITIES = (0.25, 1.0, 2.0)
+    VASICEK = dict(asdict(INDEX_VASICEK), eta=0.0)
+
+    @pytest.fixture
+    def fit_path(self, tmp_path):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps({
+            "vasicek": self.VASICEK,
+            "equity": {"x": INDEX_EQUITY.x, "sigma2": self.SIGMA, "rho1": INDEX_EQUITY.rho1,
+                       "q": INDEX_EQUITY.q},
+            "credit": {"l": 1.0, "lam": 0.0},
+            "corrections": {},
+        }))
+        return path
+
+    @pytest.mark.parametrize("tau", MATURITIES)
+    def test_price(self, capsys, fit_path, tau):
+        code, out, err = run(capsys, "price", "--fit", str(fit_path), "--kind", "call",
+                             "--strike", repr(INDEX_EQUITY.x), "--maturity", repr(tau))
+        assert code == 0, err
+        priced = json.loads(out)
+        assert priced["quote_rate"] == vasicek_yield(VasicekParams(**self.VASICEK), tau)
+        assert priced["implied_vol"] == pytest.approx(self.SIGMA, abs=1e-8)
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_ivol_surface(self, capsys, fit_path, kind):
+        strikes = [m * INDEX_EQUITY.x for m in (0.9, 1.0, 1.1)]
+        grid = ",".join(map(repr, self.MATURITIES)) + "x" + ",".join(map(repr, strikes))
+        code, out, err = run(capsys, "ivol-surface", "--fit", str(fit_path), "--grid", grid,
+                             "--kind", kind)
+        assert code == 0, err
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 9
+        for row in rows:
+            assert float(row.rsplit(",", 1)[1]) == pytest.approx(self.SIGMA, abs=1e-8), row
 
 
 def assert_one_error_line(code, out, err, error="ValidationError"):
@@ -486,6 +550,13 @@ class TestMalformedJson:
         code, out, err = run(capsys, argv[0], "--fit", str(path), *argv[1:])
         assert_one_error_line(code, out, err)
 
+    def test_fit_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit_dict())[:-1])
+        code, out, err = run(capsys, "price", "--fit", str(path), "--kind", "bond",
+                             "--maturity", "2")
+        assert_one_error_line(code, out, err)
+        assert "not valid JSON" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("variant, error", [
         (["seven_param"], "ValidationError"), (7, "ValidationError"),
@@ -752,3 +823,26 @@ class TestArgumentErrors:
         }))
         code, _, err = run(capsys, "ivol-surface", "--fit", str(path), "--grid", "nonsense")
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["0.5x", "x8", "x"])
+    def test_grid_needs_a_maturity_and_a_strike(self, tmp_path, capsys, grid):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit_dict()))
+        code, out, err = run(capsys, "ivol-surface", "--fit", str(path), "--grid", grid)
+        assert_one_error_line(code, out, err)
+        assert "at least one maturity and one strike" in json.loads(err)["message"]
+
+    def test_option_price_needs_a_strike(self, tmp_path, capsys):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit_dict()))
+        code, out, err = run(capsys, "price", "--fit", str(path), "--kind", "put",
+                             "--maturity", "0.5")
+        assert_one_error_line(code, out, err)
+        assert "--strike is required" in json.loads(err)["message"]
+
+    def test_calibrate_with_a_bond_step_needs_bonds(self, fixture_files, capsys):
+        _, _, options_csv, params_json = fixture_files
+        code, out, err = run(capsys, "calibrate", "--options", str(options_csv),
+                             "--params", str(params_json))
+        assert_one_error_line(code, out, err)
+        assert "--bonds is required" in json.loads(err)["message"]

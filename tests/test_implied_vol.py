@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from credeq.errors import DomainError
-from credeq.implied_vol import bs_price, bs_vega, implied_vol
+from credeq.implied_vol import VOL_HI, VOL_LO, bs_price, bs_vega, implied_vol, model_quote
 from credeq.pricing import norm_cdf
+from credeq.rates import EquityParams, VasicekParams, vasicek_yield
 
 
 class TestBsPrice:
@@ -63,6 +64,39 @@ class TestImpliedVol:
     def test_above_upper_bound_raises(self):
         with pytest.raises(DomainError, match="upper"):
             implied_vol(101.0, 100, 90, 1.0, 0.05, "call")
+
+
+    def test_prices_at_the_bounds_clamp_to_the_vol_range(self):
+        # a worthless out-of-the-money call at the lower bound, a call worth the spot at the upper
+        assert implied_vol(0.0, 100, 150, 1.0, 0.05, "call") == VOL_LO
+        assert implied_vol(100.0, 100, 100, 1.0, 0.05, "call") == VOL_HI
+
+
+class TestModelQuote:
+    VASICEK = VasicekParams(alpha=0.004, beta=0.09, eta=0.001, r=0.05)
+
+    def test_no_dividend_quotes_on_the_spot(self):
+        rate = vasicek_yield(self.VASICEK, 0.7)
+        price = bs_price(100, 95, 0.7, rate, 0.3, "call")
+        vol = implied_vol(price, 100, 95, 0.7, rate, "call")
+        assert model_quote(price, 95, 0.7, "call", self.VASICEK,
+                           EquityParams(x=100.0, sigma2=0.3, rho1=0.0)) == (
+            rate, vol, bs_vega(100, 95, 0.7, rate, vol))
+
+    def test_dividend_yield_discounts_the_spot(self):
+        rate = vasicek_yield(self.VASICEK, 0.7)
+        spot = 100 * math.exp(-0.03 * 0.7)
+        price = bs_price(spot, 95, 0.7, rate, 0.3, "put")
+        equity = EquityParams(x=100.0, sigma2=0.3, rho1=0.0, q=0.03)
+        got_rate, vol, vega = model_quote(price, 95, 0.7, "put", self.VASICEK, equity)
+        assert got_rate == rate
+        assert vol == pytest.approx(0.3, abs=1e-10)
+        assert vega == pytest.approx(bs_vega(spot, 95, 0.7, rate, 0.3), rel=1e-9)
+
+    def test_price_outside_the_bounds_has_no_vol(self):
+        equity = EquityParams(x=100.0, sigma2=0.3, rho1=0.0)
+        assert model_quote(101.0, 95, 0.7, "call", self.VASICEK, equity) == (
+            vasicek_yield(self.VASICEK, 0.7), None, 0.0)
 
 
 class TestBsVega:

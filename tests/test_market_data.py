@@ -161,6 +161,21 @@ class TestEveryFormat:
         save(second, loaded)
         assert second.read_bytes() == first.read_bytes()
 
+    @pytest.mark.parametrize("load", GOOD_ROWS, ids=lambda load: load.__name__)
+    def test_empty_file(self, tmp_path, load):
+        path = write(tmp_path / "f.csv", "")
+        with pytest.raises(ValidationError, match="empty file"):
+            load(path)
+
+    @pytest.mark.parametrize("fmt", sorted(RECORDS))
+    def test_blank_rows_are_skipped(self, tmp_path, fmt):
+        save, load, records = self.RECORDS[fmt]
+        path = tmp_path / "f.csv"
+        save(path, records)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        write(path, "\n".join([header, "", *rows, " , ", ""]))
+        assert load(path) == records
+
     @pytest.mark.parametrize("fmt", sorted(RECORDS))
     def test_byte_order_mark_is_skipped(self, tmp_path, fmt):
         """A file that starts with a UTF-8 byte-order mark, as Excel writes, loads the same records."""

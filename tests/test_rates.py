@@ -208,6 +208,9 @@ class TestRisklessBond:
     def test_par_at_zero(self):
         assert riskless_bond(HIST_VASICEK, 0.0) == 1.0
 
+    def test_yield_at_zero_is_the_short_rate(self):
+        assert vasicek_yield(HIST_VASICEK, 0.0) == HIST_VASICEK.r
+
     def test_against_ou_simulation(self):
         price = riskless_bond(HIST_VASICEK, 5.0)
         mc, se = ou_bond_mc(HIST_VASICEK, 5.0)
