@@ -5,9 +5,11 @@ give visibly different curve shapes; no CDS quotes enter any of them.
 Run: python demos/cds_curves.py
 """
 
-from credeq import CorrectionParams, CreditParams, EquityParams, VasicekParams
 from credeq.calibration import ModelFit
 from credeq.cds import cds_term_structure
+from credeq.corrections import CorrectionParams
+from credeq.pricing import CreditParams
+from credeq.rates import EquityParams, VasicekParams
 
 eq = EquityParams(x=8.0, sigma2=0.3, rho1=0.0)
 

@@ -6,18 +6,11 @@ the recovered parameters next to the truth. Run:
 python demos/joint_calibration.py
 """
 
-from credeq import (
-    BondQuote,
-    CorrectionParams,
-    CreditParams,
-    EquityParams,
-    OptionQuote,
-    PricingInputs,
-    VasicekParams,
-    fit_bonds,
-    fit_options,
-    price_full,
-)
+from credeq.calibration import fit_bonds, fit_options
+from credeq.corrections import CorrectionParams, price_full
+from credeq.market_data import BondQuote, OptionQuote
+from credeq.pricing import CreditParams, PricingInputs
+from credeq.rates import EquityParams, VasicekParams
 
 va = VasicekParams(alpha=0.0063, beta=0.1034, eta=0.012, r=0.0476)
 eq = EquityParams(x=8.04, sigma2=0.2576, rho1=-0.0327)

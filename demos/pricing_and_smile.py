@@ -7,19 +7,10 @@ the default intensity induces. Run: python demos/pricing_and_smile.py
 
 import numpy as np
 
-from credeq import (
-    CorrectionParams,
-    CreditParams,
-    EquityParams,
-    PricingInputs,
-    VasicekParams,
-    call_p0,
-    defaultable_bond_p0,
-    price_full,
-    put_p0,
-    riskless_bond,
-)
+from credeq.corrections import CorrectionParams, price_full
 from credeq.implied_vol import model_quote
+from credeq.pricing import CreditParams, PricingInputs, call_p0, defaultable_bond_p0, put_p0
+from credeq.rates import EquityParams, VasicekParams, riskless_bond
 
 va = VasicekParams(alpha=0.0063, beta=0.1034, eta=0.012, r=0.0476)
 eq = EquityParams(x=8.04, sigma2=0.2576, rho1=-0.0327)

@@ -130,14 +130,18 @@ def read_block(params, name: str, cls):
     """The JSON object ``params[name]`` as a ``cls``, e.g. the ``vasicek`` block.
 
     A missing block, a block that is not an object, and a missing, extra or
-    mistyped key raise ValidationError.
+    mistyped key raise ValidationError. A boolean counts as mistyped (JSON's
+    true would pass as 1), and so does an integer too large for a float.
     """
     block = params.get(name) if isinstance(params, dict) else None
     if not isinstance(block, dict):
         raise ValidationError(f"parameters need a '{name}' object, got {block!r}")
+    for key, value in block.items():
+        if isinstance(value, bool):
+            raise ValidationError(f"malformed '{name}' block: '{key}' is {value!r}, not a number")
     try:
         return cls(**block)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValidationError(f"malformed '{name}' block: {exc}") from None
 
 

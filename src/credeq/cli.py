@@ -64,9 +64,10 @@ def _emit(args, payload: str) -> None:
 
 
 def _load_json(path: str) -> dict:
+    text = Path(path).read_text(encoding="utf-8-sig")
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, or deep nesting
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")
@@ -184,7 +185,7 @@ def cmd_cds_series(args) -> None:
     for path in files:
         try:
             dated.append((path.stem, _load_fit(str(path))))
-        except (CredeqError, OverflowError, OSError, UnicodeDecodeError):
+        except (CredeqError, OSError, UnicodeDecodeError):
             dated.append((path.stem, None))  # an unreadable file is a gap too
     rows = ["date,maturity_years,spread_bps"]
     for date, spread in cds_series(dated, args.maturity, _FREQ[args.freq]):

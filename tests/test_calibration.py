@@ -334,14 +334,19 @@ class TestReport:
     def test_read_block(self):
         assert read_block({"vasicek": self.VASICEK}, "vasicek", VasicekParams) == VasicekParams(
             **self.VASICEK)
+        # null stays allowed where the field defaults to None.
+        equity = {"x": 8.0, "sigma2": 0.3, "rho1": 0.0, "sigma1": None}
+        assert read_block({"equity": equity}, "equity", EquityParams).sigma1 == 0.3
 
     @pytest.mark.parametrize("params", [
         [], {}, {"vasicek": None}, {"vasicek": list(VASICEK.values())},
         {"vasicek": {"alpha": 0.004, "beta": 0.09, "eta": 0.001}},
         {"vasicek": dict(VASICEK, kappa=1.0)},
         {"vasicek": dict(VASICEK, alpha="0.004")},
+        {"vasicek": dict(VASICEK, r=True)},
+        {"vasicek": dict(VASICEK, r=10**400)},
     ], ids=["list", "no-block", "null-block", "list-block", "missing-key", "extra-key",
-            "string-value"])
+            "string-value", "boolean-value", "400-digit-integer"])
     def test_read_block_rejects_malformed(self, params):
         with pytest.raises(ValidationError, match="'vasicek'"):
             read_block(params, "vasicek", VasicekParams)

@@ -370,6 +370,13 @@ def fit_dict():
     }
 
 
+def fit_text(block, name, literal):
+    """Fit JSON text whose ``block.name`` is ``literal`` verbatim, e.g. a 5,000-digit integer."""
+    fit = fit_dict()
+    fit[block][name] = "@"
+    return json.dumps(fit).replace('"@"', literal)
+
+
 def huge_fit(block, name):
     """A fit JSON whose ``block.name`` is 1e200: finite, accepted, and overflowing."""
     fit = fit_dict()
@@ -417,10 +424,16 @@ class TestOverflow:
 
 
 class TestCdsSeries:
-    # A day whose fit cannot be read or priced: an incomplete fit, bytes that are not
-    # UTF-8, a directory in the fit file's place, or a fit that overflows when priced.
+    # A day whose fit cannot be read or priced: an incomplete fit, a value that is not a
+    # float, bytes that are not UTF-8, a directory in the fit file's place, or a fit
+    # that overflows when priced.
     BAD_DAYS = {
         "malformed": lambda path: path.write_text("{\"broken\": true}"),
+        "5000-digit-integer": lambda path: path.write_text(fit_text("equity", "x", "9" * 5000)),
+        "400-digit-integer": lambda path: path.write_text(fit_text("equity", "x", "9" * 400)),
+        "deep-nesting": lambda path: path.write_text(
+            fit_text("equity", "x", "[" * 10**5 + "]" * 10**5)),
+        "boolean": lambda path: path.write_text(fit_text("credit", "lam", "true")),
         "not-utf8": lambda path: path.write_bytes(json.dumps(fit_dict()).encode("utf-16")),
         "directory": lambda path: path.mkdir(),
         "unpriceable": lambda path: path.write_text(json.dumps(huge_fit("vasicek", "eta"))),
@@ -530,6 +543,8 @@ class TestMalformedJson:
         "extra-key": lambda p: dict(p, equity=dict(p["equity"], spot=8.0)),
         "missing-block": lambda p: {"vasicek": p["vasicek"]},
         "list-block": lambda p: dict(p, vasicek=list(p["vasicek"].values())),
+        "boolean-value": lambda p: dict(p, vasicek=dict(p["vasicek"], r=True)),
+        "400-digit-integer": lambda p: dict(p, equity=dict(p["equity"], x=10**400)),
     }
 
     @pytest.mark.parametrize("edit", sorted(EDITS))
@@ -557,6 +572,26 @@ class TestMalformedJson:
                              "--maturity", "2")
         assert_one_error_line(code, out, err)
         assert "not valid JSON" in json.loads(err)["message"]
+
+    # json.loads refuses an integer past 4,300 digits and nesting past the recursion
+    # limit; a float cannot hold an integer of 400 digits; a boolean would pass as 0 or 1.
+    @pytest.mark.parametrize("block, name, literal, message", [
+        ("equity", "x", "9" * 5000, "not valid JSON"),
+        ("equity", "x", "[" * 10**5 + "]" * 10**5, "not valid JSON"),
+        ("equity", "x", "9" * 400, "malformed 'equity' block"),
+        ("credit", "lam", "true", "'lam'"),
+        ("vasicek", "r", "true", "'r'"),
+        ("corrections", "v1", "false", "'v1'"),
+    ], ids=["5000-digit-integer", "deep-nesting", "400-digit-integer", "lam-true", "r-true",
+            "v1-false"])
+    def test_fit_value_that_is_not_a_float(self, tmp_path, capsys, block, name, literal,
+                                           message):
+        path = tmp_path / "fit.json"
+        path.write_text(fit_text(block, name, literal))
+        code, out, err = run(capsys, "price", "--fit", str(path), "--kind", "bond",
+                             "--maturity", "2")
+        assert_one_error_line(code, out, err)
+        assert message in json.loads(err)["message"]
 
     @pytest.mark.parametrize("variant, error", [
         (["seven_param"], "ValidationError"), (7, "ValidationError"),

@@ -7,7 +7,8 @@ calibration commands (``fit-rates``, ``calibrate``) and the Monte-Carlo
 is a test dependency only, and no module of ``credeq`` imports it. Only
 ``oracle`` loads ``credeq.oracle_mc``. No command loads a ``concurrent``
 module, and after every command, as after the import, one thread is left:
-the oracle runs on the calling thread.
+the oracle runs on the calling thread. The package re-exports nothing, so
+importing one of its modules runs only the modules that one imports.
 
 Each command check runs in a fresh interpreter, so modules loaded by other
 tests do not count. Only module presence and thread counts are asserted,
@@ -73,12 +74,25 @@ print(json.dumps({"after_import": after_import, "oracle_after_import": oracle_af
 
 WRAPPERS_CHILD = """
 import json, sys
+
+def loaded(root):
+    return sorted(m for m in sys.modules if m.split(".")[0] == root)
+
 import credeq.pricing as pr
-va = pr.VasicekParams(alpha=0.0063, beta=0.1034, eta=0.012, r=0.0476)
-eq = pr.EquityParams(x=8.04, sigma2=0.2576, rho1=-0.0327, q=0.01)
+after_import = loaded("credeq")
+from credeq.rates import EquityParams, VasicekParams
+va = VasicekParams(alpha=0.0063, beta=0.1034, eta=0.012, r=0.0476)
+eq = EquityParams(x=8.04, sigma2=0.2576, rho1=-0.0327, q=0.01)
 pin = pr.PricingInputs(va, eq, pr.CreditParams(l=0.4, lam=0.03), 0.5, 8.0)
 prices = [pr.call_p0(pin), pr.put_p0(pin), pr.defaultable_bond_p0(pin)]
-print(json.dumps({"prices": prices, "numpy": sorted(m for m in sys.modules if m.startswith("numpy"))}))
+print(json.dumps({"prices": prices, "after_import": after_import,
+                  "after_prices": loaded("credeq"), "numpy": loaded("numpy")}))
+"""
+
+IMPLIED_VOL_CHILD = """
+import json
+import credeq.implied_vol as m
+print(json.dumps({"type": type(m).__name__, "model_quote": hasattr(m, "model_quote")}))
 """
 
 
@@ -126,11 +140,11 @@ def test_exports_resolve():
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert missing == [], info.name
         exec(f"from credeq.{info.name} import *", {})
-    # What the package re-exports is public where it is defined.
-    for name, obj in vars(credeq).items():
-        owner = getattr(obj, "__module__", "")
-        if owner.startswith("credeq."):
-            assert name in getattr(importlib.import_module(owner), "__all__", [name]), name
+
+
+def test_implied_vol_is_the_module():
+    # The package re-exports nothing, so no function shadows the module of the same name.
+    assert run_child([], IMPLIED_VOL_CHILD) == {"type": "module", "model_quote": True}
 
 
 def test_no_library_module_imports_scipy():
@@ -162,6 +176,14 @@ def test_pricing_wrappers_run_on_floats():
     result = run_child([], WRAPPERS_CHILD)
     assert all(type(p) is float and p > 0 for p in result["prices"])
     assert result["numpy"] == []
+
+
+def test_pricing_loads_only_its_own_imports():
+    # Importing one module runs no other module of the package; the wrappers add the kernel.
+    result = run_child([], WRAPPERS_CHILD)
+    assert result["after_import"] == ["credeq", "credeq.errors", "credeq.pricing", "credeq.rates"]
+    assert result["after_prices"] == ["credeq", "credeq.corrections", "credeq.errors",
+                                      "credeq.pricing", "credeq.rates"]
 
 
 def _credeq_names(path):
