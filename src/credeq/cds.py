@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import reduce
+from itertools import accumulate
+from operator import add
 
 from .calibration import ModelFit
 from .corrections import price_full
@@ -34,9 +36,13 @@ __all__ = [
     "cds_term_structure",
     "cds_series",
     "annual_schedule",
+    "MAX_PAYMENTS",
 ]
 
 _SPACING_TOL = 1e-9
+# The most payment dates one schedule holds: 10,000 years paid annually,
+# 2,500 quarterly. It bounds the work and memory of one spread.
+MAX_PAYMENTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -67,17 +73,30 @@ class CdsSchedule:
         return self.payment_times[-1]
 
 
-def annual_schedule(maturity: float, delta: float = 1.0) -> CdsSchedule:
-    """Payments at delta, 2*delta, ..., maturity; maturity must be a multiple."""
+def _payment_count(maturity: float, delta: float) -> int:
+    """The n of a schedule delta, 2*delta, ..., n*delta = maturity, at most MAX_PAYMENTS."""
     if not (delta > 0 and math.isfinite(delta)):
         raise ValidationError(f"delta must be finite and > 0, got {delta}")
     if not math.isfinite(maturity):
         raise ValidationError(f"maturity must be finite, got {maturity}")
+    if not maturity / delta < MAX_PAYMENTS + 0.5:  # also a ratio that overflows to inf
+        raise ValidationError(
+            f"maturity {maturity} / delta {delta} asks for more than {MAX_PAYMENTS} payments"
+        )
     n = round(maturity / delta)
     if n < 1 or abs(n * delta - maturity) > _SPACING_TOL:
         raise ValidationError(
             f"maturity {maturity} is not a positive multiple of delta {delta}"
         )
+    return n
+
+
+def annual_schedule(maturity: float, delta: float = 1.0) -> CdsSchedule:
+    """Payments at delta, 2*delta, ..., maturity; maturity must be a multiple.
+
+    A schedule holds at most MAX_PAYMENTS payments.
+    """
+    n = _payment_count(maturity, delta)
     return CdsSchedule(tuple(m * delta for m in range(1, n + 1)))
 
 
@@ -86,39 +105,41 @@ def _corrected_bond(fit: ModelFit, credit: CreditParams, tau: float) -> float:
     return price_full(pin, fit.coeffs, "bond", fit.variant)
 
 
-def _spread(fit: ModelFit, schedule: CdsSchedule, full_loss_bonds) -> float:
-    """The spread, with ``full_loss_bonds`` the corrected bonds at l = 1, one per payment."""
-    t_mat = schedule.maturity
+def _spread(fit: ModelFit, t_mat: float, delta: float, annuity: float) -> float:
+    """The spread to ``t_mat``, with ``annuity`` the sum of the full-loss bonds at its payments."""
     protection = riskless_bond(fit.vasicek, t_mat) - _corrected_bond(fit, fit.credit, t_mat)
-    annuity = sum(full_loss_bonds)
     if annuity <= 0:
         raise NumericalError(
             f"degenerate premium annuity {annuity} for schedule up to {t_mat}"
         )
-    return protection / annuity / schedule.delta
+    return protection / annuity / delta
 
 
 def cds_spread(fit: ModelFit, schedule: CdsSchedule) -> float:
     """Annualized model CDS spread (decimal per year) for one schedule."""
     full_loss = CreditParams(l=1.0, lam=fit.credit.lam)
-    return _spread(fit, schedule,
-                   (_corrected_bond(fit, full_loss, t) for t in schedule.payment_times))
+    # Left to right, as cds_term_structure's running sum adds; sum() compensates from 3.12.
+    annuity = reduce(add, (_corrected_bond(fit, full_loss, t) for t in schedule.payment_times), 0)
+    return _spread(fit, schedule.maturity, schedule.delta, annuity)
 
 
 def cds_term_structure(fit: ModelFit, maturities, delta: float = 1.0):
     """(maturity, spread) pairs; each maturity gets its own payment schedule.
 
-    The schedules share their payment times (m * delta), so each full-loss
-    bond is priced once per curve; every spread sums the same values in the
-    same order as :func:`cds_spread` and equals it bit for bit.
+    Every maturity is checked as :func:`annual_schedule` checks it before any
+    bond is priced. The schedules share their payment times (m * delta), so
+    each full-loss bond is priced once per curve, and the annuities are one
+    running sum over them, 0 + b_1 + b_2 + ...: the additions that
+    :func:`cds_spread` makes, in its order, so every spread equals
+    cds_spread's bit for bit. The work is linear in the number of
+    maturities and in the longest schedule.
     """
+    counts = [_payment_count(t, delta) for t in maturities]
     full_loss = CreditParams(l=1.0, lam=fit.credit.lam)
-    full_loss_bond = cache(lambda t: _corrected_bond(fit, full_loss, t))
-    curve = []
-    for t in maturities:
-        schedule = annual_schedule(t, delta)
-        curve.append((t, _spread(fit, schedule, map(full_loss_bond, schedule.payment_times))))
-    return curve
+    longest = max(counts, default=0)
+    bonds = (_corrected_bond(fit, full_loss, m * delta) for m in range(1, longest + 1))
+    annuities = list(accumulate(bonds, initial=0))
+    return [(t, _spread(fit, n * delta, delta, annuities[n])) for t, n in zip(maturities, counts)]
 
 
 def cds_series(daily_fits, maturity: float, delta: float = 1.0):

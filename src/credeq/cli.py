@@ -30,7 +30,7 @@ from .calibration import (
     read_block,
     report_json,
 )
-from .cds import annual_schedule, cds_series, cds_term_structure
+from .cds import MAX_PAYMENTS, annual_schedule, cds_series, cds_term_structure
 from .corrections import VARIANTS, price_full, price_p0
 from .errors import (
     CalibrationError,
@@ -148,8 +148,11 @@ def cmd_price(args) -> None:
 def _parse_maturities(text: str):
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            maturities = [float(t) for t in range(int(lo), int(hi) + 1)]
+            lo, hi = (int(t) for t in text.split("..", 1))
+            if hi - lo >= MAX_PAYMENTS:  # before the list is built
+                raise ValidationError(f"--maturities {text!r} has {hi - lo + 1} points; "
+                                      f"a range has at most {MAX_PAYMENTS}")
+            maturities = [float(t) for t in range(lo, hi + 1)]
         else:
             maturities = [float(t) for t in text.split(",") if t]
     except ValueError:

@@ -282,12 +282,18 @@ def _variance(va: VasicekParams, eq: EquityParams, tau: float, big_a: float, g3:
     return v, 2 * va.eta * ibb + 2 * eq.rho1 * eq.sigma2 * big_a
 
 
+# The least variance v whose v * sqrt(v), the denominator in g5, does not
+# underflow to 0 (both factors round monotonically, so every larger v is safe).
+_MIN_VARIANCE = float.fromhex("0x1.428a2f98d728bp-717")  # about 1.8e-216
+
+
 def _option_factors(va: VasicekParams, eq, tau: float):
     """(b, int b, a, B, da/deta, v, dv/deta, J) at one maturity."""
     b, big_a, a, g3, j, riskless = _rate_factors(va, tau)
     v, v_eta = _variance(va, eq, tau, big_a, g3)
-    if v <= 0:
-        raise DomainError(f"variance must be positive for option pricing, got {v}")
+    if v < _MIN_VARIANCE:
+        raise DomainError(
+            f"variance must be at least {_MIN_VARIANCE!r} for option pricing, got {v}")
     return b, big_a, a, riskless, 2 * va.eta * g3, v, v_eta, j
 
 

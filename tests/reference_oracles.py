@@ -12,14 +12,17 @@
 * ``greeks_fd``: the eight Greeks from Richardson-extrapolated central
   differences of those closed forms, independent of the analytic
   derivative algebra in :mod:`credeq.corrections`.
+* ``best_on_grid_svd``: the calibration's grid search without the QR
+  screen, solving every grid point by batched SVD.
 """
 
 import math
 from dataclasses import replace
 
+import numpy as np
 from scipy.integrate import quad
 
-from credeq.errors import DomainError, NumericalError, ValidationError
+from credeq.errors import CalibrationError, DomainError, NumericalError, ValidationError
 from credeq.pricing import PricingInputs, norm_cdf, norm_pdf
 from credeq.rates import VasicekParams, riskless_bond, vasicek_factors
 
@@ -271,3 +274,22 @@ def greeks_fd(inputs: PricingInputs, kind: str) -> tuple:
         g6 - d_alpha + 0.5 * tau * tau * (gamma2 - x0 * dx + p0) - tau * (x0 * dx_dr - d_r)
     ) / va.beta
     return (g1, g2, g3, g4, g5, g6, g7, g8)
+
+
+def best_on_grid_svd(design, rhs, rank_message: str):
+    """``calibration._best_on_grid`` as it was before its QR screen: every grid point solved.
+
+    Row g of the (G x M x N) ``design`` and the (G x M) ``rhs`` is grid point
+    g's system; all are solved by batched SVD with the rank rule of
+    ``np.linalg.lstsq``, and CalibrationError is raised when any system has
+    rank below N. Returns the winner's index, solution, residual sum of
+    squares and condition number; ties go to the first grid point.
+    """
+    u, sing, vt = np.linalg.svd(design, full_matrices=False)
+    keep = sing > np.finfo(float).eps * max(design.shape[-2:]) * sing[:, :1]
+    if not keep.all():
+        raise CalibrationError(rank_message, best=None)
+    theta = np.einsum("gji,gj->gi", vt, np.einsum("gmj,gm->gj", u, rhs) / sing)
+    resid = np.sum((rhs - np.einsum("gmn,gn->gm", design, theta)) ** 2, axis=-1)
+    i = int(np.argmin(resid))
+    return i, theta[i], float(resid[i]), float(sing[i, 0] / sing[i, -1])

@@ -20,12 +20,13 @@ from credeq.calibration import (
     _quote_weights,
 )
 from credeq.corrections import CorrectionParams
-from credeq.errors import CalibrationError, ValidationError
+from credeq.errors import CalibrationError, NumericalError, ValidationError
 from credeq.implied_vol import VEGA_FLOOR_FACTOR, bs_vega
 from credeq.market_data import BondQuote, OptionQuote
 from credeq.pricing import CreditParams
 from credeq.rates import EquityParams, VasicekParams, riskless_bond, vasicek_yield
 
+from reference_oracles import best_on_grid_svd
 from scalar_reference import option_residuals
 from conftest import (
     BOND_MATURITIES,
@@ -193,6 +194,19 @@ class TestFitOptions:
         with pytest.raises(ValidationError):
             fit_options(options[:6], bond_fit, SURFACE_VASICEK, SURFACE_EQUITY)
 
+    @pytest.mark.parametrize("grid", [
+        [(0.3, m, kind) for m in (0.8, 0.9, 1.0, 1.1, 1.2) for kind in ("call", "put")],
+        [(0.3, 1.0, "call")] * 7,
+    ], ids=["one-maturity", "one-quote-seven-times"])
+    def test_structurally_rank_deficient(self, roundtrip_fixture, grid):
+        # Deficient at every grid point, so among the QR screen's survivors too.
+        bonds, _ = roundtrip_fixture
+        options = make_option_quotes(SURFACE_VASICEK, SURFACE_EQUITY, TRUE_LAMBDA,
+                                     CorrectionParams(), grid)
+        bond_fit = fit_bonds(bonds, SURFACE_VASICEK)
+        with pytest.raises(CalibrationError, match="rank"):
+            fit_options(options, bond_fit, SURFACE_VASICEK, SURFACE_EQUITY)
+
 
 class TestCalibrateIndex:
     # index-level greeks scale with the big spot, so realistic coefficients
@@ -305,6 +319,110 @@ class TestPinnedFits:
                                     TestCalibrateIndex.GRID)
         fit = fit_options(quotes, ZERO_BOND_FIT, INDEX_VASICEK, INDEX_EQUITY, variant="index")
         assert fit == self.INDEX_TRUTH
+
+
+def assert_same_winner(design, rhs):
+    got = calibration._best_on_grid(design, rhs, "rank")
+    want = best_on_grid_svd(design, rhs, "rank")
+    assert (got[0], got[1].tolist(), got[2], got[3]) == (want[0], want[1].tolist(), *want[2:])
+    return got[0]
+
+
+class TestGridScreen:
+    """The QR screen picks the full-grid SVD's winner and returns its numbers bit for bit."""
+
+    @pytest.fixture
+    def fixture_systems(self, roundtrip_fixture, monkeypatch):
+        """The systems behind the TestPinnedFits fixtures: the bond step, then each variant."""
+        bonds, options = roundtrip_fixture
+        systems, best_on_grid = [], calibration._best_on_grid
+        monkeypatch.setattr(calibration, "_best_on_grid",
+                            lambda design, rhs, message: systems.append((design, rhs))
+                            or best_on_grid(design, rhs, message))
+        bond_fit = fit_bonds(bonds, SURFACE_VASICEK)
+        for variant in ("seven_param", "three_param", "index"):
+            fit_options(options, ZERO_BOND_FIT if variant == "index" else bond_fit,
+                        SURFACE_VASICEK, SURFACE_EQUITY, variant=variant)
+        monkeypatch.undo()
+        return systems
+
+    def test_fixture_systems(self, fixture_systems):
+        assert [d.shape[0] for d, _ in fixture_systems] == [201, 96, 96, 1]
+        for design, rhs in fixture_systems:
+            assert_same_winner(design, rhs)
+
+    def test_screen_error_on_the_fixtures(self, fixture_systems):
+        # |R[N, N]| of QR on [A | b] against the SVD least-squares residual norm.
+        for design, rhs in fixture_systems[:3]:
+            n = design.shape[-1]
+            r = np.linalg.qr(np.concatenate((design, rhs[..., None]), -1), mode="r")
+            for g in range(len(design)):
+                theta = np.linalg.lstsq(design[g], rhs[g], rcond=None)[0]
+                resid = np.linalg.norm(rhs[g] - design[g] @ theta)
+                assert abs(abs(r[g, n, n]) - resid) < 1e-10 * np.linalg.norm(rhs[g])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_random_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        g, m, n = 40, 12, 4
+        design = rng.normal(size=(g, m, n))
+        truth = rng.normal(size=(g, n))
+        noise = rng.uniform(0.01, 1.0, size=(g, 1)) * rng.normal(size=(g, m))
+        assert_same_winner(design, np.einsum("gmn,gn->gm", design, truth) + noise)
+
+    def test_exact_tie_goes_to_the_first(self):
+        rng = np.random.default_rng(7)
+        design = rng.normal(size=(10, 8, 3))
+        rhs = rng.normal(size=(10, 8))
+        rhs[3] = design[3] @ [1.0, -2.0, 0.5] + 1e-3 * rng.normal(size=8)
+        design[7], rhs[7] = design[3], rhs[3]
+        assert assert_same_winner(design, rhs) == 3
+
+    def test_near_tie(self):
+        rng = np.random.default_rng(8)
+        design = rng.normal(size=(10, 8, 3))
+        rhs = rng.normal(size=(10, 8))
+        base = design[3] @ [1.0, -2.0, 0.5]
+        noise = 1e-3 * rng.normal(size=8)
+        design[7] = design[3]
+        rhs[3], rhs[7] = base + noise * (1 + 1e-12), base + noise
+        assert assert_same_winner(design, rhs) in (3, 7)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tie_within_rounding(self, seed):
+        # The same system with its rows permuted: the residuals agree to rounding, and
+        # on about half the seeds QR and SVD order the two points differently.
+        rng = np.random.default_rng(seed)
+        design = rng.normal(size=(10, 8, 3))
+        rhs = rng.normal(size=(10, 8))
+        rhs[3] = design[3] @ [1.0, -2.0, 0.5] + 1e-3 * rng.normal(size=8)
+        rows = rng.permutation(8)
+        design[7], rhs[7] = design[3][rows], rhs[3][rows]
+        assert assert_same_winner(design, rhs) in (3, 7)
+
+    def test_one_point_grid(self):
+        rng = np.random.default_rng(9)
+        assert assert_same_winner(rng.normal(size=(1, 8, 3)), rng.normal(size=(1, 8))) == 0
+
+    def test_one_row_more_than_columns(self):
+        rng = np.random.default_rng(10)
+        assert_same_winner(rng.normal(size=(30, 4, 3)), rng.normal(size=(30, 4)))
+
+    def test_square_systems_skip_the_screen(self):
+        rng = np.random.default_rng(11)
+        assert_same_winner(rng.normal(size=(30, 3, 3)), rng.normal(size=(30, 3)))
+
+
+class TestCheckFinite:
+    def test_names_the_first_bad_quote(self):
+        p0, cols = np.ones((3, 4)), np.ones((3, 4, 2))
+        p0[2, 3] = np.nan
+        cols[1, 1, 0] = np.inf
+        with pytest.raises(NumericalError, match=r"^non-finite bond greeks for quote q1$"):
+            calibration._check_finite(p0, cols, ["q0", "q1", "q2", "q3"], "bond")
+
+    def test_finite_passes(self):
+        assert calibration._check_finite(np.ones((3, 4)), np.ones((3, 4, 2)), "abcd", "x") is None
 
 
 class TestReport:

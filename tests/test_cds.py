@@ -46,6 +46,14 @@ class TestSchedule:
         with pytest.raises(ValidationError):
             annual_schedule(maturity, delta)
 
+    @pytest.mark.parametrize("maturity, delta", [(10001.0, 1.0), (2500.25, 0.25), (1e300, 1e-300)])
+    def test_more_than_max_payments_rejected(self, maturity, delta):
+        with pytest.raises(ValidationError, match="more than 10000 payments"):
+            annual_schedule(maturity, delta)
+
+    def test_max_payments_accepted(self):
+        assert len(annual_schedule(2500.0, 0.25).payment_times) == 10000
+
     def test_uneven_spacing_rejected(self):
         with pytest.raises(ValidationError):
             CdsSchedule((1.0, 2.0, 3.5))
@@ -130,6 +138,8 @@ class TestTermStructure:
         ([float(t) for t in range(1, 11)], 1.0),
         ([float(t) for t in range(1, 11)], 0.25),
         ([1.0, 3.0, 5.0], 1.0),
+        ([7.0, 2.0, 7.0, 10.0, 1.0], 1.0),
+        ([float(t) / 2 for t in range(1, 61)], 0.5),
     ])
     def test_curve_equals_one_spread_per_schedule(self, maturities, delta):
         # Each full-loss bond is priced once per curve; the spreads stay bit-identical.

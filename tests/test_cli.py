@@ -782,6 +782,33 @@ class TestArgumentErrors:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ValidationError"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["cds-curve", "--maturities", "20000"], "more than 10000 payments"),
+        (["cds-curve", "--freq", "quarterly", "--maturities", "2501"], "more than 10000 payments"),
+        (["cds-curve", "--maturities", "0..10000"], "10001 points; a range has at most 10000"),
+        (["cds-series", "--maturity", "20000"], "more than 10000 payments"),
+    ], ids=["one-maturity", "quarterly", "range", "series"])
+    def test_more_than_max_payments_exits_2(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit_dict()))
+        source = ["--fits-dir", str(tmp_path)] if argv[0] == "cds-series" else ["--fit", str(path)]
+        code, out, err = run(capsys, argv[0], *source, *argv[1:])
+        assert_one_error_line(code, out, err)
+        assert message in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["price", "--kind", "call", "--strike", "8", "--maturity", "1e-300"],
+        ["price", "--kind", "put", "--strike", "8", "--maturity", "1e-300"],
+        ["ivol-surface", "--grid", "1e-300x8"],
+    ], ids=["price-call", "price-put", "ivol-surface"])
+    def test_vanishing_variance_exits_2(self, tmp_path, capsys, argv):
+        # At tau = 1e-300 the variance v is so small that v * sqrt(v) underflows to 0.
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit_dict()))
+        code, out, err = run(capsys, argv[0], "--fit", str(path), *argv[1:])
+        assert_one_error_line(code, out, err, "DomainError")
+        assert "variance must be at least" in json.loads(err)["message"]
+
     @pytest.mark.parametrize("name", ["q", "sigma1"])
     def test_non_finite_equity_in_fit_exits_2(self, tmp_path, capsys, name):
         fit = fit_dict()

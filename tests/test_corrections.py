@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credeq.corrections import CorrectionParams, _evaluate, greeks, price_full, price_p0
-from credeq.errors import ConfigurationError
+from credeq.corrections import (
+    _MIN_VARIANCE,
+    CorrectionParams,
+    _evaluate,
+    evaluate_options,
+    greeks,
+    price_full,
+    price_p0,
+)
+from credeq.errors import ConfigurationError, DomainError
 from credeq.pricing import CreditParams, PricingInputs, norm_cdf, norm_pdf
 from credeq.rates import EquityParams, VasicekParams, vasicek_factors
 
@@ -290,6 +298,18 @@ class TestPriceFull:
     def test_zero_coefficients_reduce_to_p0(self):
         pin = self.pin()
         assert price_full(pin, CorrectionParams(), "call") == call_p0(pin)
+
+    def test_least_variance_is_where_g5s_denominator_underflows(self):
+        below = math.nextafter(_MIN_VARIANCE, 0.0)
+        assert _MIN_VARIANCE * math.sqrt(_MIN_VARIANCE) > 0
+        assert below * math.sqrt(below) == 0
+
+    def test_vanishing_variance_is_out_of_domain(self):
+        # tau = 1e-300 gives v ~ 7e-302, below the least variance, on both paths.
+        with pytest.raises(DomainError, match="variance must be at least"):
+            price_full(self.pin(tau=1e-300), CorrectionParams(), "call")
+        with pytest.raises(DomainError, match="variance must be at least"):
+            evaluate_options(SURFACE_VASICEK, SURFACE_EQUITY, [0.0], [1e-300], [8.04], [0])
 
     def test_linear_in_coefficients(self):
         rng = np.random.default_rng(12)
