@@ -277,7 +277,6 @@ def fit_options(
             f"{row.name} fit needs at least {n_unknowns} quotes, got {len(options)}"
         )
     prices = np.asarray([q.price for q in options])
-    weights = _quote_weights(options, vasicek, equity)
 
     grid = np.linspace(DEFAULT_L_MIN, 1.0, DEFAULT_L_GRID) if row.bond_step else np.ones(1)
     lam = bond_fit.l_lambda / grid
@@ -292,6 +291,7 @@ def fit_options(
         [q.kind == "put" for q in options],
     )
     _check_finite(p0, g, options, "option")
+    weights = _quote_weights(options, vasicek, equity)  # after the kernel has checked x / strike
     rhs = prices - p0 - v3[:, None] * g[..., 2] - w2[:, None] * g[..., 7]
     i, theta, resid, cond = _best_on_grid(
         g[..., list(row.columns)] * weights[:, None], rhs * weights,

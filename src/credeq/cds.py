@@ -1,8 +1,9 @@
 """Model-implied CDS spread curves and time series from calibrated parameters.
 
 With the calibrated model separated into a loss rate l, intensity lambda,
-and bond correction coefficients, the spread for a premium schedule
-T_1 < ... < T_M with spacing delta is
+and bond correction coefficients, the spread for a premium schedule of M
+payments T_m = m * delta (a ``CdsSchedule`` holds delta and M, at most
+MAX_PAYMENTS) is
 
     spread = (B(t, T_M) - Bc~(t, T_M; l)) / sum_m Bc~(t, T_m; 1) / delta
 
@@ -20,9 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
-from operator import add
 
 from .calibration import ModelFit
 from .corrections import price_full
@@ -45,38 +44,35 @@ _SPACING_TOL = 1e-9
 MAX_PAYMENTS = 10_000
 
 
+def _check_delta(delta: float) -> None:
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValidationError(f"delta must be finite and > 0, got {delta}")
+
+
 @dataclass(frozen=True)
 class CdsSchedule:
-    """Equally spaced premium payment times (delta, 2*delta, ..., T_M)."""
+    """``n`` premium payments at delta, 2*delta, ..., n*delta; n is an int in 1..MAX_PAYMENTS."""
 
-    payment_times: tuple
+    delta: float
+    n: int
 
     def __post_init__(self):
-        times = self.payment_times
-        if len(times) < 1:
-            raise ValidationError("schedule needs at least one payment time")
-        if times[0] <= 0:
-            raise ValidationError("first payment time must be > 0")
-        delta = times[0]
-        for m, t in enumerate(times, start=1):
-            if abs(t - m * delta) > _SPACING_TOL:
-                raise ValidationError(
-                    f"payment times must be equally spaced from delta: {times}"
-                )
+        _check_delta(self.delta)
+        if type(self.n) is not int or not 1 <= self.n <= MAX_PAYMENTS:  # a bool is no int here
+            raise ValidationError(f"n must be an int in 1..{MAX_PAYMENTS}, got {self.n!r}")
 
     @property
-    def delta(self) -> float:
-        return self.payment_times[0]
+    def payment_times(self) -> tuple:
+        return tuple(m * self.delta for m in range(1, self.n + 1))
 
     @property
     def maturity(self) -> float:
-        return self.payment_times[-1]
+        return self.n * self.delta
 
 
 def _payment_count(maturity: float, delta: float) -> int:
     """The n of a schedule delta, 2*delta, ..., n*delta = maturity, at most MAX_PAYMENTS."""
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ValidationError(f"delta must be finite and > 0, got {delta}")
+    _check_delta(delta)
     if not math.isfinite(maturity):
         raise ValidationError(f"maturity must be finite, got {maturity}")
     if not maturity / delta < MAX_PAYMENTS + 0.5:  # also a ratio that overflows to inf
@@ -96,8 +92,7 @@ def annual_schedule(maturity: float, delta: float = 1.0) -> CdsSchedule:
 
     A schedule holds at most MAX_PAYMENTS payments.
     """
-    n = _payment_count(maturity, delta)
-    return CdsSchedule(tuple(m * delta for m in range(1, n + 1)))
+    return CdsSchedule(delta, _payment_count(maturity, delta))
 
 
 def _corrected_bond(fit: ModelFit, credit: CreditParams, tau: float) -> float:
@@ -105,41 +100,43 @@ def _corrected_bond(fit: ModelFit, credit: CreditParams, tau: float) -> float:
     return price_full(pin, fit.coeffs, "bond", fit.variant)
 
 
-def _spread(fit: ModelFit, t_mat: float, delta: float, annuity: float) -> float:
-    """The spread to ``t_mat``, with ``annuity`` the sum of the full-loss bonds at its payments."""
-    protection = riskless_bond(fit.vasicek, t_mat) - _corrected_bond(fit, fit.credit, t_mat)
-    if annuity <= 0:
-        raise NumericalError(
-            f"degenerate premium annuity {annuity} for schedule up to {t_mat}"
-        )
-    return protection / annuity / delta
+def _spreads(fit: ModelFit, delta: float, counts) -> list:
+    """The spread of each schedule (delta, n), n in ``counts``.
+
+    Each full-loss bond b_m at m * delta is priced once, and the annuities are
+    one running sum, 0 + b_1 + b_2 + ..., added left to right: the work is
+    linear in the number of schedules and in the longest one.
+    """
+    full_loss = CreditParams(l=1.0, lam=fit.credit.lam)
+    longest = max(counts, default=0)
+    bonds = (_corrected_bond(fit, full_loss, m * delta) for m in range(1, longest + 1))
+    annuities = list(accumulate(bonds, initial=0))
+    spreads = []
+    for n in counts:
+        t_mat = n * delta
+        protection = riskless_bond(fit.vasicek, t_mat) - _corrected_bond(fit, fit.credit, t_mat)
+        if annuities[n] <= 0:
+            raise NumericalError(
+                f"degenerate premium annuity {annuities[n]} for schedule up to {t_mat}"
+            )
+        spreads.append(protection / annuities[n] / delta)
+    return spreads
 
 
 def cds_spread(fit: ModelFit, schedule: CdsSchedule) -> float:
     """Annualized model CDS spread (decimal per year) for one schedule."""
-    full_loss = CreditParams(l=1.0, lam=fit.credit.lam)
-    # Left to right, as cds_term_structure's running sum adds; sum() compensates from 3.12.
-    annuity = reduce(add, (_corrected_bond(fit, full_loss, t) for t in schedule.payment_times), 0)
-    return _spread(fit, schedule.maturity, schedule.delta, annuity)
+    return _spreads(fit, schedule.delta, [schedule.n])[0]
 
 
 def cds_term_structure(fit: ModelFit, maturities, delta: float = 1.0):
     """(maturity, spread) pairs; each maturity gets its own payment schedule.
 
     Every maturity is checked as :func:`annual_schedule` checks it before any
-    bond is priced. The schedules share their payment times (m * delta), so
-    each full-loss bond is priced once per curve, and the annuities are one
-    running sum over them, 0 + b_1 + b_2 + ...: the additions that
-    :func:`cds_spread` makes, in its order, so every spread equals
-    cds_spread's bit for bit. The work is linear in the number of
-    maturities and in the longest schedule.
+    bond is priced, and each spread equals :func:`cds_spread`'s for that
+    maturity's schedule.
     """
     counts = [_payment_count(t, delta) for t in maturities]
-    full_loss = CreditParams(l=1.0, lam=fit.credit.lam)
-    longest = max(counts, default=0)
-    bonds = (_corrected_bond(fit, full_loss, m * delta) for m in range(1, longest + 1))
-    annuities = list(accumulate(bonds, initial=0))
-    return [(t, _spread(fit, n * delta, delta, annuities[n])) for t, n in zip(maturities, counts)]
+    return list(zip(maturities, _spreads(fit, delta, counts)))
 
 
 def cds_series(daily_fits, maturity: float, delta: float = 1.0):

@@ -297,6 +297,12 @@ def _option_factors(va: VasicekParams, eq, tau: float):
     return b, big_a, a, riskless, 2 * va.eta * g3, v, v_eta, j
 
 
+def _check_moneyness(x: float, strike: float) -> None:
+    """x / strike, whose log the option kernel takes, must be a positive finite float."""
+    if not 0 < x / strike < math.inf:
+        raise DomainError(f"spot / strike = {x} / {strike} leaves the float range")
+
+
 def _option_terms(ns, put, x, q, strike, tau, log_bc1, b, big_a, a_eta, v, v_eta, riskless, j):
     """P0, (x dP0/dx, dP0/dalpha, dP0/dr) and (g1, ..., g8) of a call or put.
 
@@ -354,9 +360,10 @@ def _evaluate(inputs: PricingInputs, kind: str):
         raise ValidationError(f"a {kind} requires a strike")
     if tau <= 0:
         raise ValidationError(f"a {kind} requires tau > 0")
-    b, big_a, a, riskless, a_eta, v, v_eta, j = _option_factors(va, inputs.equity, tau)
-    log_bc1 = -inputs.credit.lam * tau + a - b * va.r
     eq = inputs.equity
+    _check_moneyness(eq.x, inputs.strike)
+    b, big_a, a, riskless, a_eta, v, v_eta, j = _option_factors(va, eq, tau)
+    log_bc1 = -inputs.credit.lam * tau + a - b * va.r
     return _option_terms(_FLOAT, 1.0 if kind == "put" else 0.0, eq.x, eq.q, inputs.strike, tau,
                          log_bc1, b, big_a, a_eta, v, v_eta, riskless, j)
 
@@ -378,13 +385,14 @@ def evaluate_options(vasicek: VasicekParams, equity, lam, tau, strike, put):
     """
     import numpy as np
 
-    tau = np.asarray(tau, dtype=float)
+    tau, strike = np.asarray(tau, dtype=float), np.asarray(strike, dtype=float)
+    for k in strike.tolist():
+        _check_moneyness(equity.x, k)
     b, big_a, a, riskless, a_eta, v, v_eta, j = _per_maturity(
         lambda s: _option_factors(vasicek, equity, s), tau)
     log_bc1 = -np.asarray(lam, dtype=float)[:, None] * tau + a - b * vasicek.r
     p0, _, g = _option_terms(_array_namespace(), np.asarray(put, dtype=float), equity.x, equity.q,
-                             np.asarray(strike, dtype=float), tau, log_bc1, b, big_a, a_eta, v,
-                             v_eta, riskless, j)
+                             strike, tau, log_bc1, b, big_a, a_eta, v, v_eta, riskless, j)
     return p0, np.stack(g, axis=-1)
 
 

@@ -86,6 +86,13 @@ __all__ = [
 
 CHUNK_BASE_PATHS = 16384
 MIN_PATHS = 10_000
+# The oracle's domain, checked before a run allocates or steps anything: at most
+# MAX_PATH_STEPS path-steps (n_paths * grid_steps) and MAX_STORED_VALUES values
+# (n_paths * horizons) in each result array.
+MAX_PATH_STEPS = 10**10
+MAX_STORED_VALUES = 10**8
+# Gauss-Hermite nodes of every fast-factor average.
+_HERMITE_NODES = 201
 # The fast factors' invariant laws N(_M, _NU^2) and N(_MT, _NUT^2), and every factor's start.
 _M = _MT = 0.0
 _NU = _NUT = 0.5
@@ -169,14 +176,14 @@ def _intensity_norm() -> float:
 
 
 @lru_cache(maxsize=None)
-def _hermite_nodes(n_nodes: int):
+def _hermite_nodes():
     """Gauss-Hermite nodes and weights, cached: they cost more than the means that use them."""
-    return hermgauss(n_nodes)
+    return hermgauss(_HERMITE_NODES)
 
 
-def _gauss_mean(fn, mean: float, std: float, n_nodes: int = 201) -> float:
+def _gauss_mean(fn, mean: float, std: float) -> float:
     """E[fn(N(mean, std^2))] by Gauss-Hermite quadrature."""
-    t, w = _hermite_nodes(n_nodes)
+    t, w = _hermite_nodes()
     vals = np.asarray(fn(mean + math.sqrt(2.0) * std * t), dtype=float)
     return float(np.dot(w, vals)) / math.sqrt(math.pi)
 
@@ -325,7 +332,9 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
     - ``horizons``: the H horizons, sorted; ``vasicek``, ``equity``: the
       blocks of ``inputs`` the run read, which ``mc_estimate`` checks
 
-    Axis 1 separates the base paths from their antithetic mirrors.
+    Axis 1 separates the base paths from their antithetic mirrors. A run of
+    more than MAX_PATH_STEPS path-steps, or of more than MAX_STORED_VALUES
+    paths x horizons, raises ValidationError before anything is allocated.
     """
     spec, va = cfg.factor_spec, inputs.vasicek
     horizons = sorted(horizons)
@@ -333,6 +342,15 @@ def simulate_terminals(cfg: McConfig, inputs: PricingInputs, horizons):
         raise ValidationError(f"horizons must be finite and positive, got {horizons}")
     if len(set(horizons)) < len(horizons):
         raise ValidationError(f"horizons must be distinct, got {horizons}")
+    try:
+        path_steps = cfg.n_paths * grid_steps(cfg, horizons)
+    except OverflowError:  # a step count past the float range: also outside the domain
+        path_steps = math.inf
+    if path_steps > MAX_PATH_STEPS or cfg.n_paths * len(horizons) > MAX_STORED_VALUES:
+        raise ValidationError(
+            f"{cfg.n_paths} paths to {len(horizons)} horizons, {path_steps} path-steps, leave "
+            f"the oracle's domain: at most {MAX_PATH_STEPS:.0e} path-steps and "
+            f"{MAX_STORED_VALUES:.0e} paths x horizons")
     # Constant factors have columns on W0 and W1 only.
     corr = _MULTISCALE_CORR if spec.multiscale_model else ((1.0, spec.rho1), (spec.rho1, 1.0))
 

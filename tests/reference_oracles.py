@@ -14,16 +14,21 @@
   derivative algebra in :mod:`credeq.corrections`.
 * ``best_on_grid_svd``: the calibration's grid search without the QR
   screen, solving every grid point by batched SVD.
+* ``cds_spread_reduce``: one schedule's CDS spread with its own annuity,
+  summed left to right, the order the library's running sum adds in.
 """
 
 import math
 from dataclasses import replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 from scipy.integrate import quad
 
 from credeq.errors import CalibrationError, DomainError, NumericalError, ValidationError
-from credeq.pricing import PricingInputs, norm_cdf, norm_pdf
+from credeq.corrections import price_full
+from credeq.pricing import CreditParams, PricingInputs, norm_cdf, norm_pdf
 from credeq.rates import VasicekParams, riskless_bond, vasicek_factors
 
 
@@ -293,3 +298,23 @@ def best_on_grid_svd(design, rhs, rank_message: str):
     resid = np.sum((rhs - np.einsum("gmn,gn->gm", design, theta)) ** 2, axis=-1)
     i = int(np.argmin(resid))
     return i, theta[i], float(resid[i]), float(sing[i, 0] / sing[i, -1])
+
+
+def cds_spread_reduce(fit, schedule) -> float:
+    """``cds.cds_spread`` as it was before it shared ``cds_term_structure``'s running sum.
+
+    The annuity is the schedule's own full-loss bonds added left to right by
+    ``reduce``, from 0; ``sum()`` would not do, as it compensates from
+    CPython 3.12 on.
+    """
+    def bond(credit, tau):
+        pin = PricingInputs(fit.vasicek, fit.equity, credit, tau)
+        return price_full(pin, fit.coeffs, "bond", fit.variant)
+
+    full_loss = CreditParams(l=1.0, lam=fit.credit.lam)
+    annuity = reduce(add, (bond(full_loss, t) for t in schedule.payment_times), 0)
+    t_mat = schedule.maturity
+    protection = riskless_bond(fit.vasicek, t_mat) - bond(fit.credit, t_mat)
+    if annuity <= 0:
+        raise NumericalError(f"degenerate premium annuity {annuity} for schedule up to {t_mat}")
+    return protection / annuity / schedule.delta

@@ -7,13 +7,21 @@ import pytest
 from scipy.integrate import quad
 
 from credeq.calibration import ModelFit
-from credeq.cds import CdsSchedule, annual_schedule, cds_series, cds_spread, cds_term_structure
+from credeq.cds import (
+    MAX_PAYMENTS,
+    CdsSchedule,
+    annual_schedule,
+    cds_series,
+    cds_spread,
+    cds_term_structure,
+)
 from credeq.corrections import CorrectionParams
 from credeq.errors import NumericalError, ValidationError
 from credeq.pricing import CreditParams
 from credeq.rates import VasicekParams
 
 from conftest import CDS_SET_A, CDS_SET_B, CDS_SET_C, SURFACE_EQUITY
+from reference_oracles import cds_spread_reduce
 
 
 def model(vasicek, credit, coeffs):
@@ -54,13 +62,12 @@ class TestSchedule:
     def test_max_payments_accepted(self):
         assert len(annual_schedule(2500.0, 0.25).payment_times) == 10000
 
-    def test_uneven_spacing_rejected(self):
+    @pytest.mark.parametrize("delta, n", [
+        (0.0, 1), (-1.0, 1), (math.nan, 1), (math.inf, 1),
+        (1.0, 0), (1.0, MAX_PAYMENTS + 1), (1.0, 2.5), (1.0, True)])
+    def test_bad_delta_or_count_rejected(self, delta, n):
         with pytest.raises(ValidationError):
-            CdsSchedule((1.0, 2.0, 3.5))
-
-    def test_first_payment_positive(self):
-        with pytest.raises(ValidationError):
-            CdsSchedule((0.0, 1.0))
+            CdsSchedule(delta, n)
 
 
 class TestSpread:
@@ -142,11 +149,13 @@ class TestTermStructure:
         ([float(t) / 2 for t in range(1, 61)], 0.5),
     ])
     def test_curve_equals_one_spread_per_schedule(self, maturities, delta):
-        # Each full-loss bond is priced once per curve; the spreads stay bit-identical.
+        # Each full-loss bond is priced once per curve; every spread stays bit-identical
+        # to one schedule's own annuity, summed left to right.
         for s in (CDS_SET_A, CDS_SET_B, CDS_SET_C):
             fit = model(s["vasicek"], s["credit"], s["coeffs"])
-            assert cds_term_structure(fit, maturities, delta) == [
-                (t, cds_spread(fit, annual_schedule(t, delta))) for t in maturities]
+            expected = [(t, cds_spread_reduce(fit, annual_schedule(t, delta))) for t in maturities]
+            assert cds_term_structure(fit, maturities, delta) == expected
+            assert [(t, cds_spread(fit, annual_schedule(t, delta))) for t in maturities] == expected
 
     def test_annual_curve_prices_each_bond_once(self, monkeypatch):
         # 1..10: ten protection bonds at l, ten distinct full-loss payment bonds.

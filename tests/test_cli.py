@@ -809,6 +809,34 @@ class TestArgumentErrors:
         assert_one_error_line(code, out, err, "DomainError")
         assert "variance must be at least" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("x, argv", [
+        (5e-324, ["price", "--kind", "call", "--strike", "8", "--maturity", "0.5"]),
+        (5e-324, ["price", "--kind", "put", "--strike", "8", "--maturity", "0.5"]),
+        (5e-324, ["ivol-surface", "--grid", "0.25,1x7,9"]),
+        (8.0, ["price", "--kind", "call", "--strike", "5e-324", "--maturity", "0.5"]),
+        (8.0, ["ivol-surface", "--kind", "put", "--grid", "0.25x5e-324"]),
+    ], ids=["price-call", "price-put", "ivol-surface", "tiny-strike", "tiny-strike-surface"])
+    def test_spot_strike_ratio_out_of_float_range_exits_2(self, tmp_path, capsys, x, argv):
+        # x = 5e-324 is a positive spot, but x / 8 rounds to 0, and 8 / 5e-324 to inf.
+        fit = fit_dict()
+        fit["equity"]["x"] = x
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit))
+        code, out, err = run(capsys, argv[0], "--fit", str(path), *argv[1:])
+        assert_one_error_line(code, out, err, "DomainError")
+        assert "spot / strike" in json.loads(err)["message"]
+
+    def test_spot_strike_ratio_out_of_float_range_in_calibrate_exits_2(self, fixture_files,
+                                                                        capsys):
+        tmp_path, bonds_csv, options_csv, params_json = fixture_files
+        params = json.loads(params_json.read_text())
+        params["equity"]["x"] = 5e-324
+        params_json.write_text(json.dumps(params))
+        code, out, err = run(capsys, "calibrate", "--bonds", str(bonds_csv),
+                             "--options", str(options_csv), "--params", str(params_json))
+        assert_one_error_line(code, out, err, "DomainError")
+        assert "spot / strike" in json.loads(err)["message"]
+
     @pytest.mark.parametrize("name", ["q", "sigma1"])
     def test_non_finite_equity_in_fit_exits_2(self, tmp_path, capsys, name):
         fit = fit_dict()

@@ -311,6 +311,19 @@ class TestPriceFull:
         with pytest.raises(DomainError, match="variance must be at least"):
             evaluate_options(SURFACE_VASICEK, SURFACE_EQUITY, [0.0], [1e-300], [8.04], [0])
 
+    @pytest.mark.parametrize("x, strike", [(5e-324, 8.0), (8.0, 5e-324), (1e300, 1e-10)],
+                             ids=["ratio-underflows", "ratio-overflows", "ratio-overflows-big"])
+    def test_spot_strike_ratio_out_of_float_range(self, x, strike):
+        # The kernel takes log(x / strike); at 0 or inf that is no price, on either path.
+        equity = EquityParams(x=x, sigma2=SURFACE_EQUITY.sigma2, rho1=SURFACE_EQUITY.rho1)
+        pin = PricingInputs(SURFACE_VASICEK, equity, CreditParams(1.0, SURFACE_LAMBDA), 0.5,
+                            strike)
+        for kind in ("call", "put"):
+            with pytest.raises(DomainError, match="spot / strike"):
+                price_full(pin, CorrectionParams(), kind)
+        with pytest.raises(DomainError, match="spot / strike"):
+            evaluate_options(SURFACE_VASICEK, equity, [0.0], [0.5, 0.5], [8.0, strike], [0, 1])
+
     def test_linear_in_coefficients(self):
         rng = np.random.default_rng(12)
         pin = self.pin(tau=0.8, strike=7.5)

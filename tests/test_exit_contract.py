@@ -1,0 +1,116 @@
+"""The exit contract of the commands, over a fixed list of numeric inputs.
+
+Every run goes through ``cli.main`` in process and must return 0, 2 or 3;
+a run that fails writes nothing on stdout and exactly one JSON line on
+stderr, and a run that succeeds writes nothing on stderr. The values are
+drawn once, log-uniform over [1e-320, 1e308] with both signs, from a seeded
+``random.Random``, plus 0, the least subnormal, nan and +-inf. They do not
+come from hypothesis, which mixes the numeric literals of the loaded
+modules into its draws, so an edit to ``src`` would re-draw them.
+
+The ``oracle`` runs take only inputs outside its domain, which it rejects
+before it simulates anything.
+"""
+
+import json
+import math
+import random
+
+import pytest
+
+from credeq.cli import main
+
+
+def _values():
+    rng = random.Random(14)
+    lo, hi = math.log(1e-320), math.log(1e308)
+    magnitudes = [math.exp(rng.uniform(lo, hi)) for _ in range(8)]
+    return [0.0, 5e-324, math.nan, math.inf, -math.inf] + magnitudes + [-m for m in magnitudes]
+
+
+VALUES = _values()
+
+FIT = {
+    "vasicek": {"alpha": 0.0063, "beta": 0.1034, "eta": 0.012, "r": 0.0476},
+    "equity": {"x": 8.04, "sigma2": 0.2576, "rho1": -0.0327, "sigma1": 0.2576, "q": 0.01},
+    "credit": {"l": 0.3, "lam": 0.05},
+    "corrections": {"v1": 0.996, "v2": -0.0014, "v3": 0.0009, "v4": 0.0104, "v5": -0.6514,
+                    "v6": 0.334, "w1": -0.1837, "w2": -0.0001},
+}
+FIELDS = [(block, name) for block, values in FIT.items() for name in values]
+
+# The commands a fit runs through, with their flags; "{}" marks where a flag value goes.
+COMMANDS = {
+    "price-call": ["price", "--kind", "call", "--strike={}", "--maturity=0.5"],
+    "price-call-maturity": ["price", "--kind", "call", "--strike=8", "--maturity={}"],
+    "price-put": ["price", "--kind", "put", "--strike={}", "--maturity=0.5"],
+    "price-put-maturity": ["price", "--kind", "put", "--strike=8", "--maturity={}"],
+    "price-bond": ["price", "--kind", "bond", "--maturity={}"],
+    "cds-curve": ["cds-curve", "--maturities={}"],
+    "cds-series": ["cds-series", "--maturity={}"],
+    "ivol-surface-maturity": ["ivol-surface", "--grid={}x7,9"],
+    "ivol-surface-strike": ["ivol-surface", "--grid=0.25,1x{}"],
+}
+FIT_COMMANDS = [
+    ["price", "--kind", "call", "--strike=8", "--maturity=0.5"],
+    ["ivol-surface", "--grid=0.25,1x7,9"],
+    ["cds-curve", "--maturities=1..10"],
+]
+
+# Each asks the oracle for more work than its domain allows (a step count past the
+# float range included), or for a schedule past MAX_PAYMENTS.
+ORACLE_OUT_OF_DOMAIN = [
+    ["--instrument", "bond", "--maturity", "1", "--paths", "1000000000000"],
+    ["--instrument", "bond", "--maturity", "1", "--paths", "1" + "0" * 400],
+    ["--instrument", "call", "--strike", "8", "--maturity", "10", "--paths", "100000",
+     "--eps", "0.1", "--steps-per-year", "1000000000"],
+    ["--instrument", "bond", "--maturity", "1", "--eps", "0.1", "--steps-per-year",
+     "1" + "0" * 400],
+    ["--instrument", "bond", "--maturity", "1e308", "--eps", "0.1"],
+    ["--instrument", "cds", "--maturity", "10000", "--paths", "20000"],
+    ["--instrument", "cds", "--maturity", "1e308"],
+]
+
+
+def run(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), (argv, code, err)
+    if code:
+        assert out == "", argv
+        lines = err.splitlines()
+        assert len(lines) == 1, (argv, err)
+        assert set(json.loads(lines[0])) == {"error", "message"}, (argv, err)
+    else:
+        assert err == "", (argv, err)
+    return code
+
+
+def write_fit(path, fit):
+    path.write_text(json.dumps(fit), encoding="utf-8")  # nan and inf as NaN and Infinity
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_numeric_flags(tmp_path, capsys, command):
+    fit_path = write_fit(tmp_path / "2006-09-18.json", FIT)
+    name, *flags = COMMANDS[command]
+    source = ["--fits-dir", str(tmp_path)] if name == "cds-series" else ["--fit", fit_path]
+    for value in VALUES:
+        run(capsys, [name, *source, *(f.format(repr(value)) for f in flags)])
+
+
+@pytest.mark.parametrize("block, name", FIELDS, ids=[f"{b}.{n}" for b, n in FIELDS])
+def test_fit_fields(tmp_path, capsys, block, name):
+    for value in VALUES:
+        fit = json.loads(json.dumps(FIT))
+        fit[block][name] = value
+        fit_path = write_fit(tmp_path / "fit.json", fit)
+        for command, *flags in FIT_COMMANDS:
+            run(capsys, [command, "--fit", fit_path, *flags])
+
+
+def test_oracle_out_of_domain(tmp_path, capsys):
+    fit_path = write_fit(tmp_path / "fit.json", FIT)
+    for argv in ORACLE_OUT_OF_DOMAIN:
+        assert run(capsys, ["oracle", "--fit", fit_path, *argv]) == 2, argv

@@ -3,6 +3,7 @@ import threading
 from dataclasses import replace
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 import pytest
 
 from credeq.cds import annual_schedule, cds_spread
@@ -418,10 +419,11 @@ class TestMultiscale:
     def test_hermite_nodes_match_scipy(self, n):
         # Measured before NumPy's nodes replaced scipy's: nodes within 8.4e-15
         # absolute (n = 201), weights within 7.2e-13 relative (n = 128).
+        # The oracle takes NumPy's at 201 nodes.
         from scipy.special import roots_hermite
 
         t_ref, w_ref = roots_hermite(n)
-        t, w = oracle_mc._hermite_nodes(n)
+        t, w = oracle_mc._hermite_nodes() if n == oracle_mc._HERMITE_NODES else hermgauss(n)
         np.testing.assert_allclose(t, t_ref, rtol=0, atol=2e-14)
         np.testing.assert_allclose(w, w_ref, rtol=2e-12, atol=0)
 
@@ -434,7 +436,8 @@ class TestMultiscale:
                     for e in (0.25, 0.09, 0.01)]
 
         ours = params()
-        monkeypatch.setattr(oracle_mc, "_hermite_nodes", roots_hermite)
+        monkeypatch.setattr(oracle_mc, "_hermite_nodes",
+                            lambda: roots_hermite(oracle_mc._HERMITE_NODES))
         for got, ref in zip(ours, params()):
             assert got == pytest.approx(ref, rel=1e-15, abs=0)
 
@@ -519,6 +522,30 @@ class TestValidation:
         pin = PricingInputs(VA, EQ, CR, 1.0)
         with pytest.raises(ValidationError, match="horizons"):
             simulate_terminals(constant_cfg(n_paths=10_000), pin, horizons)
+
+    @pytest.mark.parametrize("n_paths, steps_per_year, eps, horizons", [
+        (100_000, 10**9, 0.1, [10.0]),  # 10^15 path-steps
+        (10**12, 252, None, [1.0]),  # 10^12 path-steps, 8 TB of results
+        (20_000, 252, None, [float(t) for t in range(1, 5_002)]),  # 1.0002e8 stored values
+        (10_000, 10**400, 0.1, [1.0]),  # a step count past the float range
+        (10_000, 252, 0.1, [1e308]),  # likewise: round(inf) raises OverflowError
+        (10**400, 10**400, 0.1, [1.0]),  # and with a path count past the float range
+    ], ids=["steps", "paths", "horizons", "steps-overflow-int", "steps-overflow-float",
+            "paths-and-steps-overflow"])
+    def test_outside_the_domain_rejected(self, n_paths, steps_per_year, eps, horizons):
+        spec = FactorSpec.constant(0.2, 0.05) if eps is None else FactorSpec.multiscale(
+            0.05, eps, 0.0)
+        cfg = McConfig(n_paths=n_paths, n_steps_per_year=steps_per_year, factor_spec=spec)
+        with pytest.raises(ValidationError, match="oracle's domain"):
+            simulate_terminals(cfg, PricingInputs(VA, EQ, CR, 1.0), horizons)
+
+    def test_domain_bound_is_inclusive(self, monkeypatch):
+        # 10^5 paths of 10^5 steps: exactly MAX_PATH_STEPS, accepted (the chunks are not run).
+        monkeypatch.setattr(oracle_mc, "_simulate_chunk", lambda *args: None)
+        cfg = McConfig(n_paths=100_000, n_steps_per_year=100_000,
+                       factor_spec=FactorSpec.multiscale(0.05, 0.1, 0.0))
+        assert cfg.n_paths * oracle_mc.grid_steps(cfg, [1.0]) == oracle_mc.MAX_PATH_STEPS
+        simulate_terminals(cfg, PricingInputs(VA, EQ, CR, 1.0), [1.0])
 
     @pytest.mark.parametrize("steps_per_year", [252, 1000])
     def test_eps_far_below_the_time_step_runs(self, steps_per_year):
