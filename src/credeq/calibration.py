@@ -26,7 +26,9 @@ collinear), with the rank rule of ``np.linalg.lstsq`` applied to them
 only. The winner's numbers are bit for bit those of a full-grid solve.
 Each fit reports the design-matrix condition number at its argmin. Ties on
 a grid break toward the smaller grid value, and a non-finite P0 or Greek
-raises NumericalError. The l grid starts at l_min > 0 because
+raises NumericalError, as does a vega-weighted option system whose squares
+leave the float range; a spot whose vega floor has no finite weight raises
+DomainError. The l grid starts at l_min > 0 because
 lambda = (l*lambda)/l blows up as l -> 0.
 """
 
@@ -34,12 +36,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 # NumPy is imported inside the functions that use arrays, so that the float
 # path (one price, one CDS curve) never loads it.
 from .corrections import CorrectionParams, evaluate_bonds, evaluate_options, get_variant
-from .errors import CalibrationError, ConfigurationError, NumericalError, ValidationError
+from .errors import (
+    CalibrationError, ConfigurationError, DomainError, NumericalError, ValidationError)
 from .implied_vol import VEGA_FLOOR_FACTOR, model_quote
 from .pricing import CreditParams
 from .rates import EquityParams, VasicekParams
@@ -238,13 +242,19 @@ def _quote_weights(options, vasicek: VasicekParams, equity: EquityParams):
 
     The market vega is the vega of the quote's own implied volatility, as
     :func:`credeq.implied_vol.model_quote` quotes it. Quotes whose price
-    cannot be inverted (outside BS bounds) fall back to the floor.
+    cannot be inverted (outside BS bounds) fall back to the floor. A spot
+    whose floor has no finite reciprocal (x below about 5.6e-305) raises
+    DomainError.
     """
     import numpy as np
 
+    floor = VEGA_FLOOR_FACTOR * equity.x
+    if floor == 0.0 or 1.0 / floor == math.inf:
+        raise DomainError(f"spot x = {equity.x} puts the vega floor {VEGA_FLOOR_FACTOR} * x "
+                          f"= {floor} below the float range of its weight 1 / floor")
     vegas = [model_quote(q.price, q.strike, q.maturity, q.kind, vasicek, equity)[2]
              for q in options]
-    return 1.0 / np.maximum(vegas, VEGA_FLOOR_FACTOR * equity.x)
+    return 1.0 / np.maximum(vegas, floor)
 
 
 def fit_options(
@@ -292,10 +302,15 @@ def fit_options(
     )
     _check_finite(p0, g, options, "option")
     weights = _quote_weights(options, vasicek, equity)  # after the kernel has checked x / strike
-    rhs = prices - p0 - v3[:, None] * g[..., 2] - w2[:, None] * g[..., 7]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rhs = (prices - p0 - v3[:, None] * g[..., 2] - w2[:, None] * g[..., 7]) * weights
+        design = g[..., list(row.columns)] * weights[:, None]
+        in_range = np.isfinite(np.linalg.norm(rhs, axis=-1)).all() and np.isfinite(design).all()
+    if not in_range:
+        raise NumericalError(
+            f"the vega-weighted option system at spot x = {equity.x} leaves the float range")
     i, theta, resid, cond = _best_on_grid(
-        g[..., list(row.columns)] * weights[:, None], rhs * weights,
-        f"{row.name} design matrix is rank deficient; spread strikes/maturities",
+        design, rhs, f"{row.name} design matrix is rank deficient; spread strikes/maturities",
     )
     fitted = dict(zip(row.fitted, theta.tolist()))
     return OptionFit(

@@ -15,19 +15,22 @@ paid only on survival to a payment date; there is no accrual-on-default.
 
 The spread is exactly zero at l = 0 and approaches l*lambda at short
 maturity (credit triangle).
+
+Each payment date's Vasicek factors are evaluated once, for all three bonds
+that date needs: the full-loss bond, and, at a schedule's maturity, the
+riskless and the protection bond. They go through the same bond terms and
+correction sum as :func:`credeq.corrections.price_full`, so every spread is
+bit for bit the one that pricing each bond with ``price_full`` gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .calibration import ModelFit
-from .corrections import price_full
+from .corrections import _bond_terms, _check_variant, _corrected, _rate_factors
 from .errors import CredeqError, NumericalError, ValidationError
-from .pricing import CreditParams, PricingInputs
-from .rates import riskless_bond
 
 __all__ = [
     "CdsSchedule",
@@ -95,26 +98,43 @@ def annual_schedule(maturity: float, delta: float = 1.0) -> CdsSchedule:
     return CdsSchedule(delta, _payment_count(maturity, delta))
 
 
-def _corrected_bond(fit: ModelFit, credit: CreditParams, tau: float) -> float:
-    pin = PricingInputs(fit.vasicek, fit.equity, credit, tau)
-    return price_full(pin, fit.coeffs, "bond", fit.variant)
+def _corrected_bond(fit: ModelFit, l: float, tau: float, factors) -> float:
+    """The corrected bond at loss rate ``l`` from the Vasicek factors of ``tau``.
+
+    It equals ``price_full`` of that bond, whose variant check the caller runs.
+    """
+    b, big_a, _, _, j, riskless = factors
+    p0, _, g = _bond_terms(math.exp(-l * fit.credit.lam * tau) * riskless, b, big_a, j)
+    return _corrected(p0, g, fit.coeffs, l, "bond")
 
 
 def _spreads(fit: ModelFit, delta: float, counts) -> list:
     """The spread of each schedule (delta, n), n in ``counts``.
 
-    Each full-loss bond b_m at m * delta is priced once, and the annuities are
-    one running sum, 0 + b_1 + b_2 + ..., added left to right: the work is
-    linear in the number of schedules and in the longest one.
+    Each payment date m * delta gets one evaluation of its Vasicek factors,
+    which give its full-loss bond and, where a schedule ends, the riskless
+    and protection bonds too. The annuities are one running sum,
+    0 + b_1 + b_2 + ..., added left to right: the work is linear in the
+    number of schedules and in the longest one. Every full-loss bond is
+    priced before any protection bond, so a failing curve raises the error
+    a bond-by-bond pricing raises first.
     """
-    full_loss = CreditParams(l=1.0, lam=fit.credit.lam)
-    longest = max(counts, default=0)
-    bonds = (_corrected_bond(fit, full_loss, m * delta) for m in range(1, longest + 1))
-    annuities = list(accumulate(bonds, initial=0))
+    if not counts:
+        return []
+    _check_variant(fit.credit.lam, fit.coeffs, fit.variant)
+    at_maturity = dict.fromkeys(counts)  # n -> the factors of n * delta
+    annuities = [0]
+    for m in range(1, max(counts) + 1):
+        tau = m * delta
+        factors = _rate_factors(fit.vasicek, tau)
+        annuities.append(annuities[-1] + _corrected_bond(fit, 1.0, tau, factors))
+        if m in at_maturity:
+            at_maturity[m] = factors
     spreads = []
     for n in counts:
         t_mat = n * delta
-        protection = riskless_bond(fit.vasicek, t_mat) - _corrected_bond(fit, fit.credit, t_mat)
+        factors = at_maturity[n]
+        protection = factors[5] - _corrected_bond(fit, fit.credit.l, t_mat, factors)
         if annuities[n] <= 0:
             raise NumericalError(
                 f"degenerate premium annuity {annuities[n]} for schedule up to {t_mat}"

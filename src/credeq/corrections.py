@@ -391,8 +391,12 @@ def evaluate_options(vasicek: VasicekParams, equity, lam, tau, strike, put):
     b, big_a, a, riskless, a_eta, v, v_eta, j = _per_maturity(
         lambda s: _option_factors(vasicek, equity, s), tau)
     log_bc1 = -np.asarray(lam, dtype=float)[:, None] * tau + a - b * vasicek.r
-    p0, _, g = _option_terms(_array_namespace(), np.asarray(put, dtype=float), equity.x, equity.q,
-                             strike, tau, log_bc1, b, big_a, a_eta, v, v_eta, riskless, j)
+    # An overflow gives inf (or nan) silently, as on the float path; the
+    # caller's finiteness check names the quote when it reaches P0 or a Greek.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p0, _, g = _option_terms(_array_namespace(), np.asarray(put, dtype=float), equity.x,
+                                 equity.q, strike, tau, log_bc1, b, big_a, a_eta, v, v_eta,
+                                 riskless, j)
     return p0, np.stack(g, axis=-1)
 
 
@@ -426,9 +430,10 @@ def greeks(inputs: PricingInputs, kind: str) -> tuple:
     return _evaluate(inputs, kind)[2]
 
 
-def _check_variant(inputs: PricingInputs, coeffs: CorrectionParams, variant: str) -> None:
+def _check_variant(lam: float, coeffs: CorrectionParams, variant: str) -> None:
+    """ConfigurationError unless ``variant`` allows intensity ``lam`` and ``coeffs``."""
     row = get_variant(variant)
-    if not row.bond_step and inputs.credit.lam != 0.0:
+    if not row.bond_step and lam != 0.0:
         raise ConfigurationError(f"{variant} variant requires zero default intensity")
     if row.ignored:  # skips building a list on every seven_param price
         bad = [n for n in row.ignored if getattr(coeffs, n) != 0.0]
@@ -453,9 +458,17 @@ def price_full(
     The first-order (1-l) term of the general slow correction vanishes for
     both kinds: options carry l = 1 and the bond price has no x-dependence.
     """
-    _check_variant(inputs, coeffs, variant)
+    _check_variant(inputs.credit.lam, coeffs, variant)
     p0, _, g = _evaluate(inputs, kind)
-    l_eff = inputs.credit.l if kind == "bond" else 1.0
+    return _corrected(p0, g, coeffs, inputs.credit.l if kind == "bond" else 1.0, kind)
+
+
+def _corrected(p0: float, g: tuple, coeffs: CorrectionParams, l_eff: float, kind: str) -> float:
+    """P0 plus the fast and slow corrections of Greeks ``g`` at loss rate ``l_eff``.
+
+    The one copy of the correction sum, shared by :func:`price_full` and the
+    CDS legs; a non-finite result raises NumericalError.
+    """
     fast = (coeffs.v1 * g[0] + coeffs.v2 * g[1] + l_eff * coeffs.v3 * g[2]
             + coeffs.v4 * g[3] + coeffs.v5 * g[4] + coeffs.v6 * g[5])
     slow = coeffs.w1 * g[6] + l_eff * coeffs.w2 * g[7]

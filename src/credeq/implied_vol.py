@@ -4,6 +4,11 @@
 calibration objective, ``price`` and ``ivol-surface`` all call it. It quotes
 at the fitted Vasicek model's zero yield for the maturity
 (:func:`credeq.rates.vasicek_yield`) on the dividend-adjusted spot x*exp(-q*tau).
+
+:func:`implied_vol` takes each Newton step's price and vega from one d1, with
+log(x/K), sqrt(tau) and K*exp(-r*tau) computed once per inversion. The
+expressions are those of :func:`bs_price` and :func:`bs_vega`, so every
+iterate and every returned vol equals what separate calls would give.
 """
 
 from __future__ import annotations
@@ -88,8 +93,11 @@ def implied_vol(price: float, x: float, strike: float, tau: float, rate: float, 
         raise DomainError(f"{kind} price {price} above upper bound {upper}")
 
     lo, hi = VOL_LO, VOL_HI
-    p_lo = bs_price(x, strike, tau, rate, lo, kind)
-    p_hi = bs_price(x, strike, tau, rate, hi, kind)
+    p_lo = bs_price(x, strike, tau, rate, lo, kind)  # also checks x, strike and tau
+    # What every trial vol shares, computed once: bs_price and bs_vega take
+    # the same values inside, so each price and vega below is theirs bit for bit.
+    shared = (x, strike * disc, math.log(x / strike), tau, math.sqrt(tau), rate, kind == "put")
+    p_hi, _ = _price_vega(hi, *shared)
     if price <= p_lo:
         return lo
     if price >= p_hi:
@@ -97,12 +105,11 @@ def implied_vol(price: float, x: float, strike: float, tau: float, rate: float, 
 
     vol = 0.5
     for _ in range(100):
-        p = bs_price(x, strike, tau, rate, vol, kind)
+        p, vega = _price_vega(vol, *shared)
         diff = p - price
         if abs(diff) <= tol:
             # one polish step: the price tolerance alone leaves ~tol/vega
             # of vol error when vega is small
-            vega = bs_vega(x, strike, tau, rate, vol)
             if vega > 0 and math.isfinite(diff / vega):
                 vol = min(max(vol - diff / vega, VOL_LO), VOL_HI)
             return vol
@@ -110,7 +117,6 @@ def implied_vol(price: float, x: float, strike: float, tau: float, rate: float, 
             hi = min(hi, vol)
         else:
             lo = max(lo, vol)
-        vega = bs_vega(x, strike, tau, rate, vol)
         if vega > 0:
             step = diff / vega
             candidate = vol - step
@@ -121,6 +127,22 @@ def implied_vol(price: float, x: float, strike: float, tau: float, rate: float, 
     # The bracket keeps shrinking, so landing here means tol was too tight
     # for the flat-vega regime; return the bracket midpoint.
     return 0.5 * (lo + hi)
+
+
+def _price_vega(vol, x, strike_disc, log_moneyness, tau, sqrt_tau, rate, put):
+    """(bs_price, bs_vega) at ``vol`` > 0 from one d1.
+
+    ``strike_disc`` is strike * exp(-rate * tau) and ``log_moneyness`` is
+    log(x / strike); the inputs are already checked.
+    """
+    sv = vol * sqrt_tau
+    d1 = (log_moneyness + (rate + 0.5 * vol * vol) * tau) / sv
+    d2 = d1 - sv
+    if put:
+        price = strike_disc * norm_cdf(-d2) - x * norm_cdf(-d1)
+    else:
+        price = x * norm_cdf(d1) - strike_disc * norm_cdf(d2)
+    return price, x * norm_pdf(d1) * sqrt_tau
 
 
 def model_quote(price: float, strike: float, tau: float, kind: str,

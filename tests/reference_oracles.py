@@ -15,7 +15,10 @@
 * ``best_on_grid_svd``: the calibration's grid search without the QR
   screen, solving every grid point by batched SVD.
 * ``cds_spread_reduce``: one schedule's CDS spread with its own annuity,
-  summed left to right, the order the library's running sum adds in.
+  summed left to right, the order the library's running sum adds in; each
+  bond is a separate ``price_full``.
+* ``implied_vol_calls``: the implied-vol inversion with a separate
+  ``bs_price`` and ``bs_vega`` call on every Newton step.
 """
 
 import math
@@ -28,6 +31,7 @@ from scipy.integrate import quad
 
 from credeq.errors import CalibrationError, DomainError, NumericalError, ValidationError
 from credeq.corrections import price_full
+from credeq.implied_vol import PRICE_TOL, VOL_HI, VOL_LO, bs_price, bs_vega
 from credeq.pricing import CreditParams, PricingInputs, norm_cdf, norm_pdf
 from credeq.rates import VasicekParams, riskless_bond, vasicek_factors
 
@@ -318,3 +322,58 @@ def cds_spread_reduce(fit, schedule) -> float:
     if annuity <= 0:
         raise NumericalError(f"degenerate premium annuity {annuity} for schedule up to {t_mat}")
     return protection / annuity / schedule.delta
+
+
+def implied_vol_calls(price, x, strike, tau, rate, kind) -> float:
+    """``implied_vol`` as it was before its Newton steps shared one d1.
+
+    Every trial vol prices with ``bs_price`` and takes its vega from
+    ``bs_vega``; the bounds, the bracket and the iteration are the library's.
+    """
+    if kind not in ("call", "put"):
+        raise ValidationError(f"kind must be call or put, got {kind!r}")
+    disc = math.exp(-rate * tau)
+    if kind == "call":
+        lower = max(x - strike * disc, 0.0)
+        upper = x
+    else:
+        lower = max(strike * disc - x, 0.0)
+        upper = strike * disc
+    tol = PRICE_TOL * x
+    if price < lower - tol:
+        raise DomainError(
+            f"{kind} price {price} below intrinsic bound {lower} (strike {strike})"
+        )
+    if price > upper + tol:
+        raise DomainError(f"{kind} price {price} above upper bound {upper}")
+
+    lo, hi = VOL_LO, VOL_HI
+    p_lo = bs_price(x, strike, tau, rate, lo, kind)
+    p_hi = bs_price(x, strike, tau, rate, hi, kind)
+    if price <= p_lo:
+        return lo
+    if price >= p_hi:
+        return hi
+
+    vol = 0.5
+    for _ in range(100):
+        p = bs_price(x, strike, tau, rate, vol, kind)
+        diff = p - price
+        if abs(diff) <= tol:
+            vega = bs_vega(x, strike, tau, rate, vol)
+            if vega > 0 and math.isfinite(diff / vega):
+                vol = min(max(vol - diff / vega, VOL_LO), VOL_HI)
+            return vol
+        if diff > 0:
+            hi = min(hi, vol)
+        else:
+            lo = max(lo, vol)
+        vega = bs_vega(x, strike, tau, rate, vol)
+        if vega > 0:
+            step = diff / vega
+            candidate = vol - step
+            if lo < candidate < hi:
+                vol = candidate
+                continue
+        vol = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)

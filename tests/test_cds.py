@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 import math
 from dataclasses import replace
 
@@ -147,6 +148,8 @@ class TestTermStructure:
         ([1.0, 3.0, 5.0], 1.0),
         ([7.0, 2.0, 7.0, 10.0, 1.0], 1.0),
         ([float(t) / 2 for t in range(1, 61)], 0.5),
+        # every schedule of 1..120 payments, at five frequencies
+        *[([n * delta for n in range(1, 121)], delta) for delta in (1.0, 0.5, 0.25, 1 / 12, 0.1)],
     ])
     def test_curve_equals_one_spread_per_schedule(self, maturities, delta):
         # Each full-loss bond is priced once per curve; every spread stays bit-identical
@@ -158,15 +161,73 @@ class TestTermStructure:
             assert [(t, cds_spread(fit, annual_schedule(t, delta))) for t in maturities] == expected
 
     def test_annual_curve_prices_each_bond_once(self, monkeypatch):
-        # 1..10: ten protection bonds at l, ten distinct full-loss payment bonds.
+        # One Vasicek-factor evaluation per payment date gives that date's
+        # full-loss bond and, where a schedule ends, its riskless and protection
+        # bonds: 10 for the annual 1..10 curve, 40 for a quarterly curve to 10 y.
         import credeq.cds as cds
 
-        calls = []
-        price_full = cds.price_full
-        monkeypatch.setattr(cds, "price_full", lambda *a: calls.append(a) or price_full(*a))
+        taus = []
+        rate_factors = cds._rate_factors
+        monkeypatch.setattr(cds, "_rate_factors",
+                            lambda va, tau: taus.append(tau) or rate_factors(va, tau))
         fit = model(CDS_SET_A["vasicek"], CDS_SET_A["credit"], CDS_SET_A["coeffs"])
         cds_term_structure(fit, [float(t) for t in range(1, 11)])
-        assert len(calls) == 20
+        assert taus == [float(m) for m in range(1, 11)]
+        taus.clear()
+        cds_term_structure(fit, [m / 4 for m in range(1, 41)], 0.25)
+        assert taus == [m * 0.25 for m in range(1, 41)]
+
+
+# Fits a spread cannot be priced for: a ConfigurationError from the variant
+# check, a NumericalError from the Vasicek factors, and a corrected bond that
+# is not finite.
+UNPRICEABLE = {
+    "index-with-intensity": dict(credit=CreditParams(l=0.4, lam=0.05),
+                                 coeffs=CorrectionParams(v1=0.1), variant="index"),
+    "ignored-coefficient": dict(credit=CreditParams(l=0.4, lam=0.05),
+                                coeffs=CorrectionParams(v3=0.02, w2=0.003, v2=0.3),
+                                variant="three_param"),
+    "eta-1e200": dict(vasicek=replace(PLAIN_VASICEK, eta=1e200),
+                      credit=CreditParams(l=0.4, lam=0.05), coeffs=CorrectionParams()),
+    "non-finite-bond": dict(credit=CreditParams(l=0.4, lam=0.05),
+                            coeffs=CorrectionParams(v3=1e308, w2=1e308)),
+}
+
+
+def unpriceable(name):
+    kw = dict(UNPRICEABLE[name])
+    return ModelFit(vasicek=kw.pop("vasicek", PLAIN_VASICEK), equity=SURFACE_EQUITY, **kw)
+
+
+def raised(f, *args):
+    with pytest.raises(Exception) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("name", sorted(UNPRICEABLE))
+    def test_same_error_as_bond_by_bond_pricing(self, name):
+        fit = unpriceable(name)
+        schedule = annual_schedule(5.0)
+        expected = raised(cds_spread_reduce, fit, schedule)
+        assert raised(cds_spread, fit, schedule) == expected
+        assert raised(cds_term_structure, fit, [float(t) for t in range(1, 6)]) == expected
+
+    def test_cds_series_prints_na_for_such_a_day(self, tmp_path, capsys):
+        from credeq.cli import main
+
+        good = model(PLAIN_VASICEK, CreditParams(l=0.4, lam=0.05), CorrectionParams())
+        days = sorted(UNPRICEABLE)
+        for i, name in enumerate(days):
+            (tmp_path / f"2006-09-{11 + i}.json").write_text(json.dumps(unpriceable(name).to_dict()))
+        (tmp_path / "2006-09-18.json").write_text(json.dumps(good.to_dict()))
+        assert main(["cds-series", "--fits-dir", str(tmp_path), "--maturity", "5"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = out.splitlines()[1:]
+        assert rows[:-1] == [f"2006-09-{11 + i},5.0,NA" for i in range(len(days))]
+        assert rows[-1] == f"2006-09-18,5.0,{cds_spread(good, annual_schedule(5.0)) * 1e4}"
 
 
 class TestSeries:

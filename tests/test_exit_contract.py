@@ -9,7 +9,8 @@ come from hypothesis, which mixes the numeric literals of the loaded
 modules into its draws, so an edit to ``src`` would re-draw them.
 
 The ``oracle`` runs take only inputs outside its domain, which it rejects
-before it simulates anything.
+before it simulates anything. ``calibrate`` runs on a small day of quotes
+priced by the model, with one field of the equity block edited.
 """
 
 import json
@@ -19,6 +20,18 @@ import random
 import pytest
 
 from credeq.cli import main
+from credeq.market_data import save_bonds_csv, save_options_csv
+from credeq.pricing import CreditParams
+
+from conftest import (
+    BOND_MATURITIES,
+    ROUNDTRIP_GRID,
+    SURFACE_COEFFS,
+    SURFACE_EQUITY,
+    SURFACE_VASICEK,
+    make_bond_quotes,
+    make_option_quotes,
+)
 
 
 def _values():
@@ -114,3 +127,41 @@ def test_oracle_out_of_domain(tmp_path, capsys):
     fit_path = write_fit(tmp_path / "fit.json", FIT)
     for argv in ORACLE_OUT_OF_DOMAIN:
         assert run(capsys, ["oracle", "--fit", fit_path, *argv]) == 2, argv
+
+
+@pytest.fixture
+def calibration_day(tmp_path):
+    """Five bonds and the options of three maturities; returns the calibrate argv head."""
+    credit = CreditParams(l=0.3, lam=0.05)
+    bonds = make_bond_quotes(SURFACE_VASICEK, credit, SURFACE_COEFFS, BOND_MATURITIES[::3])
+    grid = [row for row in ROUNDTRIP_GRID if row[0] in (0.04, 0.1, 0.3)]
+    options = make_option_quotes(SURFACE_VASICEK, SURFACE_EQUITY, credit.lam, SURFACE_COEFFS,
+                                 grid, skip_nonpositive=True)
+    save_bonds_csv(tmp_path / "bonds.csv", bonds)
+    save_options_csv(tmp_path / "options.csv", options)
+    return ["calibrate", "--bonds", str(tmp_path / "bonds.csv"),
+            "--options", str(tmp_path / "options.csv")]
+
+
+def write_params(path, name, value):
+    return write_fit(path, {"vasicek": FIT["vasicek"], "equity": dict(FIT["equity"], **{name: value})})
+
+
+@pytest.mark.parametrize("name", list(FIT["equity"]))
+def test_calibrate_equity_fields(tmp_path, capsys, calibration_day, name):
+    assert run(capsys, [*calibration_day, "--params",
+                        write_params(tmp_path / "params.json", name, FIT["equity"][name])]) == 0
+    for value in VALUES:
+        run(capsys, [*calibration_day, "--params", write_params(tmp_path / "params.json", name,
+                                                                 value)])
+
+
+@pytest.mark.parametrize("x", [1e-321, 1e-300])
+def test_calibrate_tiny_spot_names_it(tmp_path, capsys, calibration_day, x):
+    # The vega floor 1e-4 * x underflows to 0 at 1e-321; at 1e-300 the weights
+    # 1 / floor put the weighted option residuals past the float range.
+    code = main([*calibration_day, "--params", write_params(tmp_path / "params.json", "x", x)])
+    out, err = capsys.readouterr()
+    assert code in (2, 3) and out == ""
+    [line] = err.splitlines()
+    assert f"x = {x!r}" in json.loads(line)["message"]

@@ -1,12 +1,24 @@
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from credeq.errors import DomainError
-from credeq.implied_vol import VOL_HI, VOL_LO, bs_price, bs_vega, implied_vol, model_quote
+from credeq.implied_vol import (
+    PRICE_TOL,
+    VOL_HI,
+    VOL_LO,
+    bs_price,
+    bs_vega,
+    implied_vol,
+    model_quote,
+)
 from credeq.pricing import norm_cdf
 from credeq.rates import EquityParams, VasicekParams, vasicek_yield
+
+from reference_oracles import implied_vol_calls
 
 
 class TestBsPrice:
@@ -70,6 +82,70 @@ class TestImpliedVol:
         # a worthless out-of-the-money call at the lower bound, a call worth the spot at the upper
         assert implied_vol(0.0, 100, 150, 1.0, 0.05, "call") == VOL_LO
         assert implied_vol(100.0, 100, 100, 1.0, 0.05, "call") == VOL_HI
+
+
+def _inversions(n=30_000):
+    """Seeded (price, x, strike, tau, rate, kind) tuples for the bit-identity test.
+
+    Drawn from a plain ``random.Random``, not hypothesis, so an edit to
+    ``src`` does not re-draw them. Strikes span e^-0.5..e^0.5 or e^-4..e^4
+    times the spot, maturities 1e-3..30 log-uniformly. Half of the prices are
+    Black-Scholes prices at a vol drawn log-uniformly from 1e-4..8 (past both
+    ends of the vol range); the rest sit on a no-arbitrage bound, or 0.5, 2
+    or 3 price tolerances inside or outside it. One case in 200 has a
+    non-positive maturity or an unknown kind.
+    """
+    rng = random.Random(28)
+    bound_offsets = (-2.0, -0.5, 0.0, 0.5, 3.0)  # in units of tol, positive = outside
+    out = []
+    for i in range(n):
+        kind = ("call", "put")[i % 2]
+        x = math.exp(rng.uniform(math.log(1e-2), math.log(1e4)))
+        width = rng.choice((0.5, 4.0))  # near the money, or deep in or out of it
+        strike = x * math.exp(rng.uniform(-width, width))
+        tau = math.exp(rng.uniform(math.log(1e-3), math.log(30.0)))
+        rate = rng.uniform(-0.05, 0.15)
+        disc = math.exp(-rate * tau)
+        if kind == "call":
+            lower, upper = max(x - strike * disc, 0.0), x
+        else:
+            lower, upper = max(strike * disc - x, 0.0), strike * disc
+        tol = PRICE_TOL * x
+        draw = rng.randrange(4)
+        if draw < 2:
+            price = bs_price(x, strike, tau, rate, math.exp(rng.uniform(math.log(1e-4),
+                                                                        math.log(8.0))), kind)
+        else:
+            bound, sign = (lower, -1.0) if draw == 2 else (upper, 1.0)
+            price = bound + sign * rng.choice(bound_offsets) * tol
+        if i % 200 == 7:
+            tau = (0.0, -1.0)[i % 400 // 200]
+        elif i % 200 == 107:
+            kind = "straddle"
+        out.append((price, x, strike, tau, rate, kind))
+    return out
+
+
+def _outcome(inversion, *args):
+    try:
+        return inversion(*args)
+    except Exception as exc:  # any class: the class and the message are compared
+        return type(exc).__name__, str(exc)
+
+
+class TestSharedNewtonStep:
+    def test_vols_and_errors_equal_separate_price_and_vega_calls(self):
+        # Each Newton step takes its price and vega from one d1; every vol and
+        # every error message must stay what separate bs_price / bs_vega calls give.
+        outcomes = Counter()
+        for args in _inversions():
+            got, expected = _outcome(implied_vol, *args), _outcome(implied_vol_calls, *args)
+            assert got == expected, args
+            outcomes[got[0] if isinstance(got, tuple) else
+                     "lo" if got == VOL_LO else "hi" if got == VOL_HI else "vol"] += 1
+        # the list reaches every way out of the inversion
+        assert min(outcomes[k] for k in ("vol", "lo", "hi", "DomainError",
+                                         "ValidationError")) >= 100, outcomes
 
 
 class TestModelQuote:
