@@ -18,9 +18,9 @@ maturity (credit triangle).
 
 Each payment date's Vasicek factors are evaluated once, for all three bonds
 that date needs: the full-loss bond, and, at a schedule's maturity, the
-riskless and the protection bond. They go through the same bond terms and
-correction sum as :func:`credeq.corrections.price_full`, so every spread is
-bit for bit the one that pricing each bond with ``price_full`` gives.
+riskless and the protection bond. ``corrections._corrected_bond`` and
+``_protection`` price them from those factors as ``price_full`` does, so
+every spread is bit for bit the one that pricing each bond with it gives.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .calibration import ModelFit
-from .corrections import _bond_terms, _check_variant, _corrected, _rate_factors
+from .corrections import _check_variant, _corrected_bond, _protection, _rate_factors
 from .errors import CredeqError, NumericalError, ValidationError
 
 __all__ = [
@@ -98,16 +98,6 @@ def annual_schedule(maturity: float, delta: float = 1.0) -> CdsSchedule:
     return CdsSchedule(delta, _payment_count(maturity, delta))
 
 
-def _corrected_bond(fit: ModelFit, l: float, tau: float, factors) -> float:
-    """The corrected bond at loss rate ``l`` from the Vasicek factors of ``tau``.
-
-    It equals ``price_full`` of that bond, whose variant check the caller runs.
-    """
-    b, big_a, _, _, j, riskless = factors
-    p0, _, g = _bond_terms(math.exp(-l * fit.credit.lam * tau) * riskless, b, big_a, j)
-    return _corrected(p0, g, fit.coeffs, l, "bond")
-
-
 def _spreads(fit: ModelFit, delta: float, counts) -> list:
     """The spread of each schedule (delta, n), n in ``counts``.
 
@@ -121,20 +111,20 @@ def _spreads(fit: ModelFit, delta: float, counts) -> list:
     """
     if not counts:
         return []
-    _check_variant(fit.credit.lam, fit.coeffs, fit.variant)
+    l, lam, coeffs = fit.credit.l, fit.credit.lam, fit.coeffs
+    _check_variant(lam, coeffs, fit.variant)
     at_maturity = dict.fromkeys(counts)  # n -> the factors of n * delta
     annuities = [0]
     for m in range(1, max(counts) + 1):
         tau = m * delta
         factors = _rate_factors(fit.vasicek, tau)
-        annuities.append(annuities[-1] + _corrected_bond(fit, 1.0, tau, factors))
+        annuities.append(annuities[-1] + _corrected_bond(1.0, lam, coeffs, tau, factors))
         if m in at_maturity:
             at_maturity[m] = factors
     spreads = []
     for n in counts:
         t_mat = n * delta
-        factors = at_maturity[n]
-        protection = factors[5] - _corrected_bond(fit, fit.credit.l, t_mat, factors)
+        protection = _protection(l, lam, coeffs, t_mat, at_maturity[n])
         if annuities[n] <= 0:
             raise NumericalError(
                 f"degenerate premium annuity {annuities[n]} for schedule up to {t_mat}"

@@ -36,16 +36,20 @@ g3 uses K Bc(1) phi(d2) = x_eff phi(d1). The bracket is D times
 tau-derivative tau b, as b + beta int b = tau. J adds two terms >= 0.
 
 One kernel holds this algebra: ``_option_terms`` gives P0 and g1..g8 of a
-call or put, ``_bond_terms`` those of a bond. Put terms enter through a 0/1
-flag (put = call - x + K*B), not a branch. The same body runs on Python
-floats, for single prices, and on NumPy arrays, for whole calibration
-grids (``evaluate_options``, ``evaluate_bonds``). The Vasicek factors it
-needs (b, int b, int b^2, J, a, da/deta, B) come from one call of
-:func:`credeq.rates.vasicek_factors` per distinct maturity. The kernel is
-the library's only derivation of P0: :mod:`credeq.pricing`'s ``call_p0``,
-``put_p0`` and ``defaultable_bond_p0`` call it. The tests check it against
-an independent finite-difference engine with Richardson extrapolation over
-a separate derivation of the closed forms (``tests/reference_oracles.py``).
+call or put, and alone forms log Bc(1); ``_bond_terms`` gives those of a
+bond, and alone forms Bc(l) = exp(-l*lambda*tau) B. Put terms enter through
+a 0/1 flag (put = call - x + K*B), not a branch. The same body runs on
+Python floats, for single prices, and on NumPy arrays, for whole
+calibration grids (``evaluate_options``, ``evaluate_bonds``). Its Vasicek
+factors come from one :func:`credeq.rates.vasicek_factors` call per
+distinct maturity, as one tuple passed whole: ``_option_factors`` extends
+``_rate_factors``' (b, int b, a, G/beta^3, J, B) by (da/deta, v, dv/deta).
+The CDS legs take their bonds from ``_corrected_bond`` and ``_protection``.
+The kernel is the library's only derivation of P0: :mod:`credeq.pricing`'s
+``call_p0``, ``put_p0`` and ``defaultable_bond_p0`` call it. The tests
+check it against an independent finite-difference engine with Richardson
+extrapolation over a separate derivation of the closed forms
+(``tests/reference_oracles.py``).
 
 NumPy is imported only inside the array path, so a single price loads
 ``math`` alone. The array path's normal CDF, ``_ndtr``, is a NumPy port of
@@ -80,7 +84,6 @@ __all__ = [
     "Variant",
     "evaluate_bonds",
     "evaluate_options",
-    "greeks",
     "get_variant",
     "price_full",
     "price_p0",
@@ -288,13 +291,13 @@ _MIN_VARIANCE = float.fromhex("0x1.428a2f98d728bp-717")  # about 1.8e-216
 
 
 def _option_factors(va: VasicekParams, eq, tau: float):
-    """(b, int b, a, B, da/deta, v, dv/deta, J) at one maturity."""
-    b, big_a, a, g3, j, riskless = _rate_factors(va, tau)
-    v, v_eta = _variance(va, eq, tau, big_a, g3)
+    """``_rate_factors``' tuple extended by (da/deta, v, dv/deta) at one maturity."""
+    factors = _rate_factors(va, tau)
+    v, v_eta = _variance(va, eq, tau, factors[1], factors[3])
     if v < _MIN_VARIANCE:
         raise DomainError(
             f"variance must be at least {_MIN_VARIANCE!r} for option pricing, got {v}")
-    return b, big_a, a, riskless, 2 * va.eta * g3, v, v_eta, j
+    return factors + (2 * va.eta * factors[3], v, v_eta)
 
 
 def _check_moneyness(x: float, strike: float) -> None:
@@ -303,14 +306,16 @@ def _check_moneyness(x: float, strike: float) -> None:
         raise DomainError(f"spot / strike = {x} / {strike} leaves the float range")
 
 
-def _option_terms(ns, put, x, q, strike, tau, log_bc1, b, big_a, a_eta, v, v_eta, riskless, j):
+def _option_terms(ns, put, x, q, strike, tau, lam, r, factors):
     """P0, (x dP0/dx, dP0/dalpha, dP0/dr) and (g1, ..., g8) of a call or put.
 
-    ``put`` is 0 for a call and 1 for a put; ``x`` is the spot and ``q`` the
-    dividend yield; ``log_bc1`` is log Bc(1), ``big_a`` = int b = -da/dalpha.
+    ``put`` is 0 for a call and 1 for a put; ``x`` is the spot, ``q`` the dividend yield,
+    ``lam`` the intensity and ``r`` the short rate; ``factors`` is ``_option_factors``' tuple.
     ``ns`` supplies exp/log/sqrt/cdf_pair/pdf for floats or for arrays, and every
     argument may be a float or an array of broadcastable shape.
     """
+    b, big_a, a, _, j, riskless, a_eta, v, v_eta = factors
+    log_bc1 = -lam * tau + a - b * r
     sv = ns.sqrt(v)
     x_eff = x * ns.exp(-q * tau)
     # log(x/K) - q*tau, not log(x_eff/K): near the money at tiny tau the
@@ -340,8 +345,10 @@ def _option_terms(ns, put, x, q, strike, tau, log_bc1, b, big_a, a_eta, v, v_eta
     return p0, (x_dpdx, dp_dalpha, dp_dr), (g1, g2, g3, g4, g5, g6, g7, g8)
 
 
-def _bond_terms(bond, b, big_a, j):
-    """The bond's P0, partials and Greeks, from its price Bc = exp(-l*lambda*tau) B."""
+def _bond_terms(ns, l_lambda, tau, factors):
+    """P0 = Bc = exp(-l_lambda*tau) B, partials and Greeks of a bond from ``_rate_factors``'."""
+    b, big_a, _, _, j, riskless = factors
+    bond = ns.exp(-l_lambda * tau) * riskless
     zero = 0.0 * bond
     g3 = -big_a * bond  # dBc/dalpha
     return bond, (zero, g3, -b * bond), (zero, zero, g3, zero, zero, zero, zero, bond * j)
@@ -349,11 +356,9 @@ def _bond_terms(bond, b, big_a, j):
 
 def _evaluate(inputs: PricingInputs, kind: str):
     """The kernel on floats: (P0, partials, Greeks) of one instrument."""
-    va, tau = inputs.vasicek, inputs.tau
+    va, tau, c = inputs.vasicek, inputs.tau, inputs.credit
     if kind == "bond":
-        b, big_a, _, _, j, riskless = _rate_factors(va, tau)
-        c = inputs.credit
-        return _bond_terms(math.exp(-c.l * c.lam * tau) * riskless, b, big_a, j)
+        return _bond_terms(_FLOAT, c.l * c.lam, tau, _rate_factors(va, tau))
     if kind not in ("call", "put"):
         raise ValidationError(f"unknown instrument kind {kind!r}")
     if inputs.strike is None:
@@ -362,10 +367,8 @@ def _evaluate(inputs: PricingInputs, kind: str):
         raise ValidationError(f"a {kind} requires tau > 0")
     eq = inputs.equity
     _check_moneyness(eq.x, inputs.strike)
-    b, big_a, a, riskless, a_eta, v, v_eta, j = _option_factors(va, eq, tau)
-    log_bc1 = -inputs.credit.lam * tau + a - b * va.r
     return _option_terms(_FLOAT, 1.0 if kind == "put" else 0.0, eq.x, eq.q, inputs.strike, tau,
-                         log_bc1, b, big_a, a_eta, v, v_eta, riskless, j)
+                         c.lam, va.r, _option_factors(va, eq, tau))
 
 
 def _per_maturity(factors, tau):
@@ -388,15 +391,13 @@ def evaluate_options(vasicek: VasicekParams, equity, lam, tau, strike, put):
     tau, strike = np.asarray(tau, dtype=float), np.asarray(strike, dtype=float)
     for k in strike.tolist():
         _check_moneyness(equity.x, k)
-    b, big_a, a, riskless, a_eta, v, v_eta, j = _per_maturity(
-        lambda s: _option_factors(vasicek, equity, s), tau)
-    log_bc1 = -np.asarray(lam, dtype=float)[:, None] * tau + a - b * vasicek.r
+    factors = _per_maturity(lambda s: _option_factors(vasicek, equity, s), tau)
     # An overflow gives inf (or nan) silently, as on the float path; the
     # caller's finiteness check names the quote when it reaches P0 or a Greek.
     with np.errstate(over="ignore", invalid="ignore"):
         p0, _, g = _option_terms(_array_namespace(), np.asarray(put, dtype=float), equity.x,
-                                 equity.q, strike, tau, log_bc1, b, big_a, a_eta, v, v_eta,
-                                 riskless, j)
+                                 equity.q, strike, tau, np.asarray(lam, dtype=float)[:, None],
+                                 vasicek.r, factors)
     return p0, np.stack(g, axis=-1)
 
 
@@ -409,9 +410,9 @@ def evaluate_bonds(vasicek: VasicekParams, l_lambda, tau):
     import numpy as np
 
     tau = np.asarray(tau, dtype=float)
-    b, big_a, _, _, j, riskless = _per_maturity(lambda s: _rate_factors(vasicek, s), tau)
-    bond = np.exp(-np.asarray(l_lambda, dtype=float)[:, None] * tau) * riskless
-    p0, _, g = _bond_terms(bond, b, big_a, j)
+    factors = _per_maturity(lambda s: _rate_factors(vasicek, s), tau)
+    p0, _, g = _bond_terms(_array_namespace(), np.asarray(l_lambda, dtype=float)[:, None],
+                           tau, factors)
     return p0, np.stack((g[2], g[7]), axis=-1)
 
 
@@ -423,11 +424,6 @@ def evaluate_bonds(vasicek: VasicekParams, l_lambda, tau):
 def price_p0(inputs: PricingInputs, kind: str) -> float:
     """Leading-order price of the given instrument kind."""
     return _evaluate(inputs, kind)[0]
-
-
-def greeks(inputs: PricingInputs, kind: str) -> tuple:
-    """Closed-form Greeks (g1, ..., g8) of a call, put, or bond."""
-    return _evaluate(inputs, kind)[2]
 
 
 def _check_variant(lam: float, coeffs: CorrectionParams, variant: str) -> None:
@@ -466,8 +462,8 @@ def price_full(
 def _corrected(p0: float, g: tuple, coeffs: CorrectionParams, l_eff: float, kind: str) -> float:
     """P0 plus the fast and slow corrections of Greeks ``g`` at loss rate ``l_eff``.
 
-    The one copy of the correction sum, shared by :func:`price_full` and the
-    CDS legs; a non-finite result raises NumericalError.
+    The one copy of the correction sum, shared by :func:`price_full` and
+    :func:`_corrected_bond`; a non-finite result raises NumericalError.
     """
     fast = (coeffs.v1 * g[0] + coeffs.v2 * g[1] + l_eff * coeffs.v3 * g[2]
             + coeffs.v4 * g[3] + coeffs.v5 * g[4] + coeffs.v6 * g[5])
@@ -476,3 +472,14 @@ def _corrected(p0: float, g: tuple, coeffs: CorrectionParams, l_eff: float, kind
     if not math.isfinite(price):
         raise NumericalError(f"corrected {kind} price is not finite")
     return price
+
+
+def _corrected_bond(l: float, lam: float, coeffs: CorrectionParams, tau: float, factors) -> float:
+    """``price_full`` of a bond at loss rate ``l``, less its variant check, from ``factors``."""
+    p0, _, g = _bond_terms(_FLOAT, l * lam, tau, factors)
+    return _corrected(p0, g, coeffs, l, "bond")
+
+
+def _protection(l: float, lam: float, coeffs: CorrectionParams, tau: float, factors) -> float:
+    """The riskless bond minus the corrected bond at loss rate ``l``, both at ``tau``."""
+    return factors[5] - _corrected_bond(l, lam, coeffs, tau, factors)

@@ -5,10 +5,10 @@ calibration objective, ``price`` and ``ivol-surface`` all call it. It quotes
 at the fitted Vasicek model's zero yield for the maturity
 (:func:`credeq.rates.vasicek_yield`) on the dividend-adjusted spot x*exp(-q*tau).
 
-:func:`implied_vol` takes each Newton step's price and vega from one d1, with
-log(x/K), sqrt(tau) and K*exp(-r*tau) computed once per inversion. The
-expressions are those of :func:`bs_price` and :func:`bs_vega`, so every
-iterate and every returned vol equals what separate calls would give.
+The Black-Scholes price at vol > 0 has one body, ``_price_vega``, which also
+gives the vega of its d1. :func:`bs_price` returns its price; :func:`implied_vol`
+takes its bracket prices and Newton steps from it, with log(x/K), sqrt(tau) and
+K*exp(-r*tau) once per inversion. :func:`bs_vega`, one call a quote, keeps its own body.
 """
 
 from __future__ import annotations
@@ -35,10 +35,15 @@ PRICE_TOL = 1e-10
 VEGA_FLOOR_FACTOR = 1e-4
 
 
-def bs_price(x: float, strike: float, tau: float, rate: float, vol: float, kind: str) -> float:
-    """Black-Scholes price with a flat continuously-compounded rate."""
+def _check_inputs(x: float, strike: float, tau: float) -> None:
+    """The input check of :func:`bs_price`, which :func:`implied_vol` runs too."""
     if x <= 0 or strike <= 0 or tau <= 0:
         raise ValidationError("bs_price needs positive spot, strike, and maturity")
+
+
+def bs_price(x: float, strike: float, tau: float, rate: float, vol: float, kind: str) -> float:
+    """Black-Scholes price with a flat continuously-compounded rate."""
+    _check_inputs(x, strike, tau)
     if vol < 0:
         raise ValidationError("vol must be >= 0")
     disc = math.exp(-rate * tau)
@@ -48,14 +53,11 @@ def bs_price(x: float, strike: float, tau: float, rate: float, vol: float, kind:
             return disc * max(fwd - strike, 0.0)
         if kind == "put":
             return disc * max(strike - fwd, 0.0)
-        raise ValidationError(f"kind must be call or put, got {kind!r}")
-    sv = vol * math.sqrt(tau)
-    d1 = (math.log(x / strike) + (rate + 0.5 * vol * vol) * tau) / sv
-    d2 = d1 - sv
-    if kind == "call":
-        return x * norm_cdf(d1) - strike * disc * norm_cdf(d2)
-    if kind == "put":
-        return strike * disc * norm_cdf(-d2) - x * norm_cdf(-d1)
+    else:
+        price, _ = _price_vega(vol, x, strike * disc, math.log(x / strike), tau, math.sqrt(tau),
+                               rate, kind == "put")
+        if kind in ("call", "put"):
+            return price
     raise ValidationError(f"kind must be call or put, got {kind!r}")
 
 
@@ -77,26 +79,21 @@ def implied_vol(price: float, x: float, strike: float, tau: float, rate: float, 
     """
     if kind not in ("call", "put"):
         raise ValidationError(f"kind must be call or put, got {kind!r}")
-    disc = math.exp(-rate * tau)
-    if kind == "call":
-        lower = max(x - strike * disc, 0.0)
-        upper = x
-    else:
-        lower = max(strike * disc - x, 0.0)
-        upper = strike * disc
+    strike_disc = strike * math.exp(-rate * tau)
+    lower, upper = ((max(x - strike_disc, 0.0), x) if kind == "call"
+                    else (max(strike_disc - x, 0.0), strike_disc))
     tol = PRICE_TOL * x
     if price < lower - tol:
-        raise DomainError(
-            f"{kind} price {price} below intrinsic bound {lower} (strike {strike})"
-        )
+        raise DomainError(f"{kind} price {price} below intrinsic bound {lower} (strike {strike})")
     if price > upper + tol:
         raise DomainError(f"{kind} price {price} above upper bound {upper}")
 
     lo, hi = VOL_LO, VOL_HI
-    p_lo = bs_price(x, strike, tau, rate, lo, kind)  # also checks x, strike and tau
-    # What every trial vol shares, computed once: bs_price and bs_vega take
-    # the same values inside, so each price and vega below is theirs bit for bit.
-    shared = (x, strike * disc, math.log(x / strike), tau, math.sqrt(tau), rate, kind == "put")
+    _check_inputs(x, strike, tau)
+    # What every trial vol shares, computed once: bs_price takes the same
+    # values, so each price below is its price bit for bit.
+    shared = (x, strike_disc, math.log(x / strike), tau, math.sqrt(tau), rate, kind == "put")
+    p_lo, _ = _price_vega(lo, *shared)
     p_hi, _ = _price_vega(hi, *shared)
     if price <= p_lo:
         return lo
@@ -130,10 +127,9 @@ def implied_vol(price: float, x: float, strike: float, tau: float, rate: float, 
 
 
 def _price_vega(vol, x, strike_disc, log_moneyness, tau, sqrt_tau, rate, put):
-    """(bs_price, bs_vega) at ``vol`` > 0 from one d1.
+    """(bs_price, bs_vega) at ``vol`` > 0 from one d1, on checked inputs.
 
-    ``strike_disc`` is strike * exp(-rate * tau) and ``log_moneyness`` is
-    log(x / strike); the inputs are already checked.
+    ``strike_disc`` is strike * exp(-rate * tau), ``log_moneyness`` log(x / strike).
     """
     sv = vol * sqrt_tau
     d1 = (log_moneyness + (rate + 0.5 * vol * vol) * tau) / sv

@@ -188,14 +188,15 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 def _yield_basis(betas, maturities, r):
     """(dy/dalpha, dy/d(eta^2), r term) of the zero yields.
 
-    One row per beta, one column per maturity.
+    One row per beta, one column per maturity; an r term out of float range is inf.
     """
     import numpy as np
 
     b, ib, _, g3 = np.moveaxis(np.asarray(
         [[vasicek_factors(beta, s) for s in maturities] for beta in betas], dtype=float), -1, 0)
     s = np.asarray(maturities, dtype=float)
-    return ib / s, -g3 / s, b * r / s
+    with np.errstate(over="ignore"):
+        return ib / s, -g3 / s, b * r / s
 
 
 def _box_fit(c_alpha, c_eta2, target):
@@ -417,7 +418,8 @@ def estimate_rho1(stock, spot_rate) -> float:
 
     The two histories are aligned on their common dates; at least 30
     overlapping dates are required. The estimate is clamped to
-    [-0.999, 0.999] so downstream formulas never see |rho| = 1.
+    [-0.999, 0.999] so downstream formulas never see |rho| = 1; a series
+    whose deviations leave the float range raises NumericalError.
     """
     import numpy as np
 
@@ -432,10 +434,14 @@ def estimate_rho1(stock, spot_rate) -> float:
         )
     r = np.asarray([rate_by_date[d] for d in common], dtype=float)
     rets = _log_returns([(d, stock_by_date[d]) for d in common])
-    drates = np.diff(r)
-    sd_r, sd_d = np.std(rets), np.std(drates)
-    if sd_r == 0 or sd_d == 0:
-        raise ValidationError("a constant series has no defined correlation")
-    rho = float(np.corrcoef(rets, drates)[0, 1])
+    # Values out of float range give inf or nan deviations and a meaningless rho.
+    with np.errstate(over="ignore", invalid="ignore"):
+        drates = np.diff(r)
+        sd_r, sd_d = np.std(rets), np.std(drates)
+        if sd_r == 0 or sd_d == 0:
+            raise ValidationError("a constant series has no defined correlation")
+        rho = float(np.corrcoef(rets, drates)[0, 1])
+    if not all(map(math.isfinite, (sd_r, sd_d, rho))):
+        raise NumericalError(f"correlation is not finite: return sd {sd_r}, rate-change sd {sd_d}")
     return max(-RHO_CLAMP, min(RHO_CLAMP, rho))
 

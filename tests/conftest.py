@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from credeq.corrections import CorrectionParams, price_full
+from credeq.corrections import CorrectionParams, _evaluate, price_full
 from credeq.market_data import BondQuote, OptionQuote
 from credeq.pricing import CreditParams, PricingInputs
 from credeq.rates import EquityParams, VasicekParams
@@ -14,6 +14,11 @@ from credeq.rates import EquityParams, VasicekParams
 # Every property test runs the same examples on every run, with no deadline.
 settings.register_profile("credeq", derandomize=True, deadline=None)
 settings.load_profile("credeq")
+
+
+def greeks(inputs, kind):
+    """The kernel's closed-form Greeks (g1, ..., g8) of a call, put or bond."""
+    return _evaluate(inputs, kind)[2]
 
 
 def log_uniform(lo, hi):

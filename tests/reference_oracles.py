@@ -17,8 +17,11 @@
 * ``cds_spread_reduce``: one schedule's CDS spread with its own annuity,
   summed left to right, the order the library's running sum adds in; each
   bond is a separate ``price_full``.
+* ``bs_price``: the Black-Scholes price with its own d1 and d2, sharing no
+  body with :mod:`credeq.implied_vol`, whose ``bs_price`` and Newton steps
+  run one.
 * ``implied_vol_calls``: the implied-vol inversion with a separate
-  ``bs_price`` and ``bs_vega`` call on every Newton step.
+  ``bs_price`` (the one here) and ``bs_vega`` call on every Newton step.
 """
 
 import math
@@ -31,7 +34,7 @@ from scipy.integrate import quad
 
 from credeq.errors import CalibrationError, DomainError, NumericalError, ValidationError
 from credeq.corrections import price_full
-from credeq.implied_vol import PRICE_TOL, VOL_HI, VOL_LO, bs_price, bs_vega
+from credeq.implied_vol import PRICE_TOL, VOL_HI, VOL_LO, bs_vega
 from credeq.pricing import CreditParams, PricingInputs, norm_cdf, norm_pdf
 from credeq.rates import VasicekParams, riskless_bond, vasicek_factors
 
@@ -214,8 +217,8 @@ def _reprice(inputs: PricingInputs, kind: str, *, x=None, alpha=None, eta=None, 
 def greeks_fd(inputs: PricingInputs, kind: str) -> tuple:
     """Greeks (g1, ..., g8) from Richardson central differences of the closed forms.
 
-    Independent of the analytic derivative algebra; the oracle for
-    :func:`credeq.corrections.greeks`.
+    Independent of the analytic derivative algebra; the oracle for the
+    kernel's Greeks (``credeq.corrections._evaluate``).
     """
     tau = inputs.tau
     va = inputs.vasicek
@@ -322,6 +325,33 @@ def cds_spread_reduce(fit, schedule) -> float:
     if annuity <= 0:
         raise NumericalError(f"degenerate premium annuity {annuity} for schedule up to {t_mat}")
     return protection / annuity / schedule.delta
+
+
+def bs_price(x: float, strike: float, tau: float, rate: float, vol: float, kind: str) -> float:
+    """Black-Scholes price with a flat continuously-compounded rate, with its own d1 and d2.
+
+    The library's checks and messages, in its order, and its expressions.
+    """
+    if x <= 0 or strike <= 0 or tau <= 0:
+        raise ValidationError("bs_price needs positive spot, strike, and maturity")
+    if vol < 0:
+        raise ValidationError("vol must be >= 0")
+    disc = math.exp(-rate * tau)
+    if vol == 0:
+        fwd = x / disc
+        if kind == "call":
+            return disc * max(fwd - strike, 0.0)
+        if kind == "put":
+            return disc * max(strike - fwd, 0.0)
+        raise ValidationError(f"kind must be call or put, got {kind!r}")
+    sv = vol * math.sqrt(tau)
+    d1 = (math.log(x / strike) + (rate + 0.5 * vol * vol) * tau) / sv
+    d2 = d1 - sv
+    if kind == "call":
+        return x * norm_cdf(d1) - strike * disc * norm_cdf(d2)
+    if kind == "put":
+        return strike * disc * norm_cdf(-d2) - x * norm_cdf(-d1)
+    raise ValidationError(f"kind must be call or put, got {kind!r}")
 
 
 def implied_vol_calls(price, x, strike, tau, rate, kind) -> float:

@@ -1,7 +1,7 @@
 """Reference implementations the fast paths are tested against.
 
 * Per-grid-point scalar loops: the calibration steps written one grid point
-  and one quote at a time, over the public scalar ``greeks`` and
+  and one quote at a time, over the scalar Greeks (``conftest.greeks``) and
   ``price_p0`` and ``np.linalg.lstsq``. The batched fits in
   :mod:`credeq.calibration` must pick the same grid point and agree with
   them to rounding.
@@ -17,10 +17,12 @@ from scipy.optimize import minimize
 
 from credeq import calibration
 from credeq.calibration import _quote_weights
-from credeq.corrections import VARIANTS, greeks, price_p0
+from credeq.corrections import VARIANTS, price_p0
 from credeq.errors import NumericalError
 from credeq.pricing import CreditParams, PricingInputs
 from credeq.rates import FIT_BOUNDS, EquityParams, VasicekParams, vasicek_yield
+
+from conftest import greeks
 
 # The bond formulas never look at the equity block; any valid one will do.
 UNIT_EQUITY = EquityParams(x=1.0, sigma2=0.2, rho1=0.0)

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from credeq.calibration import ModelFit, fit_bonds, fit_options
 from credeq.cds import annual_schedule, cds_spread, cds_term_structure
-from credeq.corrections import CorrectionParams, _evaluate, greeks, price_full
+from credeq.corrections import CorrectionParams, _evaluate, price_full
 from credeq.implied_vol import bs_price, implied_vol
 from credeq.oracle_mc import FactorSpec, McConfig, effective_params, mc_estimate, simulate_terminals
 from credeq.pricing import CreditParams, PricingInputs
@@ -32,6 +32,7 @@ from conftest import (
     SURFACE_VASICEK,
     TRUE_LAMBDA,
     TRUE_LOSS,
+    greeks,
     make_bond_quotes,
     make_option_quotes,
 )

@@ -11,7 +11,6 @@ from credeq.corrections import (
     CorrectionParams,
     _evaluate,
     evaluate_options,
-    greeks,
     price_full,
     price_p0,
 )
@@ -19,7 +18,14 @@ from credeq.errors import ConfigurationError, DomainError
 from credeq.pricing import CreditParams, PricingInputs, norm_cdf, norm_pdf
 from credeq.rates import EquityParams, VasicekParams, vasicek_factors
 
-from conftest import SURFACE_COEFFS, SURFACE_EQUITY, SURFACE_LAMBDA, SURFACE_VASICEK, log_uniform
+from conftest import (
+    SURFACE_COEFFS,
+    SURFACE_EQUITY,
+    SURFACE_LAMBDA,
+    SURFACE_VASICEK,
+    greeks,
+    log_uniform,
+)
 from reference_oracles import (
     FD_STEP_PARAM,
     _log_survival_bond,

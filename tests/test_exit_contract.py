@@ -11,8 +11,11 @@ modules into its draws, so an edit to ``src`` would re-draw them.
 The ``oracle`` runs take only inputs outside its domain, which it rejects
 before it simulates anything. ``calibrate`` runs on a small day of quotes
 priced by the model, with one field of the equity block edited.
+``fit-rates`` and ``estimate-equity`` run on a small treasury curve and
+two 40-day histories, with one flag or one CSV cell set to each value.
 """
 
+import datetime as dt
 import json
 import math
 import random
@@ -165,3 +168,68 @@ def test_calibrate_tiny_spot_names_it(tmp_path, capsys, calibration_day, x):
     assert code in (2, 3) and out == ""
     [line] = err.splitlines()
     assert f"x = {x!r}" in json.loads(line)["message"]
+
+
+# A treasury curve and two 40-day histories, as CSV rows; each test sets one
+# flag or one cell to every value of VALUES.
+TREASURY = [(0.25, 0.049), (1.0, 0.05), (2.0, 0.051), (5.0, 0.053), (10.0, 0.054)]
+DAYS = [dt.date(2006, 1, 2) + dt.timedelta(days=k) for k in range(40)]
+STOCK = [8.0 * math.exp(0.02 * math.sin(k)) for k in range(40)]
+SPOT_RATES = [0.05 + 1e-3 * math.cos(k / 3.0) for k in range(40)]
+
+
+def write_csv(path, header, rows):
+    path.write_text("\n".join([header] + [f"{a},{b!r}" for a, b in rows]) + "\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+def write_treasury(path, row=None, column=None, value=None):
+    rows = [list(r) for r in TREASURY]
+    if row is not None:
+        rows[row][column] = value
+    return write_csv(path, "maturity_years,yield", [(repr(s), y) for s, y in rows])
+
+
+def write_history(path, values, cell=None, value=None):
+    values = list(values)
+    if cell is not None:
+        values[cell] = value
+    return write_csv(path, "date,value", [(d.isoformat(), v) for d, v in zip(DAYS, values)])
+
+
+def test_fit_rates_r_proxy(tmp_path, capsys):
+    path = write_treasury(tmp_path / "treasury.csv")
+    assert run(capsys, ["fit-rates", "--treasury", path]) == 0
+    # +-1e308 too: the largest of VALUES keeps the r term b*r of the yields in range.
+    for value in VALUES + [1e308, -1e308]:
+        run(capsys, ["fit-rates", "--treasury", path, f"--r-proxy={value!r}"])
+
+
+# The middle yield, and the last maturity (the one any larger value keeps increasing).
+@pytest.mark.parametrize("row, column", [(2, 1), (4, 0)], ids=["yield", "maturity"])
+def test_fit_rates_cells(tmp_path, capsys, row, column):
+    for value in VALUES:
+        run(capsys, ["fit-rates", "--treasury",
+                     write_treasury(tmp_path / "treasury.csv", row, column, value)])
+
+
+def estimate_equity(tmp_path, stock_cell=None, rate_cell=None, value=None):
+    return ["estimate-equity",
+            "--stock", write_history(tmp_path / "stock.csv", STOCK, stock_cell, value),
+            "--spot-rate", write_history(tmp_path / "rates.csv", SPOT_RATES, rate_cell, value)]
+
+
+@pytest.mark.parametrize("flag", ["--spot", "--dividend-yield"])
+def test_estimate_equity_flags(tmp_path, capsys, flag):
+    argv = estimate_equity(tmp_path)
+    assert run(capsys, argv) == 0
+    for value in VALUES:
+        run(capsys, [*argv, f"{flag}={value!r}"])
+
+
+@pytest.mark.parametrize("series", ["stock", "spot-rate"])
+def test_estimate_equity_cells(tmp_path, capsys, series):
+    cell = {"stock_cell": 20} if series == "stock" else {"rate_cell": 20}
+    for value in VALUES:
+        run(capsys, estimate_equity(tmp_path, value=value, **cell))

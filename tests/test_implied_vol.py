@@ -18,6 +18,7 @@ from credeq.implied_vol import (
 from credeq.pricing import norm_cdf
 from credeq.rates import EquityParams, VasicekParams, vasicek_yield
 
+from reference_oracles import bs_price as reference_bs_price
 from reference_oracles import implied_vol_calls
 
 
@@ -131,6 +132,56 @@ def _outcome(inversion, *args):
         return inversion(*args)
     except Exception as exc:  # any class: the class and the message are compared
         return type(exc).__name__, str(exc)
+
+
+def _bs_prices(n=6_000):
+    """Seeded bs_price arguments: both kinds, vol 0, and every input bs_price rejects.
+
+    One case in 10 has vol = 0; one in 10 a non-positive spot, strike or
+    maturity, a negative vol, or an unknown kind.
+    """
+    rng = random.Random(29)
+    out = []
+    for i in range(n):
+        x = math.exp(rng.uniform(math.log(1e-2), math.log(1e4)))
+        strike = x * math.exp(rng.uniform(-4.0, 4.0))
+        tau = math.exp(rng.uniform(math.log(1e-3), math.log(30.0)))
+        rate = rng.uniform(-0.05, 0.15)
+        vol = 0.0 if i % 10 == 3 else math.exp(rng.uniform(math.log(1e-4), math.log(8.0)))
+        kind = rng.choice(("call", "put"))
+        if i % 10 == 5:
+            bad = i // 10 % 6
+            if bad == 0:
+                x = -x
+            elif bad == 1:
+                strike = 0.0
+            elif bad == 2:
+                tau = -tau
+            elif bad == 3:
+                vol = -vol
+            else:  # an unknown kind, at vol > 0 and at vol = 0
+                kind, vol = "straddle", (vol, 0.0)[bad - 4]
+        out.append((x, strike, tau, rate, vol, kind))
+    return out
+
+
+class TestBsPriceReference:
+    def test_prices_and_errors_equal_the_reference(self):
+        # bs_price shares its body with the Newton steps; the reference keeps
+        # its own d1 and d2, so this compares two bodies.
+        outcomes = Counter()
+        for args in _bs_prices():
+            got, expected = _outcome(bs_price, *args), _outcome(reference_bs_price, *args)
+            assert got == expected, args
+            outcomes[got if isinstance(got, tuple) else (args[-1], args[-2] == 0)] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+        assert sorted(k for k in outcomes if k[0] == "ValidationError") == [
+            ("ValidationError", "bs_price needs positive spot, strike, and maturity"),
+            ("ValidationError", "kind must be call or put, got 'straddle'"),
+            ("ValidationError", "vol must be >= 0"),
+        ]
+        for kind in ("call", "put"):
+            assert outcomes[kind, True] and outcomes[kind, False], outcomes
 
 
 class TestSharedNewtonStep:

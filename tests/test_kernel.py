@@ -29,7 +29,6 @@ from credeq.corrections import (
     _ndtr,
     evaluate_bonds,
     evaluate_options,
-    greeks,
     price_full,
     price_p0,
 )
@@ -43,6 +42,7 @@ from conftest import (
     SURFACE_COEFFS,
     SURFACE_EQUITY,
     SURFACE_VASICEK,
+    greeks,
     log_uniform,
     make_bond_quotes,
     make_option_quotes,

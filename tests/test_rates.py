@@ -515,6 +515,17 @@ class TestHistoricalEstimators:
             with pytest.raises(ValidationError, match=f"stock value at {days[25]}"):
                 estimate()
 
+    @pytest.mark.parametrize("value", [3.477766014398386e270, -3.477766014398386e270, 1e308])
+    def test_rate_series_out_of_float_range_is_not_clamped(self, value):
+        # The squares of the rate differences overflow, and corrcoef gives a
+        # meaningless 0 or nan that the clamp to [-0.999, 0.999] would pass on.
+        days = business_days(40)
+        stock = PriceHistory(points=tuple((d, 10.0 + i % 3) for i, d in enumerate(days)))
+        rates = PriceHistory(points=tuple((d, value if i == 20 else 0.05 + 1e-4 * (i % 5))
+                                          for i, d in enumerate(days)))
+        with pytest.raises(NumericalError, match="^correlation is not finite: "):
+            estimate_rho1(stock, rates)
+
     def test_spot_rates_may_touch_and_cross_zero(self):
         days = business_days(60)
         rng = np.random.default_rng(12)
