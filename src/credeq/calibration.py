@@ -42,8 +42,7 @@ from dataclasses import asdict, dataclass
 # NumPy is imported inside the functions that use arrays, so that the float
 # path (one price, one CDS curve) never loads it.
 from .corrections import CorrectionParams, evaluate_bonds, evaluate_options, get_variant
-from .errors import (
-    CalibrationError, ConfigurationError, DomainError, NumericalError, ValidationError)
+from .errors import DomainError, NumericalError, ValidationError
 from .implied_vol import VEGA_FLOOR_FACTOR, model_quote
 from .pricing import CreditParams
 from .rates import EquityParams, VasicekParams
@@ -115,7 +114,7 @@ class ModelFit:
     def __post_init__(self):
         if not isinstance(self.variant, str):
             raise ValidationError(f"variant must be a string, got {self.variant!r}")
-        get_variant(self.variant)  # an unknown name raises ConfigurationError
+        get_variant(self.variant)  # an unknown name raises ValidationError
 
     def to_dict(self) -> dict:
         return {
@@ -169,7 +168,7 @@ def _best_on_grid(design, rhs, rank_message: str):
     The survivors are solved together by batched SVD, never by normal
     equations, with the rank rule of ``np.linalg.lstsq``: singular values at
     or below eps*max(M, N) times the largest count as zero, and
-    :class:`CalibrationError` is raised when a solved system has rank below
+    NumericalError is raised when a solved system has rank below
     N. The rule sees the survivors only; a structural deficiency (repeated
     maturities, too few distinct quotes) makes every point deficient, so it
     still raises. Returns the winner's index, solution (N,), residual sum of
@@ -189,7 +188,7 @@ def _best_on_grid(design, rhs, rank_message: str):
     u, sing, vt = np.linalg.svd(design, full_matrices=False)
     keep = sing > np.finfo(float).eps * max(rows, cols) * sing[:, :1]
     if not keep.all():
-        raise CalibrationError(rank_message, best=None)
+        raise NumericalError(rank_message)
     theta = np.einsum("gji,gj->gi", vt, np.einsum("gmj,gm->gj", u, rhs) / sing)
     resid = np.sum((rhs - np.einsum("gmn,gn->gm", design, theta)) ** 2, axis=-1)
     i = int(np.argmin(resid))
@@ -273,13 +272,13 @@ def fit_options(
     coefficients. ``index`` has no bond step: it is fitted at the one point
     l = 1 with lambda = 0, so its ``bond_fit`` must be ``ZERO_BOND_FIT``.
     An unknown variant, or a nonzero bond fit for ``index``, raises
-    ConfigurationError.
+    ValidationError.
     """
     import numpy as np
 
     row = get_variant(variant)
     if not row.bond_step and bond_fit != ZERO_BOND_FIT:
-        raise ConfigurationError(
+        raise ValidationError(
             f"{variant} variant has no bond step; its bond fit must be ZERO_BOND_FIT")
     n_unknowns = len(row.fitted) + (1 if row.bond_step else 0)
     if len(options) < n_unknowns:

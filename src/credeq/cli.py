@@ -4,8 +4,8 @@ Subcommands mirror the daily workflow: ``fit-rates`` and ``estimate-equity``
 produce parameter JSON, ``calibrate`` runs the two-step bond+option fit and
 emits a report, ``price``/``ivol-surface``/``cds-curve``/``cds-series``
 consume a fit JSON without re-reading raw quotes, and ``oracle`` runs the
-Monte-Carlo validator. Exit codes: 0 success, 2 validation error (a bad
-argument too), 3 numerical failure; every error prints one JSON line on stderr.
+Monte-Carlo validator. Exit codes: 0 success, else the code
+:mod:`credeq.errors` gives the error's class; each error prints one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -32,14 +33,7 @@ from .calibration import (
 )
 from .cds import MAX_PAYMENTS, annual_schedule, cds_series, cds_term_structure
 from .corrections import VARIANTS, price_full, price_p0
-from .errors import (
-    CalibrationError,
-    ConfigurationError,
-    CredeqError,
-    DomainError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import CredeqError, DomainError, NumericalError, ValidationError
 from .implied_vol import model_quote
 from .pricing import PricingInputs
 from .rates import (
@@ -261,6 +255,11 @@ def cmd_oracle(args) -> None:
 class _Parser(argparse.ArgumentParser):
     """Argument errors raise ValidationError: exit 2 with one JSON line, like any other."""
 
+    def __init__(self, *args, **kwargs):  # subparsers share the class
+        super().__init__(*args, **kwargs)
+        # -5e-05, repr of a small rate, is a value too: argparse's pattern has no exponent.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")
 
@@ -347,12 +346,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.func(args)
-    except (ValidationError, ConfigurationError, DomainError, OSError,
-            UnicodeDecodeError) as exc:
+    except (ValidationError, DomainError, OSError, UnicodeDecodeError) as exc:
         # OSError: a missing or unreadable path, or a directory; UnicodeDecodeError: not UTF-8.
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return VALIDATION_EXIT
-    except (NumericalError, CalibrationError, OverflowError) as exc:
+    except (NumericalError, OverflowError) as exc:
         # OverflowError: a float overflow outside the closed forms, which name
         # the overflowing parameter in a NumericalError themselves.
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")

@@ -74,7 +74,7 @@ import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-from .errors import ConfigurationError, DomainError, NumericalError, ValidationError
+from .errors import DomainError, NumericalError, ValidationError
 from .pricing import INV_SQRT_2PI, PricingInputs, norm_cdf, norm_pdf
 from .rates import EquityParams, VasicekParams, _riskless, vasicek_factors
 
@@ -126,11 +126,11 @@ VARIANTS = {row.name: row for row in (
 
 
 def get_variant(name: str) -> Variant:
-    """The table row of a variant; an unknown name raises ConfigurationError."""
+    """The table row of a variant; an unknown name raises ValidationError."""
     try:
         return VARIANTS[name]
     except KeyError:
-        raise ConfigurationError(
+        raise ValidationError(
             f"unknown variant {name!r}; expected one of {tuple(VARIANTS)}") from None
 
 
@@ -427,14 +427,14 @@ def price_p0(inputs: PricingInputs, kind: str) -> float:
 
 
 def _check_variant(lam: float, coeffs: CorrectionParams, variant: str) -> None:
-    """ConfigurationError unless ``variant`` allows intensity ``lam`` and ``coeffs``."""
+    """ValidationError unless ``variant`` allows intensity ``lam`` and ``coeffs``."""
     row = get_variant(variant)
     if not row.bond_step and lam != 0.0:
-        raise ConfigurationError(f"{variant} variant requires zero default intensity")
+        raise ValidationError(f"{variant} variant requires zero default intensity")
     if row.ignored:  # skips building a list on every seven_param price
         bad = [n for n in row.ignored if getattr(coeffs, n) != 0.0]
         if bad:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"{variant} variant ignores coefficients {bad}; pass them as zero")
 
 

@@ -1,7 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types, one per way a caller handles a failure, and their CLI exit codes.
 
-The CLI maps these onto exit codes: validation problems exit 2,
-numerical/calibration failures exit 3.
+===============  ====  ============================================================
+class            exit  special handler
+===============  ====  ============================================================
+CredeqError      --    ``cds-series`` writes NA for a fit file that raises it
+ValidationError  2     --
+DomainError      2     ``model_quote`` quotes a price ``implied_vol`` rejects as no vol
+NumericalError   3     --
+===============  ====  ============================================================
 """
 
 
@@ -10,28 +16,12 @@ class CredeqError(Exception):
 
 
 class ValidationError(CredeqError):
-    """Malformed or inconsistent input data (bad CSV row, violated invariant)."""
-
-
-class ConfigurationError(CredeqError):
-    """Mutually inconsistent options, e.g. a variant given coefficients it ignores."""
+    """Bad input: a malformed CSV row, a violated invariant, mutually inconsistent options."""
 
 
 class DomainError(CredeqError):
-    """Arguments outside the mathematical domain of a formula."""
+    """Arguments outside the mathematical domain of a formula (from implied_vol: no vol)."""
 
 
 class NumericalError(CredeqError):
-    """A computation degenerated (non-finite value, zero denominator, underflow)."""
-
-
-class CalibrationError(CredeqError):
-    """An optimizer or least-squares fit failed.
-
-    Carries the best iterate seen so far when one exists.
-    """
-
-    def __init__(self, message, best=None, residual=None):
-        super().__init__(message)
-        self.best = best
-        self.residual = residual
+    """A computation or fit degenerated (non-finite value, rank-deficient system)."""

@@ -6,9 +6,9 @@ at the fitted Vasicek model's zero yield for the maturity
 (:func:`credeq.rates.vasicek_yield`) on the dividend-adjusted spot x*exp(-q*tau).
 
 The Black-Scholes price at vol > 0 has one body, ``_price_vega``, which also
-gives the vega of its d1. :func:`bs_price` returns its price; :func:`implied_vol`
-takes its bracket prices and Newton steps from it, with log(x/K), sqrt(tau) and
-K*exp(-r*tau) once per inversion. :func:`bs_vega`, one call a quote, keeps its own body.
+gives the vega of its d1. :func:`bs_price` returns its price and :func:`bs_vega`
+its vega; :func:`implied_vol` takes its bracket prices and Newton steps from it,
+with log(x/K), sqrt(tau) and K*exp(-r*tau) once per inversion.
 """
 
 from __future__ import annotations
@@ -65,20 +65,21 @@ def bs_vega(x: float, strike: float, tau: float, rate: float, vol: float) -> flo
     """dPrice/dVol = x * pdf(d1) * sqrt(tau); same for calls and puts."""
     if x <= 0 or strike <= 0 or tau <= 0 or vol <= 0:
         raise ValidationError("bs_vega needs positive inputs")
-    sv = vol * math.sqrt(tau)
-    d1 = (math.log(x / strike) + (rate + 0.5 * vol * vol) * tau) / sv
-    return x * norm_pdf(d1) * math.sqrt(tau)
+    # 0.0 for strike * exp(-rate * tau), which the vega never reads and exp can overflow.
+    return _price_vega(vol, x, 0.0, math.log(x / strike), tau, math.sqrt(tau), rate, False)[1]
 
 
 def implied_vol(price: float, x: float, strike: float, tau: float, rate: float, kind: str) -> float:
     """Invert bs_price for the volatility.
 
     Newton iteration with bisection fallback over [1e-6, 5]; converges to
-    |price error| <= 1e-10 * spot. Prices outside the no-arbitrage bounds
-    raise :class:`DomainError` naming the violated bound.
+    |price error| <= 1e-10 * spot. Bad arguments raise :class:`ValidationError`
+    first; then prices outside the no-arbitrage bounds raise
+    :class:`DomainError` naming the violated bound.
     """
     if kind not in ("call", "put"):
         raise ValidationError(f"kind must be call or put, got {kind!r}")
+    _check_inputs(x, strike, tau)
     strike_disc = strike * math.exp(-rate * tau)
     lower, upper = ((max(x - strike_disc, 0.0), x) if kind == "call"
                     else (max(strike_disc - x, 0.0), strike_disc))
@@ -89,7 +90,6 @@ def implied_vol(price: float, x: float, strike: float, tau: float, rate: float, 
         raise DomainError(f"{kind} price {price} above upper bound {upper}")
 
     lo, hi = VOL_LO, VOL_HI
-    _check_inputs(x, strike, tau)
     # What every trial vol shares, computed once: bs_price takes the same
     # values, so each price below is its price bit for bit.
     shared = (x, strike_disc, math.log(x / strike), tau, math.sqrt(tau), rate, kind == "put")

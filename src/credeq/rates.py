@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 # NumPy is imported inside the functions that use arrays, so that the float
 # path (one price, one CDS curve) never loads it.
-from .errors import CalibrationError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "VasicekParams",
@@ -323,10 +323,8 @@ def fit_vasicek(curve, r_proxy: float | None = None) -> VasicekParams:
 
     Raises
     ------
-    CalibrationError
-        When the sum of squared yield errors at the result is not finite;
-        carries the result and that sum when the result is a valid
-        parameter set.
+    NumericalError
+        When the sum of squared yield errors at the result is not finite.
     """
     import numpy as np
 
@@ -369,13 +367,12 @@ def fit_vasicek(curve, r_proxy: float | None = None) -> VasicekParams:
             best, beta = value, polished
     (alpha,), (eta2,), _ = project([beta])
 
-    if not (math.isfinite(alpha) and math.isfinite(eta2)):
-        raise CalibrationError("yield-curve fit is not finite", residual=float(best))
-    params = VasicekParams(alpha=float(alpha), beta=float(beta), eta=math.sqrt(eta2), r=r)
-    sse = sum(e * e for e in (vasicek_yield(params, s) - y for s, y in curve.points))
-    if not math.isfinite(sse):
-        raise CalibrationError("yield-curve fit is not finite", best=params, residual=sse)
-    return params
+    if math.isfinite(alpha) and math.isfinite(eta2):
+        params = VasicekParams(alpha=float(alpha), beta=float(beta), eta=math.sqrt(eta2), r=r)
+        sse = sum(e * e for e in (vasicek_yield(params, s) - y for s, y in curve.points))
+        if math.isfinite(sse):
+            return params
+    raise NumericalError("yield-curve fit is not finite")
 
 
 def at_bound(params: VasicekParams) -> list[str]:

@@ -20,8 +20,10 @@
 * ``bs_price``: the Black-Scholes price with its own d1 and d2, sharing no
   body with :mod:`credeq.implied_vol`, whose ``bs_price`` and Newton steps
   run one.
+* ``bs_vega``: the Black-Scholes vega with its own d1, the body the
+  library's ``bs_vega`` had before it took its vega from the shared one.
 * ``implied_vol_calls``: the implied-vol inversion with a separate
-  ``bs_price`` (the one here) and ``bs_vega`` call on every Newton step.
+  ``bs_price`` and ``bs_vega`` call (the ones here) on every Newton step.
 """
 
 import math
@@ -32,9 +34,9 @@ from operator import add
 import numpy as np
 from scipy.integrate import quad
 
-from credeq.errors import CalibrationError, DomainError, NumericalError, ValidationError
+from credeq.errors import DomainError, NumericalError, ValidationError
 from credeq.corrections import price_full
-from credeq.implied_vol import PRICE_TOL, VOL_HI, VOL_LO, bs_vega
+from credeq.implied_vol import PRICE_TOL, VOL_HI, VOL_LO
 from credeq.pricing import CreditParams, PricingInputs, norm_cdf, norm_pdf
 from credeq.rates import VasicekParams, riskless_bond, vasicek_factors
 
@@ -293,14 +295,14 @@ def best_on_grid_svd(design, rhs, rank_message: str):
 
     Row g of the (G x M x N) ``design`` and the (G x M) ``rhs`` is grid point
     g's system; all are solved by batched SVD with the rank rule of
-    ``np.linalg.lstsq``, and CalibrationError is raised when any system has
+    ``np.linalg.lstsq``, and NumericalError is raised when any system has
     rank below N. Returns the winner's index, solution, residual sum of
     squares and condition number; ties go to the first grid point.
     """
     u, sing, vt = np.linalg.svd(design, full_matrices=False)
     keep = sing > np.finfo(float).eps * max(design.shape[-2:]) * sing[:, :1]
     if not keep.all():
-        raise CalibrationError(rank_message, best=None)
+        raise NumericalError(rank_message)
     theta = np.einsum("gji,gj->gi", vt, np.einsum("gmj,gm->gj", u, rhs) / sing)
     resid = np.sum((rhs - np.einsum("gmn,gn->gm", design, theta)) ** 2, axis=-1)
     i = int(np.argmin(resid))
@@ -354,14 +356,25 @@ def bs_price(x: float, strike: float, tau: float, rate: float, vol: float, kind:
     raise ValidationError(f"kind must be call or put, got {kind!r}")
 
 
+def bs_vega(x: float, strike: float, tau: float, rate: float, vol: float) -> float:
+    """dPrice/dVol = x * pdf(d1) * sqrt(tau), with its own d1; the library's check and message."""
+    if x <= 0 or strike <= 0 or tau <= 0 or vol <= 0:
+        raise ValidationError("bs_vega needs positive inputs")
+    sv = vol * math.sqrt(tau)
+    d1 = (math.log(x / strike) + (rate + 0.5 * vol * vol) * tau) / sv
+    return x * norm_pdf(d1) * math.sqrt(tau)
+
+
 def implied_vol_calls(price, x, strike, tau, rate, kind) -> float:
     """``implied_vol`` as it was before its Newton steps shared one d1.
 
     Every trial vol prices with ``bs_price`` and takes its vega from
-    ``bs_vega``; the bounds, the bracket and the iteration are the library's.
+    ``bs_vega``; the checks, the bounds, the bracket and the iteration are the library's.
     """
     if kind not in ("call", "put"):
         raise ValidationError(f"kind must be call or put, got {kind!r}")
+    if x <= 0 or strike <= 0 or tau <= 0:
+        raise ValidationError("bs_price needs positive spot, strike, and maturity")
     disc = math.exp(-rate * tau)
     if kind == "call":
         lower = max(x - strike * disc, 0.0)

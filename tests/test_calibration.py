@@ -20,7 +20,7 @@ from credeq.calibration import (
     _quote_weights,
 )
 from credeq.corrections import CorrectionParams
-from credeq.errors import CalibrationError, NumericalError, ValidationError
+from credeq.errors import NumericalError, ValidationError
 from credeq.implied_vol import VEGA_FLOOR_FACTOR, bs_vega
 from credeq.market_data import BondQuote, OptionQuote
 from credeq.pricing import CreditParams
@@ -85,7 +85,7 @@ class TestFitBonds:
 
     def test_duplicated_maturity_is_rank_deficient(self):
         bonds = [BondQuote(2.0, p) for p in (0.90, 0.901, 0.902, 0.903)]
-        with pytest.raises(CalibrationError, match="rank"):
+        with pytest.raises(NumericalError, match="rank"):
             fit_bonds(bonds, SURFACE_VASICEK)
 
 
@@ -204,7 +204,7 @@ class TestFitOptions:
         options = make_option_quotes(SURFACE_VASICEK, SURFACE_EQUITY, TRUE_LAMBDA,
                                      CorrectionParams(), grid)
         bond_fit = fit_bonds(bonds, SURFACE_VASICEK)
-        with pytest.raises(CalibrationError, match="rank"):
+        with pytest.raises(NumericalError, match="rank"):
             fit_options(options, bond_fit, SURFACE_VASICEK, SURFACE_EQUITY)
 
 

@@ -178,7 +178,7 @@ class TestTermStructure:
         assert taus == [m * 0.25 for m in range(1, 41)]
 
 
-# Fits a spread cannot be priced for: a ConfigurationError from the variant
+# Fits a spread cannot be priced for: a ValidationError from the variant
 # check, a NumericalError from the Vasicek factors, and a corrected bond that
 # is not finite.
 UNPRICEABLE = {

@@ -595,7 +595,7 @@ class TestMalformedJson:
 
     @pytest.mark.parametrize("variant, error", [
         (["seven_param"], "ValidationError"), (7, "ValidationError"),
-        (None, "ValidationError"), ("five_param", "ConfigurationError"),
+        (None, "ValidationError"), ("five_param", "ValidationError"),
     ], ids=["list", "number", "null", "unknown"])
     @pytest.mark.parametrize("argv", [
         ["price", "--kind", "bond", "--maturity", "2"],
@@ -901,7 +901,7 @@ class TestArgumentErrors:
         code, _, err = run(capsys, "price", "--fit", str(path), "--kind", "bond",
                            "--maturity", "2")
         assert code == 2
-        assert json.loads(err)["error"] == "ConfigurationError"
+        assert json.loads(err)["error"] == "ValidationError"
 
     def test_bad_grid_spec(self, tmp_path, capsys):
         path = tmp_path / "fit.json"

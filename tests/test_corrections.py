@@ -14,7 +14,7 @@ from credeq.corrections import (
     price_full,
     price_p0,
 )
-from credeq.errors import ConfigurationError, DomainError
+from credeq.errors import DomainError, ValidationError
 from credeq.pricing import CreditParams, PricingInputs, norm_cdf, norm_pdf
 from credeq.rates import EquityParams, VasicekParams, vasicek_factors
 
@@ -354,17 +354,17 @@ class TestPriceFull:
             assert a == b  # bit-identical
 
     def test_index_variant_requires_zero_intensity(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             price_full(self.pin(lam=0.02), CorrectionParams(v1=0.01), "call", variant="index")
 
     def test_index_variant_rejects_ignored_coefficients(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             price_full(
                 self.pin(lam=0.0), CorrectionParams(w1=0.01), "call", variant="index"
             )
 
     def test_three_param_rejects_extra_fast_terms(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             price_full(
                 self.pin(), CorrectionParams(v1=0.01, v2=0.02), "call", variant="three_param"
             )

@@ -13,8 +13,13 @@ before it simulates anything. ``calibrate`` runs on a small day of quotes
 priced by the model, with one field of the equity block edited.
 ``fit-rates`` and ``estimate-equity`` run on a small treasury curve and
 two 40-day histories, with one flag or one CSV cell set to each value.
+
+Two contracts close the file: every float flag takes a negative number in
+exponent form as a value, and every error class exits with the code the
+table of ``credeq.errors`` gives it.
 """
 
+import argparse
 import datetime as dt
 import json
 import math
@@ -22,7 +27,8 @@ import random
 
 import pytest
 
-from credeq.cli import main
+from credeq import cli, errors
+from credeq.cli import build_parser, main
 from credeq.market_data import save_bonds_csv, save_options_csv
 from credeq.pricing import CreditParams
 
@@ -233,3 +239,75 @@ def test_estimate_equity_cells(tmp_path, capsys, series):
     cell = {"stock_cell": 20} if series == "stock" else {"rate_cell": 20}
     for value in VALUES:
         run(capsys, estimate_equity(tmp_path, value=value, **cell))
+
+
+def float_flags():
+    """(command, flag) for every flag of every command that takes a float."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, a.option_strings[0]) for name, p in sub.choices.items()
+            for a in p._actions if a.type is float]
+
+
+FLOAT_FLAGS = float_flags()
+
+
+def command_args(tmp_path, name):
+    """A run of command ``name`` with a value for each of its float flags, as flag -> value."""
+    fit_path = write_fit(tmp_path / "2006-09-18.json", FIT)
+    return {
+        "fit-rates": {"--treasury": write_treasury(tmp_path / "treasury.csv"),
+                      "--r-proxy": "0.05"},
+        "estimate-equity": {"--stock": write_history(tmp_path / "stock.csv", STOCK),
+                            "--spot-rate": write_history(tmp_path / "rates.csv", SPOT_RATES),
+                            "--spot": "8", "--dividend-yield": "0.01"},
+        "price": {"--fit": fit_path, "--kind": "call", "--strike": "8", "--maturity": "0.5"},
+        "cds-series": {"--fits-dir": str(tmp_path), "--maturity": "5"},
+        "oracle": {"--fit": fit_path, "--instrument": "call", "--strike": "8",
+                   "--maturity": "0.5", "--paths": "10000", "--eps": "0.1", "--dlt": "0.5"},
+    }[name]
+
+
+def test_float_flags_are_listed():
+    assert FLOAT_FLAGS == [
+        ("fit-rates", "--r-proxy"), ("estimate-equity", "--spot"),
+        ("estimate-equity", "--dividend-yield"), ("price", "--strike"), ("price", "--maturity"),
+        ("cds-series", "--maturity"), ("oracle", "--strike"), ("oracle", "--maturity"),
+        ("oracle", "--eps"), ("oracle", "--dlt"),
+    ]
+
+
+@pytest.mark.parametrize("name, flag", FLOAT_FLAGS,
+                         ids=[f"{name}{flag}" for name, flag in FLOAT_FLAGS])
+def test_negative_exponent_is_a_value(tmp_path, capsys, name, flag):
+    # repr writes every float below 1e-4 in magnitude in exponent form, and
+    # argparse's own negative-number pattern has no exponent.
+    args = command_args(tmp_path, name)
+    head = [name] + [s for f, value in args.items() if f != flag for s in (f, value)]
+    outcomes = []
+    for tail in ([flag, "-1e-05"], [f"{flag}=-1e-05"]):
+        code = main([*head, *tail])
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
+def exit_table():
+    """Class name -> CLI exit code, as the table in ``credeq.errors``' docstring gives them."""
+    rows = (line.split() for line in errors.__doc__.splitlines())
+    return {row[0]: int(row[1]) for row in rows if len(row) > 1 and row[1].isdigit()}
+
+
+def test_exit_table_names_every_error_class():
+    assert sorted(exit_table()) == sorted(c.__name__ for c in errors.CredeqError.__subclasses__())
+
+
+@pytest.mark.parametrize("cls", errors.CredeqError.__subclasses__(), ids=lambda c: c.__name__)
+def test_each_error_class_exits_with_its_code(capsys, monkeypatch, cls):
+    def fail(args):
+        raise cls("raised by the test")
+
+    monkeypatch.setattr(cli, "cmd_price", fail)
+    code = main(["price", "--fit", "fit.json", "--kind", "bond", "--maturity", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (exit_table()[cls.__name__], "")
+    [line] = err.splitlines()
+    assert json.loads(line) == {"error": cls.__name__, "message": "raised by the test"}

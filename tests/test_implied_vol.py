@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from credeq.errors import DomainError
+from credeq.errors import DomainError, ValidationError
 from credeq.implied_vol import (
     PRICE_TOL,
     VOL_HI,
@@ -19,6 +19,7 @@ from credeq.pricing import norm_cdf
 from credeq.rates import EquityParams, VasicekParams, vasicek_yield
 
 from reference_oracles import bs_price as reference_bs_price
+from reference_oracles import bs_vega as reference_bs_vega
 from reference_oracles import implied_vol_calls
 
 
@@ -78,6 +79,16 @@ class TestImpliedVol:
         with pytest.raises(DomainError, match="upper"):
             implied_vol(101.0, 100, 90, 1.0, 0.05, "call")
 
+    @pytest.mark.parametrize("price, x, strike, tau", [
+        (0.5, -1.0, 1.0, 1.0),  # above the upper bound, the spot -1
+        (0.5, 1.0, -1.0, 1.0),  # below the intrinsic bound 1 - (-1)
+        (101.0, 100.0, 90.0, 0.0),  # above the upper bound, the spot 100
+        (101.0, 100.0, 90.0, -1.0),
+    ], ids=["negative-spot", "negative-strike", "zero-maturity", "negative-maturity"])
+    def test_bad_arguments_raise_before_the_bounds(self, price, x, strike, tau):
+        # DomainError means only that a price has no vol: model_quote quotes it as None.
+        with pytest.raises(ValidationError, match="positive spot, strike, and maturity"):
+            implied_vol(price, x, strike, tau, 0.0, "call")
 
     def test_prices_at_the_bounds_clamp_to_the_vol_range(self):
         # a worthless out-of-the-money call at the lower bound, a call worth the spot at the upper
@@ -226,7 +237,54 @@ class TestModelQuote:
             vasicek_yield(self.VASICEK, 0.7), None, 0.0)
 
 
+def _vegas(n=20_000):
+    """Seeded bs_vega arguments, errors included.
+
+    Spots, strikes and maturities are drawn as in ``_bs_prices``, vols
+    log-uniformly from 1e-4 to 8. One case in 10 has a rate*tau past the
+    range of exp (rate +-1e3 at a maturity of at least 1), where
+    strike * exp(-rate * tau) would overflow or underflow; one in 10 a
+    non-positive spot, strike, maturity or vol; one in 50 a spot / strike
+    ratio that leaves the float range, whose log fails.
+    """
+    rng = random.Random(30)
+    out = []
+    for i in range(n):
+        x = math.exp(rng.uniform(math.log(1e-2), math.log(1e4)))
+        strike = x * math.exp(rng.uniform(-4.0, 4.0))
+        tau = math.exp(rng.uniform(math.log(1e-3), math.log(30.0)))
+        rate = rng.uniform(-0.05, 0.15)
+        vol = math.exp(rng.uniform(math.log(1e-4), math.log(8.0)))
+        if i % 10 == 3:
+            rate, tau = rng.choice((-1e3, 1e3)), 1.0 + tau
+        elif i % 10 == 5:
+            bad = i // 10 % 4
+            if bad == 0:
+                x = -x
+            elif bad == 1:
+                strike = 0.0
+            elif bad == 2:
+                tau = -tau
+            else:
+                vol = 0.0
+        elif i % 50 == 7:
+            x, strike = (1e-300, 1e300) if i % 100 == 7 else (1e300, 1e-300)
+        out.append((x, strike, tau, rate, vol))
+    return out
+
+
 class TestBsVega:
+    def test_vegas_and_errors_equal_the_reference(self):
+        # bs_vega takes its vega from the body the Newton steps share; the
+        # reference keeps its own d1.
+        outcomes = Counter()
+        for args in _vegas():
+            got, expected = _outcome(bs_vega, *args), _outcome(reference_bs_vega, *args)
+            assert got == expected, args
+            outcomes[got[0] if isinstance(got, tuple) else abs(args[3]) == 1e3] += 1
+        assert outcomes[True] >= 1000 and outcomes[False] >= 1000, outcomes
+        assert outcomes["ValidationError"] >= 1000 and outcomes["ValueError"] >= 100, outcomes
+
     def test_matches_finite_difference(self):
         h = 1e-5
         for k in (80, 100, 125):

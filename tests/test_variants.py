@@ -13,7 +13,7 @@ import pytest
 from credeq.calibration import ZERO_BOND_FIT, fit_bonds, fit_options
 from credeq.cli import build_parser
 from credeq.corrections import VARIANTS, CorrectionParams, get_variant, price_full
-from credeq.errors import ConfigurationError
+from credeq.errors import ValidationError
 from credeq.pricing import CreditParams, PricingInputs
 
 from conftest import SURFACE_EQUITY, SURFACE_VASICEK
@@ -63,7 +63,7 @@ def test_price_full_accepts_fitted_and_bond_coefficients(row, kind):
     ids=[f"{row.name}-{n}" for row in ROWS for n in row.ignored],
 )
 def test_price_full_rejects_each_ignored_coefficient(row, name):
-    with pytest.raises(ConfigurationError, match=name):
+    with pytest.raises(ValidationError, match=name):
         price_full(inputs_for(row), CorrectionParams(**{name: 0.01}), "call", row.name)
 
 
@@ -71,17 +71,17 @@ def test_price_full_rejects_each_ignored_coefficient(row, name):
                          ids=[r.name for r in ROWS if not r.bond_step])
 def test_no_bond_step_rejects_default_intensity(row):
     pin = PricingInputs(SURFACE_VASICEK, SURFACE_EQUITY, CreditParams(l=1.0, lam=0.02), 0.5, 8.0)
-    with pytest.raises(ConfigurationError, match="intensity"):
+    with pytest.raises(ValidationError, match="intensity"):
         price_full(pin, CorrectionParams(v1=0.01), "call", row.name)
 
 
 def test_unknown_variant_raises_configuration_error():
     pin = inputs_for(VARIANTS["seven_param"])
-    with pytest.raises(ConfigurationError, match="five_param"):
+    with pytest.raises(ValidationError, match="five_param"):
         get_variant("five_param")
-    with pytest.raises(ConfigurationError, match="five_param"):
+    with pytest.raises(ValidationError, match="five_param"):
         price_full(pin, CorrectionParams(), "call", "five_param")
-    with pytest.raises(ConfigurationError, match="five_param"):
+    with pytest.raises(ValidationError, match="five_param"):
         fit_options([], ZERO_BOND_FIT, SURFACE_VASICEK, SURFACE_EQUITY, variant="five_param")
 
 
@@ -90,7 +90,7 @@ def test_unknown_variant_raises_configuration_error():
 def test_fit_options_refuses_a_bond_fit_without_bond_step(row):
     # Its lambda must be 0, as price_full requires of such a variant.
     bond_fit = replace(ZERO_BOND_FIT, l_lambda=0.015)
-    with pytest.raises(ConfigurationError, match="bond step"):
+    with pytest.raises(ValidationError, match="bond step"):
         fit_options([], bond_fit, SURFACE_VASICEK, SURFACE_EQUITY, variant=row.name)
 
 
