@@ -17,19 +17,18 @@ lambda enters only through log Bc(1), so the whole grid is one
 step for every row of ``VARIANTS``. The ``index`` variant has no bond step:
 it takes ``ZERO_BOND_FIT`` and its grid is the single point l = 1.
 
-Both steps pick their grid point with one helper, :func:`_best_on_grid`.
-The Vasicek factors are computed once per distinct maturity. A stacked QR
-of every grid point's augmented system screens out the points that cannot
-win; the survivors (one or two on the bench histories) are solved together by
-batched SVD (never normal equations; the Greek columns are highly
-collinear), with the rank rule of ``np.linalg.lstsq`` applied to them
-only. The winner's numbers are bit for bit those of a full-grid solve.
-Each fit reports the design-matrix condition number at its argmin. Ties on
-a grid break toward the smaller grid value, and a non-finite P0 or Greek
-raises NumericalError, as does a vega-weighted option system whose squares
-leave the float range; a spot whose vega floor has no finite weight raises
-DomainError. The l grid starts at l_min > 0 because
-lambda = (l*lambda)/l blows up as l -> 0.
+Both steps pick their grid point with one helper, :func:`_best_on_grid`,
+on Vasicek factors computed once per distinct maturity. One criterion picks
+it: a stacked QR of every point's augmented system gives its least-squares
+residual norm, the profile over the grid, and the first least wins, so ties
+go to the smaller grid value. A grid of more than one point has more quotes
+than columns, which that norm needs. The winner alone is solved, by SVD
+(never normal equations; the Greek columns are highly collinear) with the
+rank rule of ``np.linalg.lstsq``, and reports its condition number. A
+non-finite P0 or Greek raises NumericalError, as does a vega-weighted
+option system whose squares leave the float range; a spot whose vega floor
+has no finite weight raises DomainError. The l grid starts at l_min > 0
+because lambda = (l*lambda)/l blows up as l -> 0.
 """
 
 from __future__ import annotations
@@ -64,11 +63,6 @@ DEFAULT_M1 = 1.0
 DEFAULT_BOND_GRID = 201
 DEFAULT_L_MIN = 0.05
 DEFAULT_L_GRID = 96
-# The grid screen solves the points whose QR residual norm is within this share
-# of the largest right-hand side's norm of the least. QR and SVD residual norms
-# agree to within 1e-13 of it on the bench histories, so the SVD's winner always
-# survives; there 1 or 2 points do.
-_SCREEN_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -160,40 +154,32 @@ def _best_on_grid(design, rhs, rank_message: str):
     """The grid point whose least squares leaves the least residual.
 
     Row g of the (G x M x N) ``design`` and the (G x M) ``rhs`` is grid
-    point g's system. A screen runs first: one stacked QR of the augmented
-    systems [A_g | b_g] gives every point's residual norm |R[N, N]| (Golub &
-    Van Loan, Matrix Computations, section 5.3), and only the points within
-    ``_SCREEN_RTOL`` times the largest ||b_g|| of the least norm are solved.
-    A one-point grid, or systems with no more rows than columns, skip it.
-    The survivors are solved together by batched SVD, never by normal
-    equations, with the rank rule of ``np.linalg.lstsq``: singular values at
-    or below eps*max(M, N) times the largest count as zero, and
-    NumericalError is raised when a solved system has rank below
-    N. The rule sees the survivors only; a structural deficiency (repeated
-    maturities, too few distinct quotes) makes every point deficient, so it
-    still raises. Returns the winner's index, solution (N,), residual sum of
-    squares and condition number, bit for bit those of a full-grid solve.
-    Ties go to the first, that is the smaller, grid value.
+    point g's system; the callers give M > N whenever G > 1. One stacked QR
+    of the augmented systems [A_g | b_g] gives every point's residual norm
+    |R[N, N]| (Golub & Van Loan, Matrix Computations, section 5.3), and the
+    first least wins; a one-point grid skips the QR. The winner alone is
+    solved by SVD, never by normal equations, with the rank rule of
+    ``np.linalg.lstsq``: singular values at or below eps*max(M, N) times the
+    largest count as zero, and NumericalError is raised at rank below N.
+    Returns the winner's index, solution (N,), residual sum of squares and
+    condition number.
     """
     import numpy as np
 
     rows, cols = design.shape[-2:]
-    index = np.arange(len(design))
-    if len(design) > 1 and rows > cols:
+    i = 0
+    if len(design) > 1:
         r = np.linalg.qr(np.concatenate((design, rhs[..., None]), -1), mode="r")
-        norm = np.abs(r[:, cols, cols])
-        tol = _SCREEN_RTOL * np.linalg.norm(rhs, axis=-1).max()
-        index = np.flatnonzero(norm <= norm.min() + tol)
-        design, rhs = design[index], rhs[index]
+        i = int(np.argmin(np.abs(r[:, cols, cols])))
+    design, rhs = design[[i]], rhs[[i]]
     u, sing, vt = np.linalg.svd(design, full_matrices=False)
     keep = sing > np.finfo(float).eps * max(rows, cols) * sing[:, :1]
     if not keep.all():
         raise NumericalError(rank_message)
     theta = np.einsum("gji,gj->gi", vt, np.einsum("gmj,gm->gj", u, rhs) / sing)
     resid = np.sum((rhs - np.einsum("gmn,gn->gm", design, theta)) ** 2, axis=-1)
-    i = int(np.argmin(resid))
-    # The rank rule above leaves every smallest singular value > 0.
-    return int(index[i]), theta[i], float(resid[i]), float(sing[i, 0] / sing[i, -1])
+    # The rank rule above leaves the smallest singular value > 0.
+    return i, theta[0], float(resid[0]), float(sing[0, 0] / sing[0, -1])
 
 
 def _check_finite(p0, cols, quotes, what: str) -> None:

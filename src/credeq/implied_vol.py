@@ -147,10 +147,14 @@ def model_quote(price: float, strike: float, tau: float, kind: str,
 
     The rate is the model zero yield at ``tau`` and the spot is
     x*exp(-q*tau), Black-Scholes with a dividend yield. A price outside the
-    Black-Scholes bounds has no vol: it quotes as None with vega 0.0.
+    Black-Scholes bounds has no vol: it quotes as None with vega 0.0. A
+    dividend yield that underflows that spot to 0 raises ValidationError.
     """
     rate = vasicek_yield(vasicek, tau)
     x = equity.x * math.exp(-equity.q * tau)
+    if x == 0.0:
+        raise ValidationError(f"dividend yield q = {equity.q} at maturity tau = {tau} underflows "
+                              f"the spot x*exp(-q*tau) of x = {equity.x} to 0")
     try:
         vol = implied_vol(price, x, strike, tau, rate, kind)
     except DomainError:

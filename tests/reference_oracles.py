@@ -12,8 +12,9 @@
 * ``greeks_fd``: the eight Greeks from Richardson-extrapolated central
   differences of those closed forms, independent of the analytic
   derivative algebra in :mod:`credeq.corrections`.
-* ``best_on_grid_svd``: the calibration's grid search without the QR
-  screen, solving every grid point by batched SVD.
+* ``best_on_grid_svd``: the calibration's grid search by SVD alone, every
+  grid point solved and ranked by its residual; the reference for the QR
+  profile's winner and for that winner's solve.
 * ``cds_spread_reduce``: one schedule's CDS spread with its own annuity,
   summed left to right, the order the library's running sum adds in; each
   bond is a separate ``price_full``.
@@ -291,13 +292,15 @@ def greeks_fd(inputs: PricingInputs, kind: str) -> tuple:
 
 
 def best_on_grid_svd(design, rhs, rank_message: str):
-    """``calibration._best_on_grid`` as it was before its QR screen: every grid point solved.
+    """``calibration._best_on_grid`` with SVD residuals, not QR norms, as its criterion.
 
     Row g of the (G x M x N) ``design`` and the (G x M) ``rhs`` is grid point
     g's system; all are solved by batched SVD with the rank rule of
     ``np.linalg.lstsq``, and NumericalError is raised when any system has
     rank below N. Returns the winner's index, solution, residual sum of
-    squares and condition number; ties go to the first grid point.
+    squares and condition number; ties go to the first grid point. On a
+    one-point grid, such as ``design[[i]]``, it is the library's solve of
+    point i, bit for bit.
     """
     u, sing, vt = np.linalg.svd(design, full_matrices=False)
     keep = sing > np.finfo(float).eps * max(design.shape[-2:]) * sing[:, :1]

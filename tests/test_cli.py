@@ -837,6 +837,32 @@ class TestArgumentErrors:
         assert_one_error_line(code, out, err, "DomainError")
         assert "spot / strike" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["price", "--kind", "put", "--strike", "8", "--maturity", "0.5"],
+        ["price", "--kind", "call", "--strike", "8", "--maturity", "0.5"],
+        ["ivol-surface", "--grid", "0.5x8"],
+    ], ids=["price-put", "price-call", "ivol-surface"])
+    def test_dividend_yield_that_underflows_the_spot_exits_2(self, tmp_path, capsys, argv):
+        # 8 * exp(-1500 * 0.5) rounds to 0: the quote has no spot to invert on.
+        fit = fit_dict()
+        fit["equity"]["q"] = 1500.0
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit))
+        code, out, err = run(capsys, argv[0], "--fit", str(path), *argv[1:])
+        assert_one_error_line(code, out, err)
+        assert "dividend yield q = 1500.0 at maturity tau = 0.5" in json.loads(err)["message"]
+
+    def test_dividend_yield_that_underflows_the_spot_in_calibrate_exits_2(self, fixture_files,
+                                                                           capsys):
+        tmp_path, bonds_csv, options_csv, params_json = fixture_files
+        params = json.loads(params_json.read_text())
+        params["equity"]["q"] = 3000.0
+        params_json.write_text(json.dumps(params))
+        code, out, err = run(capsys, "calibrate", "--bonds", str(bonds_csv),
+                             "--options", str(options_csv), "--params", str(params_json))
+        assert_one_error_line(code, out, err)
+        assert "dividend yield q = 3000.0" in json.loads(err)["message"]
+
     @pytest.mark.parametrize("name", ["q", "sigma1"])
     def test_non_finite_equity_in_fit_exits_2(self, tmp_path, capsys, name):
         fit = fit_dict()
@@ -893,15 +919,6 @@ class TestArgumentErrors:
             "oracle": ["--fit", "--instrument", "--strike", "--maturity", "--paths", "--seed",
                        "--steps-per-year", "--eps", "--dlt", "--freq", "--out"],
         }
-
-    def test_unknown_variant_in_fit_exits_2(self, tmp_path, capsys):
-        fit = dict(fit_dict(), variant="five_param")
-        path = tmp_path / "fit.json"
-        path.write_text(json.dumps(fit))
-        code, _, err = run(capsys, "price", "--fit", str(path), "--kind", "bond",
-                           "--maturity", "2")
-        assert code == 2
-        assert json.loads(err)["error"] == "ValidationError"
 
     def test_bad_grid_spec(self, tmp_path, capsys):
         path = tmp_path / "fit.json"

@@ -14,6 +14,14 @@ priced by the model, with one field of the equity block edited.
 ``fit-rates`` and ``estimate-equity`` run on a small treasury curve and
 two 40-day histories, with one flag or one CSV cell set to each value.
 
+Each input file format also takes seeded byte mutations (a byte flipped,
+dropped or inserted, or a span reversed), from ``random.Random`` too: the
+fit JSON through ``price``, ``ivol-surface`` and ``cds-curve``, the bond
+and option CSVs through ``calibrate``, the treasury CSV through
+``fit-rates`` and the stock history CSV through ``estimate-equity``. The
+mutants of each file must include runs that exit 0 and runs that exit 2, so
+that the mutations reach past the parser.
+
 Two contracts close the file: every float flag takes a negative number in
 exponent form as a value, and every error class exits with the code the
 table of ``credeq.errors`` gives it.
@@ -239,6 +247,63 @@ def test_estimate_equity_cells(tmp_path, capsys, series):
     cell = {"stock_cell": 20} if series == "stock" else {"rate_cell": 20}
     for value in VALUES:
         run(capsys, estimate_equity(tmp_path, value=value, **cell))
+
+
+MUTATIONS = 100
+
+
+def mutate(rng, data):
+    """``data`` with one byte flipped, dropped or inserted, or one span reversed."""
+    i = rng.randrange(len(data))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return data[:i] + bytes([data[i] ^ rng.randrange(1, 256)]) + data[i + 1:]
+    if kind == 1:
+        return data[:i] + data[i + 1:]
+    if kind == 2:
+        return data[:i] + bytes([rng.randrange(256)]) + data[i:]
+    j = rng.randrange(i, len(data)) + 1
+    return data[:i] + data[i:j][::-1] + data[j:]
+
+
+def run_mutants(capsys, path, argvs):
+    """Run each argv on MUTATIONS mutants of the file at ``path``, seeded by its name.
+
+    The unmutated file must run with exit 0; returns the set of exit codes of the mutants.
+    """
+    data = path.read_bytes()
+    for argv in argvs:
+        assert run(capsys, argv) == 0, argv
+    rng = random.Random(path.name)
+    codes = set()
+    for _ in range(MUTATIONS):
+        path.write_bytes(mutate(rng, data))
+        codes.update(run(capsys, argv) for argv in argvs)
+    return codes
+
+
+def test_mutated_fit_json(tmp_path, capsys):
+    fit_path = write_fit(tmp_path / "fit.json", FIT)
+    argvs = [[command, "--fit", fit_path, *flags] for command, *flags in FIT_COMMANDS]
+    assert run_mutants(capsys, tmp_path / "fit.json", argvs) >= {0, 2}
+
+
+@pytest.mark.parametrize("name", ["bonds.csv", "options.csv"])
+def test_mutated_quote_csv(tmp_path, capsys, calibration_day, name):
+    params = write_params(tmp_path / "params.json", "q", FIT["equity"]["q"])
+    argv = [*calibration_day, "--params", params]
+    assert run_mutants(capsys, tmp_path / name, [argv]) >= {0, 2}
+
+
+def test_mutated_treasury_csv(tmp_path, capsys):
+    path = write_treasury(tmp_path / "treasury.csv")
+    argv = ["fit-rates", "--treasury", path]
+    assert run_mutants(capsys, tmp_path / "treasury.csv", [argv]) >= {0, 2}
+
+
+def test_mutated_history_csv(tmp_path, capsys):
+    # The spot-rate history is read by the same loader.
+    assert run_mutants(capsys, tmp_path / "stock.csv", [estimate_equity(tmp_path)]) >= {0, 2}
 
 
 def float_flags():
