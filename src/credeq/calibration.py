@@ -22,9 +22,10 @@ on Vasicek factors computed once per distinct maturity. One criterion picks
 it: a stacked QR of every point's augmented system gives its least-squares
 residual norm, the profile over the grid, and the first least wins, so ties
 go to the smaller grid value. A grid of more than one point has more quotes
-than columns, which that norm needs. The winner alone is solved, by SVD
-(never normal equations; the Greek columns are highly collinear) with the
-rank rule of ``np.linalg.lstsq``, and reports its condition number. A
+than columns, which that norm needs. The winner alone is solved by
+``np.linalg.lstsq`` on its C-contiguous system (an SVD, never normal
+equations; the Greek columns are highly collinear), so its solution,
+residual and condition number do not depend on the design's memory layout. A
 non-finite P0 or Greek raises NumericalError, as does a vega-weighted
 option system whose squares leave the float range; a spot whose vega floor
 has no finite weight raises DomainError. The l grid starts at l_min > 0
@@ -74,10 +75,6 @@ class BondFit:
     l_w2: float
     residual: float
     condition_number: float
-
-    def __post_init__(self):
-        if self.residual < 0:
-            raise ValidationError("residual must be >= 0")
 
 
 # The bond step of a variant that has none: no products, no residual.
@@ -158,28 +155,25 @@ def _best_on_grid(design, rhs, rank_message: str):
     of the augmented systems [A_g | b_g] gives every point's residual norm
     |R[N, N]| (Golub & Van Loan, Matrix Computations, section 5.3), and the
     first least wins; a one-point grid skips the QR. The winner alone is
-    solved by SVD, never by normal equations, with the rank rule of
-    ``np.linalg.lstsq``: singular values at or below eps*max(M, N) times the
-    largest count as zero, and NumericalError is raised at rank below N.
+    solved by ``np.linalg.lstsq`` on the C-contiguous winner (an SVD, never
+    normal equations), and NumericalError is raised when its rank, by
+    lstsq's rule, is below N.
     Returns the winner's index, solution (N,), residual sum of squares and
     condition number.
     """
     import numpy as np
 
-    rows, cols = design.shape[-2:]
+    cols = design.shape[-1]
     i = 0
     if len(design) > 1:
         r = np.linalg.qr(np.concatenate((design, rhs[..., None]), -1), mode="r")
         i = int(np.argmin(np.abs(r[:, cols, cols])))
-    design, rhs = design[[i]], rhs[[i]]
-    u, sing, vt = np.linalg.svd(design, full_matrices=False)
-    keep = sing > np.finfo(float).eps * max(rows, cols) * sing[:, :1]
-    if not keep.all():
+    a, b = np.ascontiguousarray(design[i]), rhs[i]
+    theta, _, rank, sing = np.linalg.lstsq(a, b, rcond=None)
+    if rank < cols:
         raise NumericalError(rank_message)
-    theta = np.einsum("gji,gj->gi", vt, np.einsum("gmj,gm->gj", u, rhs) / sing)
-    resid = np.sum((rhs - np.einsum("gmn,gn->gm", design, theta)) ** 2, axis=-1)
-    # The rank rule above leaves the smallest singular value > 0.
-    return i, theta[0], float(resid[0]), float(sing[0, 0] / sing[0, -1])
+    resid = b - a @ theta
+    return i, theta, float(resid @ resid), float(sing[0] / sing[-1])
 
 
 def _check_finite(p0, cols, quotes, what: str) -> None:

@@ -30,7 +30,6 @@ __all__ = [
     "load_options_csv",
     "save_options_csv",
     "load_history_csv",
-    "save_history_csv",
     "filter_options",
 ]
 
@@ -205,10 +204,6 @@ def save_options_csv(path, quotes) -> None:
 
 def load_history_csv(path) -> PriceHistory:
     return PriceHistory(points=tuple(_read(path, _HISTORY)))
-
-
-def save_history_csv(path, history: PriceHistory) -> None:
-    _write(path, _HISTORY, history.points)
 
 
 # ---------------------------------------------------------------------------

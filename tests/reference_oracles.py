@@ -14,7 +14,7 @@
   derivative algebra in :mod:`credeq.corrections`.
 * ``best_on_grid_svd``: the calibration's grid search by SVD alone, every
   grid point solved and ranked by its residual; the reference for the QR
-  profile's winner and for that winner's solve.
+  profile's winner and, to rounding, for that winner's residual.
 * ``cds_spread_reduce``: one schedule's CDS spread with its own annuity,
   summed left to right, the order the library's running sum adds in; each
   bond is a separate ``price_full``.
@@ -298,9 +298,10 @@ def best_on_grid_svd(design, rhs, rank_message: str):
     g's system; all are solved by batched SVD with the rank rule of
     ``np.linalg.lstsq``, and NumericalError is raised when any system has
     rank below N. Returns the winner's index, solution, residual sum of
-    squares and condition number; ties go to the first grid point. On a
-    one-point grid, such as ``design[[i]]``, it is the library's solve of
-    point i, bit for bit.
+    squares and condition number; ties go to the first grid point. It is
+    the reference for the library's winner and, to rounding, for its
+    residual; the library solves that winner by ``np.linalg.lstsq``, so the
+    two differ in their last bits.
     """
     u, sing, vt = np.linalg.svd(design, full_matrices=False)
     keep = sing > np.finfo(float).eps * max(design.shape[-2:]) * sing[:, :1]

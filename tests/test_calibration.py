@@ -272,36 +272,36 @@ class TestPinnedFits:
     floating-point order shows here, not only a change beyond the round-trip
     tolerances above."""
 
-    BOND = BondFit(l_lambda=0.015, l_v3=0.0002700000000000018, l_w2=-3.0000000000000214e-05,
-                   residual=3.204499666311986e-32, condition_number=13.045282597946768)
+    BOND = BondFit(l_lambda=0.015, l_v3=0.00027000000000000185, l_w2=-3.000000000000016e-05,
+                   residual=3.2062756408297615e-32, condition_number=13.04528259794677)
     OPTIONS = {
         "seven_param": OptionFit(
             l=0.3, lam=0.05,
             coeffs=CorrectionParams(
-                v1=0.9960000000000065, v2=-0.0014000000000006676, v3=0.000900000000000006,
-                v4=0.010400000000018353, v5=-0.6513999999963921, v6=0.33400000000422203,
-                w1=-0.18370000000411463, w2=-0.00010000000000000072),
-            weighted_residual=1.9390412621237926e-23, condition_number=911878.5416001045),
+                v1=0.9960000000000052, v2=-0.0014000000000006316, v3=0.0009000000000000062,
+                v4=0.010400000000016426, v5=-0.6513999999966937, v6=0.33400000000438274,
+                w1=-0.1837000000042772, w2=-0.00010000000000000053),
+            weighted_residual=2.201605480540212e-23, condition_number=911878.5416001047),
         "three_param": OptionFit(
             l=0.38, lam=0.039473684210526314,
-            coeffs=CorrectionParams(v1=0.9658054412306679, v3=0.0007105263157894784,
-                                    w1=0.018588030334167463, w2=-7.894736842105319e-05),
-            weighted_residual=88.87391568671198, condition_number=26.389280194295644),
+            coeffs=CorrectionParams(v1=0.965805441230667, v3=0.0007105263157894785,
+                                    w1=0.01858803033416359, w2=-7.894736842105305e-05),
+            weighted_residual=88.87391568671151, condition_number=26.389280194295658),
         "index": OptionFit(
             l=1.0, lam=0.0,
-            coeffs=CorrectionParams(v1=0.9031385376931271, v2=0.0004120894949664654,
-                                    v4=-0.009314079015336138, v5=12.81279403948366,
-                                    v6=-0.1753891682175106),
-            weighted_residual=851.9258769980916, condition_number=64913.79026388401),
+            coeffs=CorrectionParams(v1=0.9031385376931269, v2=0.00041208949496650445,
+                                    v4=-0.009314079015335297, v5=12.81279403948372,
+                                    v6=-0.17538916821751036),
+            weighted_residual=851.9258769980937, condition_number=64913.790263884024),
     }
     # The index quotes carry a dividend yield, so their vega weights are taken
     # on the dividend-adjusted spot.
     INDEX_TRUTH = OptionFit(
         l=1.0, lam=0.0,
-        coeffs=CorrectionParams(v1=0.0004000000000000097, v2=-5.999999999999916e-05,
-                                v4=1.9999999999998938e-05, v5=-0.0007999999999998362,
-                                v6=0.00030000000000001575),
-        weighted_residual=2.299919294104461e-29, condition_number=115573.58045688459)
+        coeffs=CorrectionParams(v1=0.0004000000000000103, v2=-5.999999999999916e-05,
+                                v4=1.9999999999998382e-05, v5=-0.0007999999999998288,
+                                v6=0.0003000000000000155),
+        weighted_residual=6.720389743763558e-29, condition_number=115573.5804568846)
 
     def test_bond_fit(self, roundtrip_fixture):
         bonds, _ = roundtrip_fixture
@@ -321,16 +321,32 @@ class TestPinnedFits:
         assert fit == self.INDEX_TRUTH
 
 
+def lstsq_winner(design, rhs, i):
+    """Point i solved by ``np.linalg.lstsq`` on its C-contiguous system: index, solution,
+    residual sum of squares and condition number."""
+    a, b = np.ascontiguousarray(design[i]), rhs[i]
+    theta, _, _, sing = np.linalg.lstsq(a, b, rcond=None)
+    resid = b - a @ theta
+    return i, theta.tolist(), float(resid @ resid), float(sing[0] / sing[-1])
+
+
+def as_tuple(result):
+    i, theta, resid, cond = result
+    return i, theta.tolist(), resid, cond
+
+
 def assert_same_winner(design, rhs):
-    got = calibration._best_on_grid(design, rhs, "rank")
-    want = best_on_grid_svd(design, rhs, "rank")
-    assert (got[0], got[1].tolist(), got[2], got[3]) == (want[0], want[1].tolist(), *want[2:])
+    got = as_tuple(calibration._best_on_grid(design, rhs, "rank"))
+    i, _, least, _ = best_on_grid_svd(design, rhs, "rank")
+    assert got == lstsq_winner(design, rhs, i)
+    assert abs(np.sqrt(got[2]) - np.sqrt(least)) < 1e-10 * np.linalg.norm(rhs[i])
     return got[0]
 
 
 class TestGridScreen:
-    """The QR profile's first argmin wins and is solved alone; away from ties within
-    rounding that is the full-grid SVD's winner, with its numbers bit for bit.
+    """The QR profile's first argmin wins and is solved alone, by ``np.linalg.lstsq`` on
+    its C-contiguous system; away from ties within rounding that is the full-grid SVD's
+    winner, and its residual is the SVD's least to rounding.
 
     The class keeps the name it had when a QR screen chose the points to solve,
     so that its test ids stay stable."""
@@ -354,6 +370,15 @@ class TestGridScreen:
         assert [d.shape[0] for d, _ in fixture_systems] == [201, 96, 96, 1]
         for design, rhs in fixture_systems:
             assert_same_winner(design, rhs)
+
+    def test_same_bits_for_every_memory_layout(self, fixture_systems):
+        # The seven_param system as fit_options builds it is strided; its C- and
+        # Fortran-ordered copies must give the same winner, solution and diagnostics.
+        design, rhs = fixture_systems[1]
+        assert not design.flags.c_contiguous
+        want = as_tuple(calibration._best_on_grid(design, rhs, "rank"))
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            assert as_tuple(calibration._best_on_grid(layout(design), rhs, "rank")) == want
 
     def test_screen_error_on_the_fixtures(self, fixture_systems):
         # |R[N, N]| of QR on [A | b] against the SVD least-squares residual norm.
@@ -405,10 +430,9 @@ class TestGridScreen:
         design[7], rhs[7] = design[3][rows], rhs[3][rows]
         r = np.linalg.qr(np.concatenate((design, rhs[..., None]), -1), mode="r")
         i = int(np.argmin(np.abs(r[:, 3, 3])))
-        got = calibration._best_on_grid(design, rhs, "rank")
-        alone = best_on_grid_svd(design[[i]], rhs[[i]], "rank")
+        got = as_tuple(calibration._best_on_grid(design, rhs, "rank"))
         assert i in (3, 7)
-        assert (got[0], got[1].tolist(), *got[2:]) == (i, alone[1].tolist(), *alone[2:])
+        assert got == lstsq_winner(design, rhs, i)
         least = best_on_grid_svd(design, rhs, "rank")[2]
         assert abs(np.sqrt(got[2]) - np.sqrt(least)) < 1e-10 * np.linalg.norm(rhs[i])
 

@@ -150,6 +150,7 @@ class TestTermStructure:
         ([float(t) / 2 for t in range(1, 61)], 0.5),
         # every schedule of 1..120 payments, at five frequencies
         *[([n * delta for n in range(1, 121)], delta) for delta in (1.0, 0.5, 0.25, 1 / 12, 0.1)],
+        ([], 1.0),  # no maturities, no curve
     ])
     def test_curve_equals_one_spread_per_schedule(self, maturities, delta):
         # Each full-loss bond is priced once per curve; every spread stays bit-identical

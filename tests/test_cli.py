@@ -6,13 +6,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from credeq import market_data
 from credeq.cli import build_parser, main
 from credeq.market_data import (
     save_bonds_csv,
-    save_history_csv,
     save_options_csv,
     save_treasury_csv,
-    PriceHistory,
     TreasuryCurve,
 )
 from credeq.pricing import CreditParams, PricingInputs
@@ -144,8 +143,8 @@ class TestEstimateEquity:
         prices = 8.0 * np.exp(np.cumsum(0.38 / math.sqrt(252) * rng.standard_normal(n)))
         rates = 0.05 + np.cumsum(1e-4 * rng.standard_normal(n))
         stock_csv, rates_csv = tmp_path / "stock.csv", tmp_path / "rates.csv"
-        save_history_csv(stock_csv, PriceHistory(points=tuple(zip(days, prices))))
-        save_history_csv(rates_csv, PriceHistory(points=tuple(zip(days, rates))))
+        market_data._write(stock_csv, market_data._HISTORY, zip(days, prices))
+        market_data._write(rates_csv, market_data._HISTORY, zip(days, rates))
         code, out, err = run(
             capsys, "estimate-equity", "--stock", str(stock_csv),
             "--spot-rate", str(rates_csv), "--dividend-yield", "0.01",
@@ -159,8 +158,8 @@ class TestEstimateEquity:
 
     def write_and_run(self, tmp_path, capsys, days, prices, rates):
         stock_csv, rates_csv = tmp_path / "stock.csv", tmp_path / "rates.csv"
-        save_history_csv(stock_csv, PriceHistory(points=tuple(zip(days, prices))))
-        save_history_csv(rates_csv, PriceHistory(points=tuple(zip(days, rates))))
+        market_data._write(stock_csv, market_data._HISTORY, zip(days, prices))
+        market_data._write(rates_csv, market_data._HISTORY, zip(days, rates))
         return run(capsys, "estimate-equity", "--stock", str(stock_csv),
                    "--spot-rate", str(rates_csv))
 
@@ -183,14 +182,28 @@ class TestEstimateEquity:
         assert_one_error_line(code, out, err)
         assert str(days[17]) in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("n_rates, swing, message", [
+        (29, 1e-3, "need at least 30 overlapping dates, got 29"),
+        (60, 0.0, "a constant series has no defined correlation"),
+    ], ids=["29-shared-dates", "constant-spot-rate"])
+    def test_uncorrelatable_spot_rate_history_exits_2(self, tmp_path, capsys, n_rates, swing,
+                                                     message):
+        # 60 stock rows estimate sigma2; the spot rate covers the first n_rates days.
+        days = business_days(60)
+        prices = 8.0 * np.exp(0.01 * np.sin(np.arange(60)))
+        rates = 0.05 + swing * np.cos(np.arange(n_rates))
+        code, out, err = self.write_and_run(tmp_path, capsys, days, prices, rates)
+        assert_one_error_line(code, out, err)
+        assert message in json.loads(err)["message"]
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_dividend_yield_exit_2(self, tmp_path, capsys, value):
         days = business_days(100)
         prices = 8.0 * np.exp(0.01 * np.sin(np.arange(100)))
         stock_csv, rates_csv = tmp_path / "stock.csv", tmp_path / "rates.csv"
-        save_history_csv(stock_csv, PriceHistory(points=tuple(zip(days, prices))))
+        market_data._write(stock_csv, market_data._HISTORY, zip(days, prices))
         rates = 0.05 + 1e-3 * np.cos(np.arange(100))
-        save_history_csv(rates_csv, PriceHistory(points=tuple(zip(days, rates))))
+        market_data._write(rates_csv, market_data._HISTORY, zip(days, rates))
         code, out, err = run(
             capsys, "estimate-equity", "--stock", str(stock_csv),
             "--spot-rate", str(rates_csv), "--dividend-yield", value,
@@ -359,6 +372,16 @@ class TestCalibrateAndConsume:
         )
         assert code == 2
         assert "finite" in json.loads(err)["message"]
+
+    def test_negative_volume_exits_2(self, fixture_files, capsys):
+        tmp_path, bonds_csv, options_csv, params_json = fixture_files
+        options_csv.write_text(options_csv.read_text() + "0.5,8.0,call,1.0,-1\n")
+        code, out, err = run(
+            capsys, "calibrate", "--bonds", str(bonds_csv),
+            "--options", str(options_csv), "--params", str(params_json),
+        )
+        assert_one_error_line(code, out, err)
+        assert "volume must be >= 0, got -1" in json.loads(err)["message"]
 
 
 def fit_dict():
@@ -746,6 +769,14 @@ class TestOracleCommand:
                              "--maturity", "0.5", "--paths", "10000", "--seed", seed)
         assert_one_error_line(code, out, err)
         assert "seed" in json.loads(err)["message"]
+
+    def test_zero_steps_per_year_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(self.FIT))
+        code, out, err = run(capsys, "oracle", "--fit", str(path), "--instrument", "bond",
+                             "--maturity", "0.5", "--paths", "10000", "--steps-per-year", "0")
+        assert_one_error_line(code, out, err)
+        assert "n_steps_per_year must be >= 1" in json.loads(err)["message"]
 
     def test_dlt_defaults_to_zero_with_eps(self, tmp_path, capsys):
         path = tmp_path / "fit.json"

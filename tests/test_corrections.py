@@ -305,6 +305,10 @@ class TestPriceFull:
         pin = self.pin()
         assert price_full(pin, CorrectionParams(), "call") == call_p0(pin)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValidationError, match="unknown instrument kind 'swap'"):
+            price_p0(self.pin(), "swap")
+
     def test_least_variance_is_where_g5s_denominator_underflows(self):
         below = math.nextafter(_MIN_VARIANCE, 0.0)
         assert _MIN_VARIANCE * math.sqrt(_MIN_VARIANCE) > 0

@@ -20,7 +20,6 @@ from credeq.market_data import (
     load_options_csv,
     load_treasury_csv,
     save_bonds_csv,
-    save_history_csv,
     save_options_csv,
     save_treasury_csv,
 )
@@ -110,7 +109,7 @@ class TestRoundTrips:
             )
         )
         path = tmp_path / "h.csv"
-        save_history_csv(path, hist)
+        md._write(path, md._HISTORY, hist.points)
         assert load_history_csv(path).points == hist.points
 
 
@@ -146,8 +145,9 @@ class TestEveryFormat:
             BondQuote(0.1, 1.5), BondQuote(1 / 3, 1e-300), BondQuote(29.999999999999996, 0.7)]),
         "options": (save_options_csv, load_options_csv, [
             OptionQuote(5 / 365, 1 / 3, "put", 0.0, 0), OptionQuote(2.0, 8.04, "call", 1e-12, 10**9)]),
-        "history": (save_history_csv, load_history_csv, PriceHistory(
-            points=((dt.date(1999, 12, 31), 1e-300), (dt.date(2000, 2, 29), 8.123456789012345)))),
+        "history": (lambda path, history: md._write(path, md._HISTORY, history.points),
+                    load_history_csv, PriceHistory(points=(
+                        (dt.date(1999, 12, 31), 1e-300), (dt.date(2000, 2, 29), 8.123456789012345)))),
     }
 
     @pytest.mark.parametrize("fmt", sorted(RECORDS))

@@ -70,6 +70,11 @@ class TestFactorB:
     def test_zero_horizon(self):
         assert vasicek_factors(0.1, 0.0)[0] == 0.0
 
+    @pytest.mark.parametrize("beta, s", [(0.0, 1.0), (0.1, -1.0)])
+    def test_non_positive_beta_or_negative_horizon_rejected(self, beta, s):
+        with pytest.raises(ValidationError, match="need beta > 0 and s >= 0"):
+            vasicek_factors(beta, s)
+
     def test_direct_evaluation(self):
         # cross-check the expm1 path against the plain expression
         assert vasicek_factors(0.0872, 5.0)[0] == pytest.approx(
